@@ -3,7 +3,7 @@
 //! `.etl` file, and analyze or export it offline.
 //!
 //! ```text
-//! tracetool record <app-substring> <seconds> <out.etl>   # UIforETW step
+//! tracetool record <app-substring> <seconds> <out.etl>   # UIforETW step (SETL v3)
 //! tracetool info <trace.etl>                             # container + record census
 //! tracetool summary <trace.etl>                          # task-manager view
 //! tracetool tlp <trace.etl> <process-prefix>             # Equation 1
@@ -25,20 +25,22 @@
 //! 0 = clean, 1 = findings (verify diagnostics, diff regression),
 //! 2 = usage error or corrupt input.
 //!
+//! `record` writes SETL v3; every reader also accepts legacy flat v1/v2
+//! files, which `pack` converts (and `unpack` writes, for old tools).
+//!
 //! `info` summarizes a trace file without materializing it: container
-//! generation, event/record counts, string-table size, window duration,
+//! format, event/record counts, string-table size, window duration,
 //! the per-CPU context-switch histogram and the per-wait-reason census —
-//! all through the streaming decoder, so checksums are still enforced.
-//! `timeline` streams the same way: both trace generations fold into the
-//! bucketed series without ever materializing the event vector.
+//! all through the checksum-enforcing v3 walk. `timeline` folds the same
+//! walk into the bucketed series without materializing the event vector.
 //!
 //! The analysis subcommands (`verify`, `tlp`, `latency`, `bottlenecks`,
 //! `critical-path`, `timeline`) accept a global `--analyzer-shards N`
 //! flag that routes them through the sharded streaming path: blocks of a
-//! revision-2 SETL v3 file decode in parallel on `N` workers (`0` = one
-//! per hardware thread) and fold into byte-identical reports. Sharding
-//! requires a blocked v3 file — flat v1/v2 traces and revision-1 streams
-//! exit 2 with a message pointing at `tracetool pack`.
+//! SETL v3 file decode in parallel on `N` workers (`0` = one per hardware
+//! thread) and fold into byte-identical reports. Sharding requires a v3
+//! file — flat v1/v2 traces exit 2 with a message pointing at
+//! `tracetool pack`.
 
 use etwtrace::{
     analysis, blame, chrome, critical, etl, export, hb, setl3, verify, EtlTrace, PidSet,
@@ -79,7 +81,7 @@ fn main() {
             // lint:allow(fs-write): streamed whole-file trace export to a
             // user-chosen path; never consumed by the persistent store.
             let file = File::create(out).unwrap_or_else(|e| usage(&format!("{out}: {e}")));
-            etl::write_etl(&trace, BufWriter::new(file)).expect("write trace");
+            setl3::write_setl3(&trace, BufWriter::new(file)).expect("write trace");
             eprintln!("{} events → {out}", trace.events().len());
         }
         Some("info") => {
@@ -345,9 +347,9 @@ fn main() {
     }
 }
 
-/// `pack` / `unpack`: reads either trace generation (`etl::read_etl`
-/// sniffs the magic) and rewrites it through `encode`. Round trips are
-/// bit-exact on the event log; only the container bytes change.
+/// `pack` / `unpack`: reads either trace format (`etl::read_etl` sniffs
+/// the magic) and rewrites it through `encode`. Round trips are bit-exact
+/// on the event log; only the container bytes change.
 fn recode(
     args: &[String],
     cmd: &str,
@@ -393,9 +395,8 @@ fn take_shards(args: &mut Vec<String>) -> Option<usize> {
     })
 }
 
-/// Opens a blocked SETL v3 file for sharded analysis. Flat v1/v2 traces
-/// and revision-1 streams exit 2 here with a message naming the fix
-/// (`tracetool pack`).
+/// Opens a SETL v3 file for sharded analysis. Flat v1/v2 traces exit 2
+/// here with a message naming the fix (`tracetool pack`).
 fn read_sharded(path: &str) -> ShardedTrace {
     let bytes = std::fs::read(path).unwrap_or_else(|e| usage(&format!("{path}: {e}")));
     ShardedTrace::from_bytes(bytes).unwrap_or_else(|e| usage(&format!("{path}: {e}")))
@@ -545,7 +546,7 @@ fn load(args: &[String], arity: usize) -> EtlTrace {
 }
 
 /// Loads one `diff` operand as a metric map. Trace files (either SETL
-/// generation, sniffed by magic) fold through the streaming timeline pass
+/// format, sniffed by magic) fold through the streaming timeline pass
 /// into [`etwtrace::Timeline::metrics`]; anything else parses as
 /// Prometheus text exposition. That makes `diff` work uniformly over
 /// `.etl` files and `repro --metrics` registry snapshots.

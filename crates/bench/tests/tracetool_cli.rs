@@ -3,7 +3,7 @@
 //! (0 clean / 1 regression / 2 corrupt-or-usage), and exit codes for
 //! help / unknown subcommands.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn tracetool(args: &[&str]) -> Output {
@@ -67,42 +67,42 @@ fn help_lists_every_subcommand_on_stdout() {
     );
 }
 
+/// Records `secs` of VLC into `out` (SETL v3) and writes its flat v2
+/// equivalent to `flat` with `unpack`.
+fn record_and_unpack(secs: &str, out: &Path, flat: &Path) {
+    let rec = tracetool(&["record", "vlc", secs, out.to_str().unwrap()]);
+    assert!(rec.status.success(), "record failed: {rec:?}");
+    let unpack = tracetool(&["unpack", out.to_str().unwrap(), flat.to_str().unwrap()]);
+    assert!(unpack.status.success(), "unpack failed: {unpack:?}");
+}
+
 #[test]
 fn pack_shrinks_at_least_3x_and_round_trips_through_verify() {
     let etl = tmp("pack-src.etl");
-    let packed = tmp("packed.etl");
     let unpacked = tmp("unpacked.etl");
-    let rec = tracetool(&["record", "vlc", "2", etl.to_str().unwrap()]);
-    assert!(rec.status.success(), "record failed: {rec:?}");
-
-    let pack = tracetool(&["pack", etl.to_str().unwrap(), packed.to_str().unwrap()]);
-    assert!(pack.status.success(), "pack failed: {pack:?}");
-    let before = std::fs::metadata(&etl).unwrap().len();
-    let after = std::fs::metadata(&packed).unwrap().len();
+    let packed = tmp("packed.etl");
+    record_and_unpack("2", &etl, &unpacked);
+    let flat = std::fs::read(&unpacked).unwrap();
+    assert!(flat.starts_with(b"SETL\x02"), "unpack writes flat v2");
+    let compact = std::fs::metadata(&etl).unwrap().len();
     assert!(
-        after * 3 <= before,
-        "pack must shrink >=3x: {before} -> {after} bytes"
+        compact * 3 <= flat.len() as u64,
+        "v3 must be >=3x smaller: flat {} -> v3 {compact} bytes",
+        flat.len()
     );
 
-    // The packed trace is a first-class citizen: every reader sniffs the
-    // magic, so verify works on it directly…
-    let ver = tracetool(&["verify", packed.to_str().unwrap()]);
-    assert!(ver.status.success(), "verify on packed failed: {ver:?}");
-
-    // …and unpack regenerates a flat v2 file identical to the original.
-    let unpack = tracetool(&[
-        "unpack",
-        packed.to_str().unwrap(),
-        unpacked.to_str().unwrap(),
-    ]);
-    assert!(unpack.status.success(), "unpack failed: {unpack:?}");
-    assert_eq!(
-        std::fs::read(&etl).unwrap(),
-        std::fs::read(&unpacked).unwrap(),
-        "pack|unpack must reproduce the v2 file byte for byte"
-    );
+    // The flat file is a legacy import: every reader still sniffs it…
     let ver = tracetool(&["verify", unpacked.to_str().unwrap()]);
     assert!(ver.status.success(), "verify on unpacked failed: {ver:?}");
+
+    // …and pack turns it back into the recording, byte for byte.
+    let pack = tracetool(&["pack", unpacked.to_str().unwrap(), packed.to_str().unwrap()]);
+    assert!(pack.status.success(), "pack failed: {pack:?}");
+    assert_eq!(
+        std::fs::read(&etl).unwrap(),
+        std::fs::read(&packed).unwrap(),
+        "record|unpack|pack must reproduce the recording byte for byte"
+    );
 
     for p in [&etl, &packed, &unpacked] {
         let _ = std::fs::remove_file(p);
@@ -110,13 +110,28 @@ fn pack_shrinks_at_least_3x_and_round_trips_through_verify() {
 }
 
 #[test]
+fn a_huge_header_cpu_count_exits_2_from_info_and_timeline() {
+    // A 22-byte v3 stream whose header declares 2^40 logical CPUs.
+    let mut bytes = b"SETL3\x02".to_vec();
+    bytes.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x20]);
+    bytes.resize(22, 0);
+    let path = tmp("huge-cpus.etl");
+    // lint:allow(fs-write): deliberately planting a crafted temp trace.
+    std::fs::write(&path, &bytes).unwrap();
+    for sub in ["info", "timeline"] {
+        let out = tracetool(&[sub, path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "{sub}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("CPU count"), "{sub}: {stderr}");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn info_summarizes_both_container_generations() {
-    let etl = tmp("info-src.etl");
-    let packed = tmp("info-packed.etl");
-    let rec = tracetool(&["record", "vlc", "2", etl.to_str().unwrap()]);
-    assert!(rec.status.success(), "record failed: {rec:?}");
-    let pack = tracetool(&["pack", etl.to_str().unwrap(), packed.to_str().unwrap()]);
-    assert!(pack.status.success(), "pack failed: {pack:?}");
+    let packed = tmp("info-src.etl");
+    let etl = tmp("info-flat.etl");
+    record_and_unpack("2", &packed, &etl);
 
     let flat = tracetool(&["info", etl.to_str().unwrap()]);
     assert!(flat.status.success(), "info on flat failed: {flat:?}");
@@ -191,22 +206,25 @@ fn timeline_matches_the_committed_golden_output() {
     let bad = tracetool(&["timeline", etl.to_str().unwrap(), "--buckets", "0"]);
     assert_eq!(bad.status.code(), Some(2));
 
-    // A corrupt compact trace is rejected with exit 2: the streaming fold
-    // enforces checksums like every other reader.
-    let packed = tmp("timeline-packed.etl");
-    let pack = tracetool(&["pack", etl.to_str().unwrap(), packed.to_str().unwrap()]);
-    assert!(pack.status.success(), "pack failed: {pack:?}");
-    let ok = tracetool(&["timeline", packed.to_str().unwrap()]);
-    assert_eq!(ok.status.code(), Some(0), "v3 streams through the fold");
-    let mut bytes = std::fs::read(&packed).unwrap();
+    // The flat v2 equivalent folds to the same bytes.
+    let flat = tmp("timeline-flat.etl");
+    let unpack = tracetool(&["unpack", etl.to_str().unwrap(), flat.to_str().unwrap()]);
+    assert!(unpack.status.success(), "unpack failed: {unpack:?}");
+    let flat_out = tracetool(&["timeline", flat.to_str().unwrap()]);
+    assert_eq!(flat_out.status.code(), Some(0), "{flat_out:?}");
+    assert_eq!(flat_out.stdout, out.stdout);
+
+    // A corrupt trace is rejected with exit 2: the fold enforces checksums
+    // like every other reader.
+    let mut bytes = std::fs::read(&etl).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
     // lint:allow(fs-write): deliberately planting a corrupt temp trace.
-    std::fs::write(&packed, &bytes).unwrap();
-    let corrupt = tracetool(&["timeline", packed.to_str().unwrap()]);
+    std::fs::write(&etl, &bytes).unwrap();
+    let corrupt = tracetool(&["timeline", etl.to_str().unwrap()]);
     assert_eq!(corrupt.status.code(), Some(2), "corrupt trace must exit 2");
 
-    for p in [&etl, &packed] {
+    for p in [&etl, &flat] {
         let _ = std::fs::remove_file(p);
     }
 }
@@ -261,12 +279,9 @@ fn diff_exit_codes_pin_the_regression_contract() {
 
 #[test]
 fn analyzer_shards_match_serial_output_byte_for_byte() {
-    let etl = tmp("shards.etl");
-    let packed = tmp("shards-packed.etl");
-    let rec = tracetool(&["record", "vlc", "2", etl.to_str().unwrap()]);
-    assert!(rec.status.success(), "record failed: {rec:?}");
-    let pack = tracetool(&["pack", etl.to_str().unwrap(), packed.to_str().unwrap()]);
-    assert!(pack.status.success(), "pack failed: {pack:?}");
+    let packed = tmp("shards.etl");
+    let etl = tmp("shards-flat.etl");
+    record_and_unpack("2", &packed, &etl);
 
     // Every analyzer subcommand must render the same bytes whether it
     // materializes serially or shards the v3 blocks over a pool.

@@ -57,7 +57,10 @@ pub const STORE_ENV: &str = "PARASTAT_STORE";
 /// entry itself; bump it whenever the entry container, the SETL v3 codec,
 /// the registry snapshot format or the [`RunKey`] normalization changes
 /// meaning. Entries from other epochs are quarantined as stale on contact.
-pub const FORMAT_EPOCH: u32 = 1;
+///
+/// Epoch 2: the trace reader decodes SETL v3 revision 2 only, so epoch-1
+/// entries (which may hold revision-1 traces) are never addressed.
+pub const FORMAT_EPOCH: u32 = 2;
 
 const ENTRY_MAGIC: &[u8; 4] = b"SRUN";
 const ENTRY_VERSION: u8 = 1;
@@ -282,10 +285,9 @@ impl SimStore {
         let (reg_bytes, rest) = r.split_at(reg_len);
         r = rest;
         let registry = simobs::Registry::from_bytes(reg_bytes)?;
-        let trace = setl3::read_setl3(&mut r).map_err(|e| format!("trace: {e}"))?;
-        if !r.is_empty() {
-            return Err("trailing bytes after trace".into());
-        }
+        // The trace runs to the end of the payload; its index is anchored
+        // there, so trailing bytes fail the decode.
+        let trace = setl3::decode(r).map_err(|e| format!("trace: {e}"))?;
         let run = SingleRun {
             trace,
             filter,
@@ -533,12 +535,37 @@ mod tests {
         let store = tmp_store("paths");
         let (key, _) = tiny_run();
         let path = store.entry_path(&key);
-        assert!(path.starts_with(store.root().join("v1")));
+        assert!(path.starts_with(store.root().join(format!("v{FORMAT_EPOCH}"))));
         assert!(path.extension().is_some_and(|e| e == "run"));
         let shard = path.parent().unwrap().file_name().unwrap();
         assert_eq!(shard.len(), 2);
         // Same key, different epoch ⇒ different address.
-        let other = SimStore::open(store.root()).with_epoch(2);
+        let other = SimStore::open(store.root()).with_epoch(FORMAT_EPOCH + 1);
         assert_ne!(path, other.entry_path(&key));
+    }
+
+    #[test]
+    fn a_crafted_trace_header_quarantines_the_entry() {
+        let store = tmp_store("crafted");
+        let (key, run) = tiny_run();
+        // A well-formed entry whose trace is a 22-byte v3 stream declaring
+        // 2^40 logical CPUs, under a valid whole-file checksum.
+        let mut trace = setl3::MAGIC.to_vec();
+        trace.push(setl3::VERSION);
+        put_uv(&mut trace, 1 << 40);
+        trace.resize(22, 0);
+        let good = store.encode(&key, &run);
+        let trace_at = good.len() - 8 - setl3::encode(&run.trace).len();
+        let mut bytes = good[..trace_at].to_vec();
+        bytes.extend_from_slice(&trace);
+        let hash = fnv1a(FNV_OFFSET, &bytes);
+        bytes.extend_from_slice(&hash.to_le_bytes());
+        atomic_write(&store.entry_path(&key), &bytes).unwrap();
+        let LoadOutcome::Quarantined { reason } = store.load(&key) else {
+            panic!("crafted trace header must be quarantined");
+        };
+        assert!(reason.contains("CPU count"), "{reason}");
+        assert!(matches!(store.load(&key), LoadOutcome::Miss));
+        let _ = std::fs::remove_dir_all(store.root());
     }
 }

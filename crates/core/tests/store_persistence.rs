@@ -154,3 +154,28 @@ fn load_outcome_reflects_store_state() {
     assert!(matches!(store.load(&key), LoadOutcome::Hit(_)));
     let _ = std::fs::remove_dir_all(&root);
 }
+
+#[test]
+fn an_epoch_1_entry_is_a_clean_miss() {
+    let root = tmp_root("epoch1");
+    let store = SimStore::open(&root);
+    let exp = Experiment::new(AppId::VlcMediaPlayer).budget(Budget {
+        duration: SimDuration::from_secs(2),
+        iterations: 1,
+    });
+    let key = RunRequest::new(&exp, 42).cache_key();
+    // Epoch-1 entries may hold SETL v3 revision-1 traces, which no reader
+    // decodes any more. The epoch is part of the address, so an entry
+    // filed where epoch 1 put it is never read: a miss, not a quarantine.
+    let mut h = cryptomine::Sha256::new();
+    h.update(key.as_str().as_bytes());
+    h.update(&1u32.to_le_bytes());
+    let hex: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
+    let old = root.join("v1").join(&hex[..2]).join(format!("{hex}.run"));
+    parastat::store::atomic_write(&old, b"SRUN epoch-1 entry").unwrap();
+    assert_ne!(store.entry_path(&key), old);
+    assert!(matches!(store.load(&key), LoadOutcome::Miss));
+    assert!(old.exists(), "the old entry is left alone");
+    assert!(!store.quarantine_dir().exists());
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -1,21 +1,19 @@
-//! Binary trace files — the simulated equivalent of the paper's `.etl`
-//! logs: save a recorded [`EtlTrace`] to disk and load it back for offline
-//! analysis, bit-exactly.
+//! Trace files — the simulated equivalent of the paper's `.etl` logs: load
+//! a recorded [`EtlTrace`] from disk for offline analysis, bit-exactly.
 //!
-//! The format is a simple little-endian tagged stream:
-//! `b"SETL"`, format version, CPU count, window, event count, then one
-//! tagged record per event. It is self-contained and versioned; no external
-//! serialization crate is needed.
-//!
-//! [`read_etl`] also accepts the compact binary v3 generation
-//! ([`crate::setl3`], magic `SETL3`) and dispatches on the magic, so every
-//! consumer reads old and new traces transparently; `tracetool pack` /
-//! `unpack` convert between the generations.
+//! [`read_etl`] is the reader every consumer calls. It dispatches on the
+//! magic: the compact v3 format ([`crate::setl3`], magic `SETL3`) that
+//! `tracetool record` writes, or the legacy flat format defined here — a
+//! little-endian tagged stream of `b"SETL"`, format version, CPU count,
+//! window, event count, then one tagged record per event. Flat v1/v2
+//! decoding lives only in [`read_etl`]; `tracetool pack` uses it to import
+//! legacy files and [`write_etl`] (`tracetool unpack`) still writes v2.
 //!
 //! Generic functions take `R: Read` / `W: Write` by value; pass `&mut r`
 //! for a reader you want to keep using.
 
 use crate::event::{EtlTrace, ThreadKey, TraceBuilder, TraceEvent, WaitReason};
+use crate::setl3;
 use simcore::SimTime;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -25,7 +23,7 @@ const MAGIC: &[u8; 4] = b"SETL";
 /// Version 2 added the wait-state records (`WaitBegin`/`WaitEnd`/
 /// `GpuSubmit`, tags 8–10). Version-1 files are still readable — their tag
 /// set is a strict subset.
-pub(crate) const VERSION: u32 = 2;
+const VERSION: u32 = 2;
 
 /// Writes a trace in the binary `.etl`-style format.
 ///
@@ -46,35 +44,39 @@ pub fn write_etl<W: Write>(trace: &EtlTrace, mut w: W) -> io::Result<()> {
     Ok(())
 }
 
-/// Reads a trace written by [`write_etl`] — or a v3 stream written by
-/// [`crate::setl3::write_setl3`]; the two generations are distinguished by
-/// their magic (`SETL` + binary version vs `SETL3`).
+/// Reads a trace file of either format: a v3 stream written by
+/// [`crate::setl3::write_setl3`], or a legacy flat file written by
+/// [`write_etl`]. The magic tells them apart (`SETL3` vs `SETL` + binary
+/// version). A v3 stream is read to the end of `r`.
 ///
 /// # Errors
-/// Returns `InvalidData` for a bad magic/version or malformed records, and
+/// Returns `InvalidData` for a bad magic/version, an implausible CPU count,
+/// malformed or out-of-order records or a v3 checksum mismatch, and
 /// propagates I/O errors from the reader.
 pub fn read_etl<R: Read>(mut r: R) -> io::Result<EtlTrace> {
-    let mut magic = [0u8; 4];
+    let mut magic = [0u8; 5];
     r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(bad("not a SETL trace file"));
+    if &magic == setl3::MAGIC {
+        let mut bytes = magic.to_vec();
+        r.read_to_end(&mut bytes)?;
+        return setl3::decode(&bytes);
     }
-    // One more byte decides the generation: b'3' completes the `SETL3`
-    // magic; otherwise it is the low byte of the v1/v2 little-endian
-    // version word (1 or 2 — never 0x33).
-    let mut gen = [0u8; 1];
-    r.read_exact(&mut gen)?;
-    if gen[0] == b'3' {
-        return crate::setl3::read_setl3_after_magic(r);
+    let [s, e, t, l, low] = magic;
+    if [s, e, t, l] != *MAGIC {
+        return Err(bad("not a SETL trace file"));
     }
     let mut sp = simobs::span::span("codec", "read_etl");
     let mut rest = [0u8; 3];
     r.read_exact(&mut rest)?;
-    let version = u32::from_le_bytes([gen[0], rest[0], rest[1], rest[2]]);
+    let [b1, b2, b3] = rest;
+    let version = u32::from_le_bytes([low, b1, b2, b3]);
     if version == 0 || version > VERSION {
         return Err(bad("unsupported SETL version"));
     }
-    let n_logical = get_u32(&mut r)? as usize;
+    let n_logical = get_u32(&mut r)?;
+    if u64::from(n_logical) > setl3::MAX_LOGICAL_CPUS {
+        return Err(bad("implausible logical CPU count"));
+    }
     let start = SimTime::from_nanos(get_u64(&mut r)?);
     let end = SimTime::from_nanos(get_u64(&mut r)?);
     if end < start {
@@ -82,15 +84,15 @@ pub fn read_etl<R: Read>(mut r: R) -> io::Result<EtlTrace> {
     }
     let count = get_u64(&mut r)?;
     sp.add_events(count);
-    let mut builder = TraceBuilder::new(n_logical);
+    let mut builder = TraceBuilder::new(n_logical as usize);
     for _ in 0..count {
-        builder.push(read_event(&mut r)?);
+        builder.push_decoded(read_event(&mut r)?)?;
     }
     Ok(builder.finish(start, end))
 }
 
-/// Stream-level facts about a trace file, computed without materializing
-/// the event vector — `tracetool info`'s one-pass triage summary.
+/// Stream-level facts about a trace file, computed from a v3 stream without
+/// materializing the event vector — `tracetool info`'s triage summary.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceInfo {
     /// Container generation and revision, e.g. `"SETL v2 (flat)"`.
@@ -114,17 +116,20 @@ pub struct TraceInfo {
 }
 
 impl TraceInfo {
-    fn fold(&mut self, ev: &TraceEvent) {
+    /// Counts one record. `cswitch_per_cpu` is sized from the header's
+    /// (bounded) CPU count, and a record's own `cpu` field is untrusted.
+    fn fold(&mut self, ev: &TraceEvent) -> io::Result<()> {
         *self.records_by_kind.entry(ev.kind_name()).or_insert(0) += 1;
         if let TraceEvent::CSwitch { cpu, .. } = ev {
-            if *cpu >= self.cswitch_per_cpu.len() {
-                self.cswitch_per_cpu.resize(cpu + 1, 0);
-            }
-            self.cswitch_per_cpu[*cpu] += 1;
+            *self
+                .cswitch_per_cpu
+                .get_mut(*cpu)
+                .ok_or_else(|| bad("context switch on a CPU past the header's count"))? += 1;
         }
         if let TraceEvent::WaitBegin { reason, .. } = ev {
             *self.waits_by_reason.entry(reason.label()).or_insert(0) += 1;
         }
+        Ok(())
     }
 
     /// Trace window length in nanoseconds.
@@ -172,60 +177,56 @@ impl TraceInfo {
     }
 }
 
-/// Summarizes a trace file in one streaming pass — both generations, same
-/// magic sniffing as [`read_etl`], full checksum verification on v3 — while
-/// folding counts instead of building an [`EtlTrace`].
+/// Summarizes a trace file — either format, full checksum verification on
+/// v3 — folding counts instead of building an [`EtlTrace`]. A v3 stream is
+/// walked block by block; a legacy flat file goes through [`read_etl`].
 ///
 /// # Errors
-/// Same conditions as [`read_etl`].
+/// Same conditions as [`read_etl`], plus `InvalidData` for a context
+/// switch on a CPU past the header's count.
 pub fn trace_info<R: Read>(mut r: R) -> io::Result<TraceInfo> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(bad("not a SETL trace file"));
-    }
-    let mut gen = [0u8; 1];
-    r.read_exact(&mut gen)?;
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
     let mut sp = simobs::span::span("codec", "trace_info");
-    let mut info = TraceInfo::default();
-    if gen[0] == b'3' {
-        let mut stream = crate::setl3::V3Stream::open(r)?;
-        info.container = match stream.revision {
-            crate::setl3::REV1 => "SETL3 r1 (compact)",
-            _ => "SETL3 r2 (compact, blocked)",
-        };
-        info.n_logical = stream.header.n_logical;
-        info.start_ns = stream.header.start.as_nanos();
-        info.end_ns = stream.header.end.as_nanos();
-        info.events = stream.header.count;
-        info.string_table = Some((stream.header.n_strings, stream.header.string_bytes));
-        info.cswitch_per_cpu = vec![0; stream.header.n_logical];
-        while let Some(ev) = stream.next_event()? {
-            info.fold(&ev);
-        }
-        sp.add_events(info.events);
-        sp.add_bytes(stream.bytes_read());
-        return Ok(info);
-    }
-    let mut rest = [0u8; 3];
-    r.read_exact(&mut rest)?;
-    let version = u32::from_le_bytes([gen[0], rest[0], rest[1], rest[2]]);
-    info.container = match version {
-        1 => "SETL v1 (flat)",
-        2 => "SETL v2 (flat)",
-        _ => return Err(bad("unsupported SETL version")),
+    sp.add_bytes(bytes.len() as u64);
+    let header = |container, n_logical, start: SimTime, end: SimTime, events| TraceInfo {
+        container,
+        n_logical,
+        start_ns: start.as_nanos(),
+        end_ns: end.as_nanos(),
+        events,
+        cswitch_per_cpu: vec![0; n_logical],
+        ..TraceInfo::default()
     };
-    info.n_logical = get_u32(&mut r)? as usize;
-    info.start_ns = get_u64(&mut r)?;
-    info.end_ns = get_u64(&mut r)?;
-    if info.end_ns < info.start_ns {
-        return Err(bad("inverted trace window"));
-    }
-    info.events = get_u64(&mut r)?;
-    info.cswitch_per_cpu = vec![0; info.n_logical];
-    for _ in 0..info.events {
-        info.fold(&read_event(&mut r)?);
-    }
+    let info = if bytes.starts_with(setl3::MAGIC) {
+        let index = setl3::Index::parse(&bytes)?;
+        let mut info = header(
+            "SETL3 r2 (compact, blocked)",
+            index.n_logical,
+            index.start,
+            index.end,
+            index.count,
+        );
+        let string_bytes = index.strings.iter().map(|s| s.len() as u64).sum();
+        info.string_table = Some((index.strings.len() as u64, string_bytes));
+        setl3::walk(&bytes, &index, |ev| info.fold(&ev))?;
+        info
+    } else {
+        let trace = read_etl(bytes.as_slice())?;
+        let container = match bytes.get(4) {
+            Some(1) => "SETL v1 (flat)",
+            _ => "SETL v2 (flat)",
+        };
+        let mut info = header(
+            container,
+            trace.n_logical_cpus(),
+            trace.start(),
+            trace.end(),
+            trace.events().len() as u64,
+        );
+        trace.events().iter().try_for_each(|ev| info.fold(ev))?;
+        info
+    };
     sp.add_events(info.events);
     Ok(info)
 }
@@ -341,7 +342,7 @@ fn write_event<W: Write>(w: &mut W, ev: &TraceEvent) -> io::Result<()> {
     Ok(())
 }
 
-pub(crate) fn read_event<R: Read>(r: &mut R) -> io::Result<TraceEvent> {
+fn read_event<R: Read>(r: &mut R) -> io::Result<TraceEvent> {
     let mut tag = [0u8; 1];
     r.read_exact(&mut tag)?;
     let at = SimTime::from_nanos(get_u64(r)?);
@@ -479,13 +480,13 @@ fn put_opt_key<W: Write>(w: &mut W, key: Option<ThreadKey>) -> io::Result<()> {
     }
 }
 
-pub(crate) fn get_u32<R: Read>(r: &mut R) -> io::Result<u32> {
+fn get_u32<R: Read>(r: &mut R) -> io::Result<u32> {
     let mut buf = [0u8; 4];
     r.read_exact(&mut buf)?;
     Ok(u32::from_le_bytes(buf))
 }
 
-pub(crate) fn get_u64<R: Read>(r: &mut R) -> io::Result<u64> {
+fn get_u64<R: Read>(r: &mut R) -> io::Result<u64> {
     let mut buf = [0u8; 8];
     r.read_exact(&mut buf)?;
     Ok(u64::from_le_bytes(buf))
@@ -525,90 +526,7 @@ fn bad(msg: &str) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::SimDuration;
-
-    fn demo_trace() -> EtlTrace {
-        let mut b = TraceBuilder::new(4);
-        b.push(TraceEvent::ProcessStart {
-            at: SimTime::ZERO,
-            pid: 1,
-            name: "app.exe".into(),
-        });
-        b.push(TraceEvent::ThreadStart {
-            at: SimTime::ZERO,
-            key: ThreadKey { pid: 1, tid: 10 },
-            name: "main".into(),
-        });
-        b.push(TraceEvent::CSwitch {
-            at: SimTime::ZERO + SimDuration::from_millis(1),
-            cpu: 2,
-            old: None,
-            new: Some(ThreadKey { pid: 1, tid: 10 }),
-            ready_since: Some(SimTime::ZERO),
-        });
-        b.push(TraceEvent::GpuSubmit {
-            at: SimTime::ZERO + SimDuration::from_millis(2),
-            key: ThreadKey { pid: 1, tid: 10 },
-            gpu: 0,
-            packet: 9,
-        });
-        b.push(TraceEvent::GpuStart {
-            at: SimTime::ZERO + SimDuration::from_millis(2),
-            gpu: 0,
-            engine: u32::MAX,
-            packet: 9,
-            pid: 1,
-        });
-        b.push(TraceEvent::WaitBegin {
-            at: SimTime::ZERO + SimDuration::from_millis(2),
-            key: ThreadKey { pid: 1, tid: 10 },
-            reason: WaitReason::Gpu { gpu: 0, packet: 9 },
-        });
-        b.push(TraceEvent::GpuEnd {
-            at: SimTime::ZERO + SimDuration::from_millis(3),
-            gpu: 0,
-            engine: u32::MAX,
-            packet: 9,
-            pid: 1,
-        });
-        b.push(TraceEvent::WaitEnd {
-            at: SimTime::ZERO + SimDuration::from_millis(3),
-            key: ThreadKey { pid: 1, tid: 10 },
-            reason: WaitReason::Gpu { gpu: 0, packet: 9 },
-            waker: None,
-        });
-        b.push(TraceEvent::Frame {
-            at: SimTime::ZERO + SimDuration::from_millis(4),
-            pid: 1,
-        });
-        b.push(TraceEvent::WaitBegin {
-            at: SimTime::ZERO + SimDuration::from_millis(4),
-            key: ThreadKey { pid: 1, tid: 10 },
-            reason: WaitReason::Event { id: 5 },
-        });
-        b.push(TraceEvent::WaitEnd {
-            at: SimTime::ZERO + SimDuration::from_millis(5),
-            key: ThreadKey { pid: 1, tid: 10 },
-            reason: WaitReason::Event { id: 5 },
-            waker: Some(ThreadKey { pid: 1, tid: 11 }),
-        });
-        b.push(TraceEvent::Marker {
-            at: SimTime::ZERO + SimDuration::from_millis(5),
-            label: "phase: export 🚀".into(),
-        });
-        b.push(TraceEvent::CSwitch {
-            at: SimTime::ZERO + SimDuration::from_millis(6),
-            cpu: 2,
-            old: Some(ThreadKey { pid: 1, tid: 10 }),
-            new: None,
-            ready_since: None,
-        });
-        b.push(TraceEvent::ThreadEnd {
-            at: SimTime::ZERO + SimDuration::from_millis(6),
-            key: ThreadKey { pid: 1, tid: 10 },
-        });
-        b.finish(SimTime::ZERO, SimTime::ZERO + SimDuration::from_millis(10))
-    }
+    use crate::setl3::tests::demo_trace;
 
     #[test]
     fn roundtrip_is_bit_exact() {
@@ -681,6 +599,34 @@ mod tests {
         assert!(trace_info(corrupt.as_slice()).is_err());
         // And rejects garbage like the full reader does.
         assert!(trace_info(&b"NOPE"[..]).is_err());
+    }
+
+    #[test]
+    fn a_huge_flat_cpu_count_is_invalid_data() {
+        let mut v2 = Vec::new();
+        write_etl(&demo_trace(), &mut v2).unwrap();
+        v2[8..12].copy_from_slice(&u32::MAX.to_le_bytes()); // CPU count
+        for result in [
+            read_etl(v2.as_slice()).map(drop),
+            trace_info(v2.as_slice()).map(drop),
+        ] {
+            assert_eq!(result.unwrap_err().kind(), io::ErrorKind::InvalidData);
+        }
+    }
+
+    #[test]
+    fn trace_info_rejects_a_context_switch_past_the_cpu_count() {
+        let mut b = TraceBuilder::new(4);
+        b.push(TraceEvent::CSwitch {
+            at: SimTime::ZERO,
+            cpu: 1 << 40,
+            old: None,
+            new: Some(ThreadKey { pid: 1, tid: 10 }),
+            ready_since: None,
+        });
+        let v3 = crate::setl3::encode(&b.finish(SimTime::ZERO, SimTime::from_nanos(1)));
+        let err = trace_info(v3.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]

@@ -323,6 +323,20 @@ impl TraceBuilder {
         self.events.push(event);
     }
 
+    /// Appends an event read from a trace file. A file is untrusted input,
+    /// so where [`TraceBuilder::push`] panics this returns `InvalidData`.
+    pub(crate) fn push_decoded(&mut self, event: TraceEvent) -> std::io::Result<()> {
+        if event.at() < self.last_at {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "trace records out of time order",
+            ));
+        }
+        self.last_at = event.at();
+        self.events.push(event);
+        Ok(())
+    }
+
     /// Number of events so far.
     pub fn len(&self) -> usize {
         self.events.len()

@@ -19,11 +19,13 @@
 //!   paper extracts.
 //! * [`chrome`] — Chrome trace-event JSON export, loadable in Perfetto or
 //!   `chrome://tracing` for interactive timeline inspection.
-//! * [`etl`] — binary trace files (the `.etl` of the paper's Fig. 1):
-//!   save a recorded trace and reload it bit-exactly for offline analysis.
+//! * [`etl`] — trace files (the `.etl` of the paper's Fig. 1): `read_etl`
+//!   reloads a recorded trace bit-exactly for offline analysis, from v3 or
+//!   from the legacy flat v1/v2 format it alone still decodes.
 //! * [`setl3`] — the compact v3 codec (varint deltas, interned strings,
-//!   per-record checksums) used by the persistent run store; `etl::read_etl`
-//!   reads both generations.
+//!   block index, checksums) that `tracetool record` and the persistent
+//!   run store write, with the one header/index parser every v3 reader
+//!   shares.
 //! * [`verify`] — streaming invariant checker over the raw event stream
 //!   (timestamp order, CPU occupancy, wait balance, GPU packet lifecycle)
 //!   with machine-readable diagnostics.
@@ -35,10 +37,10 @@
 //!   exact integer-nanosecond conservation.
 //! * [`diff`] — run-diff regression reports over two runs' Prometheus
 //!   registries and timeline summaries, with configurable thresholds.
-//! * [`shard`] — zero-copy sharded access to blocked v3 streams: per-block
-//!   cursors decode in place (no materialization), time-window seek over
-//!   the index clock snapshots, and byte-identical sharded twins of every
-//!   analyzer driven through the injected [`ShardRunner`].
+//! * [`shard`] — the one v3 record decoder, [`BlockCursor`], which decodes
+//!   a block in place; zero-copy sharded access over it (time-window seek
+//!   over the index clock snapshots, and byte-identical sharded twins of
+//!   every analyzer driven through the injected [`ShardRunner`]).
 //!
 //! TLP here is **application-level**: analyzers take a [`PidSet`] filter and
 //! only count threads of those processes, exactly as the paper distinguishes

@@ -1,5 +1,5 @@
-//! SETL v3 — the compact binary trace codec behind the persistent run
-//! store.
+//! SETL v3 — the compact binary trace codec: the format `tracetool record`
+//! writes and the persistent run store keeps.
 //!
 //! The v1/v2 format ([`crate::etl`]) spends 8 bytes on every timestamp and
 //! 16 on every thread key; a 60 s trace is dominated by `CSwitch` records
@@ -15,46 +15,55 @@
 //! * **interned strings** — process/thread names and marker labels are
 //!   collected into a front-loaded string table (first-appearance order)
 //!   and referenced by index;
-//! * **per-record checksums** — every record carries one FNV-1a check
-//!   byte, and the whole file ends in a 64-bit FNV-1a checksum, so a
-//!   flipped byte or truncation is always an `InvalidData` error, never a
-//!   silently wrong trace. (A single-byte change is guaranteed to change
-//!   FNV-1a — XOR-then-multiply-by-an-odd-prime is injective — so the
-//!   trailer alone catches every one-byte corruption; the record bytes
-//!   localize it.)
-//! * **blocked record area (revision 2)** — records are grouped into
-//!   fixed-size blocks ([`BLOCK_RECORDS`] each) and a trailing block index
-//!   records, per block: record count, byte length, a 64-bit FNV-1a block
-//!   hash, and the delta-decoder clock snapshot at the block boundary.
-//!   A reader holding the whole byte buffer ([`crate::shard::ShardedTrace`])
-//!   can therefore decode any block independently — no seek-from-start, no
-//!   event materialization — and verify it without touching the rest of
-//!   the file. Sequential readers are unaffected: the record encoding is
-//!   identical, blocks are contiguous, and the index parses forward.
+//! * **checksums** — every record carries one FNV-1a check byte, every
+//!   block a 64-bit FNV-1a hash, and the whole file ends in a 64-bit
+//!   FNV-1a checksum, so a flipped byte or truncation is always an
+//!   `InvalidData` error, never a silently wrong trace. (A single-byte
+//!   change is guaranteed to change FNV-1a — XOR-then-multiply-by-an-odd-
+//!   prime is injective — so the trailer alone catches every one-byte
+//!   corruption; the block hashes localize it.)
+//! * **blocked record area** — records are grouped into fixed-size blocks
+//!   ([`BLOCK_RECORDS`] each) and a trailing block index records, per
+//!   block: record count, byte length, a 64-bit FNV-1a block hash, and the
+//!   delta-decoder clock snapshot at the block boundary. Any block can
+//!   therefore decode on its own — no seek-from-start — and verify without
+//!   touching the rest of the file.
 //!
-//! The stream starts with the 5-byte magic `SETL3`. [`crate::etl::read_etl`]
-//! sniffs it and dispatches here, so every reader in the workspace accepts
-//! both generations transparently; `tracetool pack`/`unpack` convert
-//! between them. Revision 1 streams (no block index) remain readable.
+//! There is one parser and one record decoder. [`Index::parse`] checks the
+//! header, string table and block index over the slice holding the whole
+//! stream, with every bound a crafted file could abuse;
+//! [`crate::shard::BlockCursor`] decodes one block's records in place.
+//! Readers that want every event — [`decode`], [`read_setl3`],
+//! [`crate::etl::read_etl`], [`crate::timeline::read_timeline`],
+//! [`crate::etl::trace_info`] — [`walk`] the blocks in order;
+//! [`crate::shard::ShardedTrace`] hands blocks to workers instead.
+//!
+//! The stream starts with the 5-byte magic `SETL3` and a revision byte;
+//! only revision 2 (the blocked layout) is read. Flat v1/v2 files
+//! ([`crate::etl`]) are a legacy import format: `read_etl` still reads them
+//! and `tracetool pack` converts them to v3.
 
 use crate::event::{EtlTrace, ThreadKey, TraceBuilder, TraceEvent, WaitReason};
+use crate::shard::BlockCursor;
 use simcore::SimTime;
 use std::io::{self, Read, Write};
 
 /// The 5-byte stream magic.
 pub const MAGIC: &[u8; 5] = b"SETL3";
 /// Codec revision within the v3 family (bump for incompatible changes).
-/// Revision 2 adds the trailing block index; revision 1 is still readable.
+/// Revision 2 has the trailing block index; no other revision is read.
 pub const VERSION: u8 = 2;
-/// The first v3 revision: same record encoding, no block index.
-pub const REV1: u8 = 1;
-/// Records per block in a revision-2 stream (the last block may be short).
+/// Records per block (the last block may be short).
 pub const BLOCK_RECORDS: u64 = 4096;
 
 /// Upper bound on string-table entries and string length, to keep malformed
 /// input from asking for absurd allocations.
-pub(crate) const MAX_STRINGS: u64 = 1 << 22;
-pub(crate) const MAX_STRING_LEN: u64 = 1 << 20;
+const MAX_STRINGS: u64 = 1 << 22;
+const MAX_STRING_LEN: u64 = 1 << 20;
+/// Upper bound on a header's logical CPU count, flat or v3. Readers and
+/// analyzers size per-CPU state from it, so it caps what a crafted header
+/// can make them allocate.
+pub(crate) const MAX_LOGICAL_CPUS: u64 = 1 << 20;
 
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -77,8 +86,9 @@ pub fn write_setl3<W: Write>(trace: &EtlTrace, mut w: W) -> io::Result<()> {
     w.write_all(&buf)
 }
 
-/// Encodes `trace` into an in-memory SETL v3 stream (checksummed and
-/// self-delimiting — safe to embed inside a larger container file).
+/// Encodes `trace` into an in-memory SETL v3 stream. The block index sits
+/// at the tail, so a container embedding the stream must let the reader
+/// find its end (the run store puts it last).
 pub fn encode(trace: &EtlTrace) -> Vec<u8> {
     let mut sp = simobs::span::span("codec", "encode_setl3");
     sp.add_events(trace.events().len() as u64);
@@ -323,198 +333,257 @@ impl<W: Write> V3Writer<W> {
     }
 }
 
-/// Decodes a SETL v3 stream, including the 5-byte magic.
+/// Decodes a SETL v3 stream, including the 5-byte magic. The reader is
+/// drained: the stream must run to its end.
 ///
 /// # Errors
-/// Returns `InvalidData` for a bad magic/version, malformed records or any
+/// Returns `InvalidData` for a bad magic/revision, malformed records or any
 /// checksum mismatch, and propagates I/O errors from the reader.
 pub fn read_setl3<R: Read>(mut r: R) -> io::Result<EtlTrace> {
-    let mut magic = [0u8; 5];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(bad("not a SETL3 trace stream"));
-    }
-    read_setl3_after_magic(r)
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    decode(&bytes)
 }
 
-/// Decodes the remainder of a v3 stream once the 5-byte magic has already
-/// been consumed (the dispatch path in [`crate::etl::read_etl`]).
+/// Decodes a SETL v3 stream held in memory; `bytes` must be exactly one
+/// stream, magic to trailer.
 ///
 /// # Errors
-/// Same conditions as [`read_setl3`].
-pub fn read_setl3_after_magic<R: Read>(r: R) -> io::Result<EtlTrace> {
+/// Same conditions as [`read_setl3`], plus `InvalidData` for records out
+/// of time order.
+pub fn decode(bytes: &[u8]) -> io::Result<EtlTrace> {
     let mut sp = simobs::span::span("codec", "read_setl3");
-    let mut stream = V3Stream::open(r)?;
-    let mut builder = TraceBuilder::new(stream.header.n_logical);
-    while let Some(ev) = stream.next_event()? {
-        builder.push(ev);
-    }
-    sp.add_events(stream.header.count);
-    sp.add_bytes(stream.bytes_read());
-    Ok(builder.finish(stream.header.start, stream.header.end))
+    let index = Index::parse(bytes)?;
+    let mut builder = TraceBuilder::new(index.n_logical);
+    walk(bytes, &index, |ev| builder.push_decoded(ev))?;
+    sp.add_events(index.count);
+    sp.add_bytes(bytes.len() as u64);
+    Ok(builder.finish(index.start, index.end))
 }
 
-/// Parsed v3 stream preamble: dimensions, window, string table and record
-/// count. Available before any record has been decoded.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct V3Header {
-    pub n_logical: usize,
-    pub start: SimTime,
-    pub end: SimTime,
-    /// String-table entries.
-    pub n_strings: u64,
-    /// Total payload bytes of the string table (excluding length prefixes).
-    pub string_bytes: u64,
-    /// Number of records in the stream.
-    pub count: u64,
+/// One entry of the trailing block index: where the block's bytes live and
+/// the delta-decoder state at its boundary.
+#[derive(Debug)]
+pub(crate) struct BlockMeta {
+    /// Absolute byte offset of the block in the stream.
+    pub(crate) offset: usize,
+    /// Encoded length in bytes (records plus check bytes).
+    pub(crate) len: usize,
+    /// Records in the block.
+    pub(crate) records: u64,
+    /// 64-bit FNV-1a over the block's bytes.
+    pub(crate) hash: u64,
+    /// Clock snapshot before the block's first record (absolute ns).
+    pub(crate) clocks: Clocks,
 }
 
-/// A streaming v3 decoder: parses the header up front, then yields one
-/// event at a time without materializing the whole trace. Shared by
-/// [`read_setl3_after_magic`] (which feeds a [`TraceBuilder`]) and the
-/// `tracetool info` triage path (which only folds counts).
-///
-/// Checksums are still enforced in full: per-record check bytes as records
-/// are pulled, and the 64-bit file trailer when the last record has been
-/// consumed.
-pub(crate) struct V3Stream<R: Read> {
-    r: HashingReader<R>,
-    pub header: V3Header,
-    /// Stream revision: [`REV1`] (flat record area) or [`VERSION`] (blocked).
-    pub revision: u8,
-    strings: Vec<String>,
-    clocks: Clocks,
-    yielded: u64,
-    bytes: u64,
-    finished: bool,
+/// A stream's header, string table and block index, checked without
+/// decoding a record.
+#[derive(Debug)]
+pub(crate) struct Index {
+    pub(crate) n_logical: usize,
+    pub(crate) start: SimTime,
+    pub(crate) end: SimTime,
+    pub(crate) strings: Vec<String>,
+    /// Records in the stream; the block record counts sum to it.
+    pub(crate) count: u64,
+    /// Contiguous blocks that tile the record area exactly.
+    pub(crate) blocks: Vec<BlockMeta>,
+    /// FNV-1a over the header bytes: the whole-file hash where the record
+    /// area starts.
+    header_hash: u64,
+    /// Offset of the block index, i.e. the end of the record area.
+    index_start: usize,
 }
 
-impl<R: Read> V3Stream<R> {
-    /// Parses the revision byte, dimensions and string table. The reader
-    /// must be positioned just past the 5-byte magic.
-    pub fn open(r: R) -> io::Result<Self> {
-        let mut r = HashingReader::new(r, fnv1a(FNV_OFFSET, MAGIC));
-        let mut version = [0u8; 1];
-        r.read_exact(&mut version)?;
-        // lint:allow(analyzer-panic): `version` is a fixed 1-byte array just
-        // filled by read_exact, so index 0 always exists.
-        if version[0] != VERSION && version[0] != REV1 {
+impl Index {
+    /// Parses the header forward and the block index from the fixed-size
+    /// tail, checks `meta_hash` (which covers header and index), and
+    /// cross-checks the block extents against the record area.
+    ///
+    /// # Errors
+    /// `InvalidData` with a distinct message for flat v1/v2 traces and for
+    /// other revisions, for any structural inconsistency or exceeded bound,
+    /// and for a `meta_hash` mismatch.
+    pub(crate) fn parse(bytes: &[u8]) -> io::Result<Index> {
+        let Some(rest) = bytes.strip_prefix(MAGIC.as_slice()) else {
+            return Err(if bytes.starts_with(b"SETL") {
+                bad("flat SETL v1/v2 trace has no block index; run `tracetool pack` to convert it to v3 first")
+            } else {
+                bad("not a SETL3 trace stream")
+            });
+        };
+        let (&revision, mut r) = rest
+            .split_first()
+            .ok_or_else(|| bad("truncated SETL3 stream"))?;
+        if revision != VERSION {
             return Err(bad("unsupported SETL3 revision"));
         }
-        let n_logical = get_uv(&mut r)? as usize;
-        let start = SimTime::from_nanos(get_uv(&mut r)?);
-        let window = get_uv(&mut r)?;
-        let end = SimTime::from_nanos(start.as_nanos().checked_add(window).ok_or_else(overflow)?);
-        if end < start {
-            return Err(bad("inverted trace window"));
+        let n_logical = get_uv(&mut r)?;
+        if n_logical > MAX_LOGICAL_CPUS {
+            return Err(bad("implausible logical CPU count"));
         }
-
+        let n_logical = n_logical as usize;
+        let start = get_uv(&mut r)?;
+        let end = start.checked_add(get_uv(&mut r)?).ok_or_else(overflow)?;
         let n_strings = get_uv(&mut r)?;
         if n_strings > MAX_STRINGS {
             return Err(bad("string table too large"));
         }
-        let mut strings: Vec<String> = Vec::with_capacity(n_strings as usize);
-        let mut string_bytes = 0u64;
+        // Every entry takes at least its length byte.
+        let mut strings = Vec::with_capacity(n_strings.min(r.len() as u64) as usize);
         for _ in 0..n_strings {
             let len = get_uv(&mut r)?;
             if len > MAX_STRING_LEN {
                 return Err(bad("string too long"));
             }
-            string_bytes += len;
-            let mut buf = vec![0u8; len as usize];
-            r.read_exact(&mut buf)?;
-            strings.push(String::from_utf8(buf).map_err(|_| bad("invalid utf-8 string"))?);
+            let s = take(&mut r, len as usize)?;
+            let s = std::str::from_utf8(s).map_err(|_| bad("invalid utf-8 string"))?;
+            strings.push(s.to_owned());
+        }
+        let count = get_uv(&mut r)?;
+        let record_start = bytes.len() - r.len();
+        let header_hash = fnv1a(FNV_OFFSET, bytes.get(..record_start).unwrap_or_default());
+
+        // Tail: [index entries | meta_hash 8B] [index_len 8B] [trailer 8B].
+        let meta_at = bytes
+            .len()
+            .checked_sub(24)
+            .filter(|&at| at >= record_start)
+            .ok_or_else(|| bad("truncated SETL3 stream"))?;
+        let meta_hash = le_u64(bytes, meta_at)?;
+        let index_start = usize::try_from(le_u64(bytes, meta_at + 8)?)
+            .ok()
+            .and_then(|index_len| (meta_at + 8).checked_sub(index_len))
+            .filter(|&at| at >= record_start && at <= meta_at)
+            .ok_or_else(|| bad("block index length out of range"))?;
+        let mut entries = bytes.get(index_start..meta_at).unwrap_or_default();
+        if fnv1a(header_hash, entries) != meta_hash {
+            return Err(bad("block index checksum mismatch"));
         }
 
-        let count = get_uv(&mut r)?;
-        let clocks = Clocks::new(n_logical, start);
-        Ok(V3Stream {
-            r,
-            header: V3Header {
-                n_logical,
-                start,
-                end,
-                n_strings,
-                string_bytes,
-                count,
-            },
-            // lint:allow(analyzer-panic): same fixed 1-byte array as above.
-            revision: version[0],
-            strings,
-            clocks,
-            yielded: 0,
-            bytes: 0,
-            finished: false,
-        })
-    }
-
-    /// Consumes the revision-2 trailing block index so the file trailer can
-    /// verify. A sequential reader needs none of its contents — blocks are
-    /// contiguous — so the entries are parsed for structure only; every
-    /// byte still flows through the hashing reader.
-    fn skip_block_index(&mut self) -> io::Result<()> {
-        let n_blocks = get_uv(&mut self.r)?;
-        if n_blocks > self.header.count {
+        // Index entries, now trusted byte for byte; the bounds still hold
+        // against a crafted file that recomputed `meta_hash`.
+        let n_blocks = get_uv(&mut entries)?;
+        if n_blocks > count {
             return Err(bad("block index larger than record count"));
         }
-        let snapshot_clocks = self.header.n_logical.max(1) as u64;
+        // Every entry takes at least 11 bytes.
+        let mut blocks = Vec::with_capacity(n_blocks.min(entries.len() as u64 / 11) as usize);
+        let mut offset = record_start;
+        let mut total_records = 0u64;
+        let abs = |off: u64| {
+            start
+                .checked_add(off)
+                .ok_or_else(|| bad("clock snapshot overflows u64 nanoseconds"))
+        };
         for _ in 0..n_blocks {
-            let _records = get_uv(&mut self.r)?;
-            let _bytes = get_uv(&mut self.r)?;
-            let mut hash = [0u8; 8];
-            self.r.read_exact(&mut hash)?;
-            for _ in 0..=snapshot_clocks {
-                // global clock offset + one offset per CPU
-                let _clock = get_uv(&mut self.r)?;
+            let records = get_uv(&mut entries)?;
+            let len = usize::try_from(get_uv(&mut entries)?)
+                .map_err(|_| bad("block extent past the record area"))?;
+            let hash = u64::from_le_bytes(take_array(&mut entries)?);
+            let global = abs(get_uv(&mut entries)?)?;
+            let mut per_cpu = Vec::with_capacity(n_logical.max(1).min(entries.len()));
+            for _ in 0..n_logical.max(1) {
+                per_cpu.push(abs(get_uv(&mut entries)?)?);
             }
+            blocks.push(BlockMeta {
+                offset,
+                len,
+                records,
+                hash,
+                clocks: Clocks { per_cpu, global },
+            });
+            offset = offset
+                .checked_add(len)
+                .filter(|&o| o <= index_start)
+                .ok_or_else(|| bad("block extent past the record area"))?;
+            total_records = total_records
+                .checked_add(records)
+                .ok_or_else(|| bad("block record counts overflow"))?;
         }
-        let mut meta = [0u8; 8];
-        self.r.read_exact(&mut meta)?;
-        let mut index_len = [0u8; 8];
-        self.r.read_exact(&mut index_len)?;
-        Ok(())
+        if !entries.is_empty() {
+            return Err(bad("trailing bytes in block index"));
+        }
+        if offset != index_start {
+            return Err(bad("block extents do not cover the record area"));
+        }
+        if total_records != count {
+            return Err(bad("block record counts do not sum to the stream count"));
+        }
+        Ok(Index {
+            n_logical,
+            start: SimTime::from_nanos(start),
+            end: SimTime::from_nanos(end),
+            strings,
+            count,
+            blocks,
+            header_hash,
+            index_start,
+        })
     }
+}
 
-    /// The next event, or `None` once every record has been yielded and the
-    /// file trailer has verified.
-    pub fn next_event(&mut self) -> io::Result<Option<TraceEvent>> {
-        if self.yielded == self.header.count {
-            if !self.finished {
-                self.finished = true;
-                if self.revision >= 2 {
-                    self.skip_block_index()?;
-                }
-                let file_hash = self.r.hash();
-                let mut trailer = [0u8; 8];
-                self.r.read_exact(&mut trailer)?;
-                self.bytes = self.r.hashed_bytes();
-                if u64::from_le_bytes(trailer) != file_hash {
-                    return Err(bad("file checksum mismatch"));
-                }
-            }
-            return Ok(None);
+/// Decodes every record of `bytes`, indexed by `index`, in trace order and
+/// hands each event to `f`. One fused FNV-1a loop over each block checks
+/// its hash before it decodes and carries the whole-file hash, which is
+/// checked against the trailer after the last block.
+///
+/// # Errors
+/// `InvalidData` for a block or file checksum mismatch or a malformed
+/// record, and the first error `f` returns.
+pub(crate) fn walk<F>(bytes: &[u8], index: &Index, mut f: F) -> io::Result<()>
+where
+    F: FnMut(TraceEvent) -> io::Result<()>,
+{
+    let mut file_hash = index.header_hash;
+    for m in &index.blocks {
+        let block = bytes
+            .get(m.offset..m.offset + m.len)
+            .ok_or_else(|| bad("block extent past the record area"))?;
+        let mut block_hash = FNV_OFFSET;
+        for &b in block {
+            file_hash = (file_hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            block_hash = (block_hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
         }
-        self.r.begin_record();
-        let ev = decode_event(&mut self.r, &self.strings, &mut self.clocks)?;
-        let expect = self.r.record_hash() as u8;
-        let mut check = [0u8; 1];
-        self.r.read_exact(&mut check)?;
-        if check[0] != expect {
-            return Err(bad("record checksum mismatch"));
+        if block_hash != m.hash {
+            return Err(bad("block checksum mismatch"));
         }
-        self.yielded += 1;
-        Ok(Some(ev))
+        let mut cursor = BlockCursor::new(block, &index.strings, m.clocks.clone(), m.records);
+        while let Some(ev) = cursor.next_event()? {
+            f(ev)?;
+        }
     }
+    let trailer_at = bytes.len().saturating_sub(8);
+    let tail = bytes
+        .get(index.index_start..trailer_at)
+        .ok_or_else(|| bad("truncated SETL3 stream"))?;
+    if fnv1a(file_hash, tail) != le_u64(bytes, trailer_at)? {
+        return Err(bad("file checksum mismatch"));
+    }
+    Ok(())
+}
 
-    /// Bytes consumed so far (including the already-sniffed magic, and the
-    /// trailer once the stream is drained).
-    pub fn bytes_read(&self) -> u64 {
-        if self.finished {
-            self.bytes + MAGIC.len() as u64
-        } else {
-            self.r.hashed_bytes() + MAGIC.len() as u64
-        }
+/// Splits the first `n` bytes off `r`.
+fn take<'a>(r: &mut &'a [u8], n: usize) -> io::Result<&'a [u8]> {
+    if n > r.len() {
+        return Err(bad("truncated SETL3 stream"));
     }
+    let (head, rest) = r.split_at(n);
+    *r = rest;
+    Ok(head)
+}
+
+fn take_array<const N: usize>(r: &mut &[u8]) -> io::Result<[u8; N]> {
+    take(r, N)?
+        .try_into()
+        .map_err(|_| bad("truncated SETL3 stream"))
+}
+
+/// The little-endian `u64` at byte `at`.
+fn le_u64(bytes: &[u8], at: usize) -> io::Result<u64> {
+    let mut r = bytes.get(at..).unwrap_or_default();
+    take_array(&mut r).map(u64::from_le_bytes)
 }
 
 /// The interned string carried by an event, if any.
@@ -528,9 +597,9 @@ fn event_string(ev: &TraceEvent) -> Option<&str> {
 
 /// Timestamp reference clocks: one per CPU for `CSwitch`, one global for
 /// everything else. Encoder and decoder advance them identically, so the
-/// deltas round-trip bit-exactly. A revision-2 block-index snapshot is
-/// exactly this struct at a block boundary, which is what lets
-/// [`crate::shard::ShardedTrace`] decode blocks independently.
+/// deltas round-trip bit-exactly. A block-index snapshot is exactly this
+/// struct at a block boundary, which is what lets every block decode on
+/// its own.
 #[derive(Clone, Debug)]
 pub(crate) struct Clocks {
     pub(crate) per_cpu: Vec<u64>,
@@ -888,7 +957,7 @@ fn put_uv(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// LEB128 unsigned varint decode (at most 10 bytes).
-pub(crate) fn get_uv<R: Read>(r: &mut R) -> io::Result<u64> {
+fn get_uv<R: Read>(r: &mut R) -> io::Result<u64> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
@@ -913,53 +982,6 @@ fn get_u32v<R: Read>(r: &mut R) -> io::Result<u32> {
     u32::try_from(get_uv(r)?).map_err(|_| bad("value exceeds u32"))
 }
 
-/// A reader that FNV-hashes every byte it yields: the whole-stream hash for
-/// the trailer check, plus a per-record sub-hash for the record check byte.
-struct HashingReader<R> {
-    inner: R,
-    hash: u64,
-    record: u64,
-    bytes: u64,
-}
-
-impl<R: Read> HashingReader<R> {
-    fn new(inner: R, seed: u64) -> Self {
-        HashingReader {
-            inner,
-            hash: seed,
-            record: FNV_OFFSET,
-            bytes: 0,
-        }
-    }
-
-    fn begin_record(&mut self) {
-        self.record = FNV_OFFSET;
-    }
-
-    fn record_hash(&self) -> u64 {
-        self.record
-    }
-
-    fn hash(&self) -> u64 {
-        self.hash
-    }
-
-    /// Bytes pulled through the reader so far.
-    fn hashed_bytes(&self) -> u64 {
-        self.bytes
-    }
-}
-
-impl<R: Read> Read for HashingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.hash = fnv1a(self.hash, &buf[..n]);
-        self.record = fnv1a(self.record, &buf[..n]);
-        self.bytes += n as u64;
-        Ok(n)
-    }
-}
-
 pub(crate) fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
@@ -969,11 +991,12 @@ fn overflow() -> io::Error {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use simcore::SimDuration;
 
-    fn demo_trace() -> EtlTrace {
+    /// One event of every kind, on CPU 2 of 4, with an interned marker label.
+    pub(crate) fn demo_trace() -> EtlTrace {
         let key = ThreadKey { pid: 1, tid: 10 };
         let mut b = TraceBuilder::new(4);
         b.push(TraceEvent::ProcessStart {
@@ -1109,69 +1132,74 @@ mod tests {
     #[test]
     fn unknown_revision_is_rejected() {
         let trace = demo_trace();
-        let mut buf = encode(&trace);
-        buf[5] = 99; // revision byte after the 5-byte magic
-        assert!(read_setl3(buf.as_slice()).is_err());
+        // Revision 1 (no block index) is no longer read either.
+        for revision in [1, 99] {
+            let mut buf = encode(&trace);
+            buf[5] = revision; // revision byte after the 5-byte magic
+            let err = read_setl3(buf.as_slice()).unwrap_err();
+            assert!(err.to_string().contains("revision"), "{err}");
+        }
     }
 
-    /// Encodes `trace` in the revision-1 flat layout (no block index), as
-    /// written by older builds: header, records with check bytes, trailer.
-    fn encode_rev1(trace: &EtlTrace) -> Vec<u8> {
-        let mut strings: Vec<&str> = Vec::new();
-        for ev in trace.events() {
-            if let Some(s) = event_string(ev) {
-                if !strings.contains(&s) {
-                    strings.push(s);
-                }
-            }
-        }
-        let ids = StringIds::new(&strings);
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.push(REV1);
-        put_uv(&mut out, trace.n_logical_cpus() as u64);
-        put_uv(&mut out, trace.start().as_nanos());
-        put_uv(
-            &mut out,
-            trace
-                .end()
-                .as_nanos()
-                .saturating_sub(trace.start().as_nanos()),
-        );
-        put_uv(&mut out, strings.len() as u64);
-        for s in &strings {
-            put_uv(&mut out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
-        }
-        put_uv(&mut out, trace.events().len() as u64);
-        let mut clocks = Clocks::new(trace.n_logical_cpus(), trace.start());
-        let mut record = Vec::new();
-        for ev in trace.events() {
-            record.clear();
-            encode_event(&mut record, ev, &ids, &mut clocks);
-            out.extend_from_slice(&record);
-            out.push(fnv1a(FNV_OFFSET, &record) as u8);
-        }
-        let trailer = fnv1a(FNV_OFFSET, &out);
-        out.extend_from_slice(&trailer.to_le_bytes());
-        out
+    /// A 22-byte stream whose header declares 2^40 logical CPUs: readers
+    /// that sized per-CPU state from it aborted on the allocation.
+    fn huge_cpu_count_stream() -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.push(VERSION);
+        put_uv(&mut buf, 1 << 40);
+        // start, window, string count, record count
+        buf.extend_from_slice(&[0, 0, 0, 0]);
+        buf.resize(22, 0);
+        buf
     }
 
     #[test]
-    fn revision_1_streams_remain_readable() {
-        let trace = demo_trace();
-        let rev1 = encode_rev1(&trace);
-        let back = read_setl3(rev1.as_slice()).unwrap();
-        assert_eq!(trace, back);
-        // And rev1 corruption is still caught end to end.
-        for i in 0..rev1.len() {
-            let mut mutated = rev1.clone();
-            mutated[i] ^= 0x40;
-            assert!(
-                read_setl3(mutated.as_slice()).is_err(),
-                "rev1 flip at byte {i} went undetected"
-            );
+    fn a_huge_cpu_count_is_invalid_data_for_every_reader() {
+        let buf = huge_cpu_count_stream();
+        assert_eq!(buf.len(), 22);
+        let kinds = [
+            read_setl3(buf.as_slice()).map(drop),
+            crate::etl::read_etl(buf.as_slice()).map(drop),
+            crate::timeline::read_timeline(buf.as_slice(), 4).map(drop),
+            crate::etl::trace_info(buf.as_slice()).map(drop),
+            crate::shard::ShardedTrace::from_bytes(buf.clone()).map(drop),
+        ];
+        for (i, result) in kinds.into_iter().enumerate() {
+            let err = result.expect_err("crafted header must not decode");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "reader {i}: {err}");
         }
+    }
+
+    #[test]
+    fn records_out_of_time_order_are_invalid_data_not_a_panic() {
+        // A hash-valid stream whose CSwitch delta, taken against its CPU's
+        // clock, lands before the preceding marker.
+        let strings = ["late"];
+        let mut w = V3Writer::new(
+            Vec::new(),
+            1,
+            SimTime::ZERO,
+            SimTime::from_nanos(20),
+            &strings,
+            2,
+        )
+        .unwrap();
+        w.push(&TraceEvent::Marker {
+            at: SimTime::from_nanos(10),
+            label: "late".into(),
+        })
+        .unwrap();
+        w.push(&TraceEvent::CSwitch {
+            at: SimTime::from_nanos(5),
+            cpu: 0,
+            old: None,
+            new: None,
+            ready_since: None,
+        })
+        .unwrap();
+        let buf = w.finish().unwrap();
+        let err = read_setl3(buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]

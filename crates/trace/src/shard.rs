@@ -1,14 +1,13 @@
-//! Sharded zero-copy access to revision-2 SETL v3 streams.
+//! Sharded zero-copy access to SETL v3 streams.
 //!
-//! [`crate::setl3::V3Stream`] decodes a trace front to back; every analyzer
-//! that used it first materialized a full `Vec<TraceEvent>`. This module is
-//! the other half of the revision-2 container: [`ShardedTrace`] holds the
-//! raw bytes, parses the trailing block index, and hands out independent
-//! [`BlockCursor`]s — one per 4096-record block — that decode records **in
-//! place** from the shared byte buffer. No seek-from-start, no whole-trace
-//! materialization, and every block is integrity-checked on its own (the
-//! index carries a 64-bit FNV-1a hash per block, and the index itself is
-//! covered by `meta_hash`, seeded from the header hash).
+//! [`BlockCursor`] is the one v3 record decoder: it decodes one 4096-record
+//! block **in place** from a shared byte buffer, starting from the block's
+//! clock snapshot in the index. The in-order readers in [`crate::setl3`]
+//! walk it over every block; [`ShardedTrace`] holds the raw bytes and the
+//! parsed index and hands cursors to workers instead. No seek-from-start,
+//! no whole-trace materialization, and every block is integrity-checked on
+//! its own (the index carries a 64-bit FNV-1a hash per block, and the
+//! index itself is covered by `meta_hash`, seeded from the header hash).
 //!
 //! Parallelism is injected, not owned: analyzers drive shards through the
 //! [`ShardRunner`] trait so this crate never spawns a thread. `parastat`'s
@@ -24,12 +23,12 @@
 //! Integrity on the sharded path: `meta_hash` covers the header plus the
 //! block index, and each block hash covers its record bytes, so any
 //! corruption of the header, index or record area is detected. The only
-//! bytes not covered are the file trailer's own 8 bytes (the sequential
-//! whole-file hash, which a sharded reader never folds) — a flip there is
-//! caught by any sequential reader and changes nothing a shard decodes.
+//! bytes not covered are the file trailer's own 8 bytes (the whole-file
+//! hash, which only the in-order walk folds) — a flip there is caught by
+//! the in-order readers and changes nothing a shard decodes.
 
 use crate::event::{PidSet, TraceEvent};
-use crate::setl3::{self, Clocks, MAGIC, REV1, VERSION};
+use crate::setl3::{self, Clocks, Index};
 use simcore::SimTime;
 use std::io::{self, Read};
 use std::ops::Range;
@@ -65,222 +64,64 @@ impl ShardRunner for SerialShards {
     }
 }
 
-/// One entry of the trailing block index: where the block's bytes live and
-/// the delta-decoder state at its boundary.
-#[derive(Debug)]
-struct BlockMeta {
-    /// Absolute byte offset of the block in the stream.
-    offset: usize,
-    /// Encoded length in bytes (records plus check bytes).
-    len: usize,
-    /// Records in the block.
-    records: u64,
-    /// 64-bit FNV-1a over the block's bytes.
-    hash: u64,
-    /// Clock snapshot before the block's first record (absolute ns).
-    clocks: Clocks,
-}
-
-/// A revision-2 SETL v3 stream held fully in memory, indexed for
-/// independent per-block decoding.
+/// A SETL v3 stream held fully in memory, indexed for independent
+/// per-block decoding.
 ///
-/// `from_bytes` parses the header forward and the block index from the
-/// fixed-size tail, verifies `meta_hash`, and cross-checks the block
-/// extents against the record area — all without touching a single record
-/// byte. Records are only decoded when a [`BlockCursor`] walks them, and
-/// each cursor verifies its block's 64-bit hash first.
+/// `from_bytes` checks the header and block index without touching a
+/// single record byte. Records are only decoded when a [`BlockCursor`]
+/// walks them, and each cursor verifies its block's 64-bit hash first.
 #[derive(Debug)]
 pub struct ShardedTrace {
     bytes: Vec<u8>,
-    n_logical: usize,
-    start: SimTime,
-    end: SimTime,
-    strings: Vec<String>,
-    count: u64,
-    blocks: Vec<BlockMeta>,
+    index: Index,
 }
 
 impl ShardedTrace {
-    /// Indexes a revision-2 stream.
+    /// Indexes a v3 stream.
     ///
     /// # Errors
-    /// `InvalidData` with a distinct message for flat v1/v2 traces and for
-    /// revision-1 v3 streams (neither carries a block index — `tracetool
-    /// pack` with a current build produces revision 2), for any structural
-    /// inconsistency, and for a `meta_hash` mismatch.
+    /// `InvalidData` with a distinct message for flat v1/v2 traces (no
+    /// block index — `tracetool pack` converts them), for other v3
+    /// revisions, for any structural inconsistency, and for a `meta_hash`
+    /// mismatch.
     pub fn from_bytes(bytes: Vec<u8>) -> io::Result<ShardedTrace> {
-        if bytes.len() < MAGIC.len() + 1 {
-            return Err(setl3::bad("truncated SETL3 stream"));
-        }
-        if &bytes[..MAGIC.len()] != MAGIC {
-            if &bytes[..4] == b"SETL" {
-                return Err(setl3::bad(
-                    "flat SETL v1/v2 trace has no block index; run `tracetool pack` to convert it to v3 first",
-                ));
-            }
-            return Err(setl3::bad("not a SETL trace stream"));
-        }
-        match bytes[MAGIC.len()] {
-            VERSION => {}
-            REV1 => {
-                return Err(setl3::bad(
-                    "SETL3 revision 1 stream has no block index; re-pack it with a current build for sharded analysis",
-                ))
-            }
-            _ => return Err(setl3::bad("unsupported SETL3 revision")),
-        }
-
-        // Header, exactly as V3Stream::open parses it.
-        let mut r: &[u8] = &bytes[MAGIC.len() + 1..];
-        let n_logical = setl3::get_uv(&mut r)? as usize;
-        if n_logical as u64 > 1 << 20 {
-            return Err(setl3::bad("implausible logical CPU count"));
-        }
-        let start = SimTime::from_nanos(setl3::get_uv(&mut r)?);
-        let window = setl3::get_uv(&mut r)?;
-        let end = SimTime::from_nanos(
-            start
-                .as_nanos()
-                .checked_add(window)
-                .ok_or_else(|| setl3::bad("timestamp overflows u64 nanoseconds"))?,
-        );
-        let n_strings = setl3::get_uv(&mut r)?;
-        if n_strings > setl3::MAX_STRINGS {
-            return Err(setl3::bad("string table too large"));
-        }
-        let mut strings: Vec<String> = Vec::with_capacity(n_strings as usize);
-        for _ in 0..n_strings {
-            let len = setl3::get_uv(&mut r)?;
-            if len > setl3::MAX_STRING_LEN {
-                return Err(setl3::bad("string too long"));
-            }
-            let mut buf = vec![0u8; len as usize];
-            r.read_exact(&mut buf)?;
-            strings.push(String::from_utf8(buf).map_err(|_| setl3::bad("invalid utf-8 string"))?);
-        }
-        let count = setl3::get_uv(&mut r)?;
-        let record_start = bytes.len() - r.len();
-
-        // Tail: [index entries | meta_hash 8B] [index_len 8B] [trailer 8B].
-        if bytes.len() < record_start + 24 {
-            return Err(setl3::bad("truncated SETL3 stream"));
-        }
-        let tail = bytes.len();
-        let index_len = u64::from_le_bytes(
-            bytes[tail - 16..tail - 8]
-                .try_into()
-                // lint:allow(analyzer-panic): an 8-byte slice always converts
-                .expect("8-byte slice"),
-        ) as usize;
-        if index_len < 8 || index_len > tail - 16 - record_start {
-            return Err(setl3::bad("block index length out of range"));
-        }
-        let index_start = tail - 16 - index_len;
-        let meta_hash = u64::from_le_bytes(
-            bytes[tail - 24..tail - 16]
-                .try_into()
-                // lint:allow(analyzer-panic): an 8-byte slice always converts
-                .expect("8-byte slice"),
-        );
-        let header_hash = setl3::fnv1a(setl3::FNV_OFFSET, &bytes[..record_start]);
-        if setl3::fnv1a(header_hash, &bytes[index_start..tail - 24]) != meta_hash {
-            return Err(setl3::bad("block index checksum mismatch"));
-        }
-
-        // Index entries, now trusted byte-for-byte.
-        let mut ir: &[u8] = &bytes[index_start..tail - 24];
-        let n_blocks = setl3::get_uv(&mut ir)?;
-        if n_blocks > count {
-            return Err(setl3::bad("block index larger than record count"));
-        }
-        let mut blocks = Vec::with_capacity(n_blocks as usize);
-        let mut offset = record_start;
-        let mut total_records = 0u64;
-        for _ in 0..n_blocks {
-            let records = setl3::get_uv(&mut ir)?;
-            let len = setl3::get_uv(&mut ir)? as usize;
-            let mut hash = [0u8; 8];
-            ir.read_exact(&mut hash)?;
-            let abs = |off: u64| {
-                start
-                    .as_nanos()
-                    .checked_add(off)
-                    .ok_or_else(|| setl3::bad("clock snapshot overflows u64 nanoseconds"))
-            };
-            let global = abs(setl3::get_uv(&mut ir)?)?;
-            let mut per_cpu = Vec::with_capacity(n_logical.max(1));
-            for _ in 0..n_logical.max(1) {
-                per_cpu.push(abs(setl3::get_uv(&mut ir)?)?);
-            }
-            blocks.push(BlockMeta {
-                offset,
-                len,
-                records,
-                hash: u64::from_le_bytes(hash),
-                clocks: Clocks { per_cpu, global },
-            });
-            offset = offset
-                .checked_add(len)
-                .filter(|&o| o <= index_start)
-                .ok_or_else(|| setl3::bad("block extent past the record area"))?;
-            total_records += records;
-        }
-        if !ir.is_empty() {
-            return Err(setl3::bad("trailing bytes in block index"));
-        }
-        if offset != index_start {
-            return Err(setl3::bad("block extents do not cover the record area"));
-        }
-        if total_records != count {
-            return Err(setl3::bad(
-                "block record counts do not sum to the stream count",
-            ));
-        }
-
-        Ok(ShardedTrace {
-            bytes,
-            n_logical,
-            start,
-            end,
-            strings,
-            count,
-            blocks,
-        })
+        let index = Index::parse(&bytes)?;
+        Ok(ShardedTrace { bytes, index })
     }
 
     /// Number of logical CPUs the trace was recorded on.
     pub fn n_logical_cpus(&self) -> usize {
-        self.n_logical
+        self.index.n_logical
     }
 
     /// Start of the observation window.
     pub fn start(&self) -> SimTime {
-        self.start
+        self.index.start
     }
 
     /// End of the observation window.
     pub fn end(&self) -> SimTime {
-        self.end
+        self.index.end
     }
 
     /// Wall-clock length of the observation window.
     pub fn window(&self) -> simcore::SimDuration {
-        self.end - self.start
+        self.end() - self.start()
     }
 
     /// Total records in the stream.
     pub fn count(&self) -> u64 {
-        self.count
+        self.index.count
     }
 
     /// Number of record blocks.
     pub fn n_blocks(&self) -> usize {
-        self.blocks.len()
+        self.index.blocks.len()
     }
 
     /// Records in block `i`.
     pub fn block_records(&self, i: usize) -> u64 {
-        self.blocks[i].records
+        self.index.blocks[i].records
     }
 
     /// Size of the underlying byte buffer.
@@ -295,6 +136,7 @@ impl ShardedTrace {
     /// `InvalidData` for an out-of-range block or a hash mismatch.
     pub fn cursor(&self, block: usize) -> io::Result<BlockCursor<'_>> {
         let m = self
+            .index
             .blocks
             .get(block)
             .ok_or_else(|| setl3::bad("block index out of range"))?;
@@ -302,12 +144,12 @@ impl ShardedTrace {
         if setl3::fnv1a(setl3::FNV_OFFSET, buf) != m.hash {
             return Err(setl3::bad("block checksum mismatch"));
         }
-        Ok(BlockCursor {
+        Ok(BlockCursor::new(
             buf,
-            strings: &self.strings,
-            clocks: m.clocks.clone(),
-            remaining: m.records,
-        })
+            &self.index.strings,
+            m.clocks.clone(),
+            m.records,
+        ))
     }
 
     /// Decodes block `block` into a `Vec` (hash-verified).
@@ -316,7 +158,9 @@ impl ShardedTrace {
     /// Same conditions as [`ShardedTrace::cursor`].
     pub fn decode_block(&self, block: usize) -> io::Result<Vec<TraceEvent>> {
         let mut c = self.cursor(block)?;
-        let mut out = Vec::with_capacity(self.blocks[block].records as usize);
+        // The record count is untrusted; a record takes at least 2 bytes.
+        let m = &self.index.blocks[block];
+        let mut out = Vec::with_capacity((m.records as usize).min(m.len / 2));
         while let Some(ev) = c.next_event()? {
             out.push(ev);
         }
@@ -335,16 +179,16 @@ impl ShardedTrace {
     /// analyzer decodes only the returned blocks, while a flat reader has
     /// to decode the whole stream to reach the same window.
     pub fn blocks_in_window(&self, lo: SimTime, hi: SimTime) -> Range<usize> {
-        let n = self.blocks.len();
+        let n = self.index.blocks.len();
         let first_at = |i: usize| -> u64 {
-            let c = &self.blocks[i].clocks;
+            let c = &self.index.blocks[i].clocks;
             c.per_cpu.iter().copied().fold(c.global, u64::max)
         };
         let last_at = |i: usize| -> u64 {
             if i + 1 < n {
                 first_at(i + 1)
             } else {
-                self.end.as_nanos()
+                self.end().as_nanos()
             }
         };
         // Index of the first i in 0..n with !pred(i); pred is monotone.
@@ -368,7 +212,7 @@ impl ShardedTrace {
     /// Splits the blocks into at most `shards` contiguous, near-equal
     /// ranges (empty ranges are dropped) — the map step's work division.
     pub fn shard_ranges(&self, shards: usize) -> Vec<Range<usize>> {
-        let n = self.blocks.len();
+        let n = self.index.blocks.len();
         let shards = shards.max(1).min(n.max(1));
         let mut out = Vec::with_capacity(shards);
         let mut lo = 0;
@@ -415,8 +259,8 @@ impl ShardedTrace {
                     let mut events = 0u64;
                     let mut bytes = 0u64;
                     for b in range.clone() {
-                        events += self.blocks[b].records;
-                        bytes += self.blocks[b].len as u64;
+                        events += self.index.blocks[b].records;
+                        bytes += self.index.blocks[b].len as u64;
                     }
                     sp.add_events(events);
                     sp.add_bytes(bytes);
@@ -462,8 +306,8 @@ impl ShardedTrace {
         let shards = shards.max(1);
         let wave = shards * 2;
         let mut base = 0;
-        while base < self.blocks.len() {
-            let n = wave.min(self.blocks.len() - base);
+        while base < self.index.blocks.len() {
+            let n = wave.min(self.index.blocks.len() - base);
             type Slot = Mutex<Option<io::Result<Vec<TraceEvent>>>>;
             let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
             let next = AtomicUsize::new(0);
@@ -477,8 +321,8 @@ impl ShardedTrace {
                     worker.add_events(1);
                     let res = {
                         let mut sp = simobs::span::span("shard", "decode");
-                        sp.add_events(self.blocks[base + i].records);
-                        sp.add_bytes(self.blocks[base + i].len as u64);
+                        sp.add_events(self.index.blocks[base + i].records);
+                        sp.add_bytes(self.index.blocks[base + i].len as u64);
                         self.decode_block(base + i)
                     };
                     // lint:allow(analyzer-panic): a poisoned slot means a
@@ -535,12 +379,11 @@ impl ShardedTrace {
 }
 
 /// In-place decoder over one block's bytes: borrows the shared buffer and
-/// carries a private clock state seeded from the index snapshot. Created by
-/// [`ShardedTrace::cursor`], which verifies the block's 64-bit FNV-1a hash
-/// up front — that hash covers every record byte *and* every per-record
-/// check byte, so the cursor consumes check bytes without recomputing them
-/// (the flat [`crate::setl3::V3Stream`] reader, which has no index to lean
-/// on, still validates each one).
+/// carries a private clock state seeded from the index snapshot. Its
+/// creators — [`ShardedTrace::cursor`] and the in-order walk in
+/// [`crate::setl3`] — verify the block's 64-bit FNV-1a hash first; that
+/// hash covers every record byte *and* every per-record check byte, so the
+/// cursor consumes check bytes without recomputing them.
 pub struct BlockCursor<'a> {
     buf: &'a [u8],
     strings: &'a [String],
@@ -548,7 +391,23 @@ pub struct BlockCursor<'a> {
     remaining: u64,
 }
 
-impl BlockCursor<'_> {
+impl<'a> BlockCursor<'a> {
+    /// A cursor over `records` records in `buf`, whose hash the caller has
+    /// verified.
+    pub(crate) fn new(
+        buf: &'a [u8],
+        strings: &'a [String],
+        clocks: Clocks,
+        records: u64,
+    ) -> BlockCursor<'a> {
+        BlockCursor {
+            buf,
+            strings,
+            clocks,
+            remaining: records,
+        }
+    }
+
     /// The next event in the block, or `None` after the last record.
     ///
     /// # Errors
@@ -620,9 +479,9 @@ mod tests {
     #[test]
     fn rev1_and_flat_streams_are_rejected_with_distinct_errors() {
         let mut rev1 = encode(&big_trace(8));
-        rev1[5] = REV1;
+        rev1[5] = 1;
         let err = ShardedTrace::from_bytes(rev1).unwrap_err();
-        assert!(err.to_string().contains("revision 1"), "{err}");
+        assert!(err.to_string().contains("revision"), "{err}");
 
         let mut flat = Vec::new();
         crate::etl::write_etl(&big_trace(8), &mut flat).unwrap();

@@ -10,11 +10,11 @@
 //!
 //! Two properties are load-bearing:
 //!
-//! * **Streaming.** [`read_timeline`] decodes straight off the reader —
-//!   SETL v3 through the checksum-enforcing [`crate::setl3::V3Stream`],
-//!   flat v2 record by record — and never materializes a `Vec<TraceEvent>`.
-//!   Live state is O(threads + CPUs + engines), independent of trace
-//!   length: the first analyzer on the zero-copy path.
+//! * **Streaming.** [`read_timeline`] walks a SETL v3 file's blocks in
+//!   order through the one checksum-enforcing v3 decoder and never
+//!   materializes a `Vec<TraceEvent>`. Fold state is O(threads + CPUs +
+//!   engines), independent of trace length. (Legacy flat files are
+//!   materialized through `read_etl` first.)
 //! * **Exact conservation.** All accounting is integer nanoseconds. Bucket
 //!   widths are `duration / n` with the remainder spread over the first
 //!   `duration % n` buckets, so widths sum exactly to the window, and every
@@ -476,64 +476,34 @@ pub fn timeline_sharded(
     Ok(f.finish())
 }
 
-/// Folds a trace file straight off the reader — both container
-/// generations, full checksum verification on v3, and no `Vec<TraceEvent>`
-/// is ever built.
+/// Folds a trace file of either format. A v3 stream is walked block by
+/// block with full checksum verification and no `Vec<TraceEvent>` is
+/// built; a legacy flat file is materialized through
+/// [`crate::etl::read_etl`] first.
 ///
 /// # Errors
 /// Same conditions as [`crate::etl::read_etl`]: bad magic/version,
 /// malformed records, checksum mismatches, reader I/O errors.
 pub fn read_timeline<R: Read>(mut r: R, n_buckets: usize) -> io::Result<Timeline> {
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    if !bytes.starts_with(setl3::MAGIC) {
+        return etl::read_etl(bytes.as_slice()).map(|trace| fold_trace(&trace, n_buckets));
+    }
     let mut sp = simobs::span::span("analyzer", "timeline");
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != b"SETL" {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not a SETL trace file",
-        ));
-    }
-    let mut gen = [0u8; 1];
-    r.read_exact(&mut gen)?;
-    if gen[0] == b'3' {
-        let mut stream = setl3::V3Stream::open(r)?;
-        let mut f = Folder::new(
-            stream.header.n_logical,
-            stream.header.start.as_nanos(),
-            stream.header.end.as_nanos(),
-            n_buckets,
-        );
-        while let Some(ev) = stream.next_event()? {
-            f.fold(&ev);
-        }
-        sp.add_events(f.events);
-        sp.add_bytes(stream.bytes_read());
-        return Ok(f.finish());
-    }
-    let mut rest = [0u8; 3];
-    r.read_exact(&mut rest)?;
-    let version = u32::from_le_bytes([gen[0], rest[0], rest[1], rest[2]]);
-    if version == 0 || version > etl::VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "unsupported SETL version",
-        ));
-    }
-    let n_logical = etl::get_u32(&mut r)? as usize;
-    let start = etl::get_u64(&mut r)?;
-    let end = etl::get_u64(&mut r)?;
-    if end < start {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "inverted trace window",
-        ));
-    }
-    let count = etl::get_u64(&mut r)?;
-    let mut f = Folder::new(n_logical, start, end, n_buckets);
-    for _ in 0..count {
-        f.fold(&etl::read_event(&mut r)?);
-    }
-    sp.add_events(count);
+    let index = setl3::Index::parse(&bytes)?;
+    let mut f = Folder::new(
+        index.n_logical,
+        index.start.as_nanos(),
+        index.end.as_nanos(),
+        n_buckets,
+    );
+    setl3::walk(&bytes, &index, |ev| {
+        f.fold(&ev);
+        Ok(())
+    })?;
+    sp.add_events(f.events);
+    sp.add_bytes(bytes.len() as u64);
     Ok(f.finish())
 }
 
