@@ -128,6 +128,37 @@ fn a_huge_header_cpu_count_exits_2_from_info_and_timeline() {
 }
 
 #[test]
+fn a_context_switch_past_the_cpu_count_exits_2() {
+    // A hash-valid v3 trace of a 4-CPU machine whose CSwitch names cpu 4.
+    let mut b = etwtrace::TraceBuilder::new(4);
+    b.push(etwtrace::TraceEvent::CSwitch {
+        at: simcore::SimTime::ZERO,
+        cpu: 4,
+        old: None,
+        new: Some(etwtrace::ThreadKey { pid: 1, tid: 10 }),
+        ready_since: None,
+    });
+    let trace = b.finish(simcore::SimTime::ZERO, simcore::SimTime::from_nanos(1));
+    let path = tmp("cpu-past-count.etl");
+    parastat::store::atomic_write(&path, &etwtrace::setl3::encode(&trace)).unwrap();
+    let file = path.to_str().unwrap();
+    for argv in [
+        vec!["tlp", file, "app"],
+        vec!["timeline", file],
+        vec!["--analyzer-shards", "2", "timeline", file],
+    ] {
+        let out = tracetool(&argv);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("past the header's count"),
+            "{argv:?}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn info_summarizes_both_container_generations() {
     let packed = tmp("info-src.etl");
     let etl = tmp("info-flat.etl");

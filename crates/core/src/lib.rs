@@ -10,7 +10,7 @@
 //!   for N iterations with derived seeds; yields a [`Measurement`] with
 //!   mean/σ exactly like the paper's Table II columns.
 //! * [`runner`] — the run-execution layer: canonical [`RunRequest`]s, a
-//!   memoizing cache, and serial / thread-pool [`Runner`]s behind a
+//!   memoizing cache, and a [`ThreadPoolRunner`] behind a
 //!   [`RunContext`]. Suite and figure builders submit batches here, so the
 //!   embarrassingly parallel protocol scales with host cores while staying
 //!   byte-identical to the serial run.
@@ -54,6 +54,6 @@ pub mod suite;
 
 pub use bottleneck::{render_blame, run_blame, AppBlame};
 pub use experiment::{Budget, Experiment, Measurement, RunMetrics, SingleRun};
-pub use runner::{RunContext, RunRequest, Runner, SerialRunner, ThreadPoolRunner};
+pub use runner::{RunContext, RunRequest, ThreadPoolRunner};
 pub use store::{LoadOutcome, SimStore};
 pub use suite::{run_table2, AppMeasurement};

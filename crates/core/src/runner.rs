@@ -1,5 +1,5 @@
 //! The run-execution layer: canonical run requests, a memoizing result
-//! cache, and pluggable serial / thread-pool runners.
+//! cache, and a thread pool that resolves cache misses.
 //!
 //! The paper's protocol is embarrassingly parallel — Table II alone is
 //! 30 applications × 3 iterations of *independent* 60 s simulations — and
@@ -9,27 +9,31 @@
 //!
 //! * [`RunRequest`] — one iteration of one [`Experiment`] at one seed, in
 //!   canonical form with a stable [cache key](RunRequest::cache_key).
-//! * [`Runner`] — executes a batch of requests: [`SerialRunner`] in
-//!   submission order on the calling thread, [`ThreadPoolRunner`] on a
-//!   [`std::thread::scope`] pool. Each worker constructs *and consumes* its
-//!   own single-threaded [`machine::Machine`], so no simulator state ever
-//!   crosses a thread boundary; only the plain-data [`SingleRun`] result
-//!   moves back.
+//! * [`ThreadPoolRunner`] — runs an index closure over `0..n` on a
+//!   [`std::thread::scope`] pool, or inline on the calling thread at
+//!   width 1. Each job constructs *and consumes* its own single-threaded
+//!   [`machine::Machine`], so no simulator state ever crosses a thread
+//!   boundary; only the plain-data [`SingleRun`] result moves back.
 //! * [`RunContext`] — the memoizing front end every suite/figure builder
 //!   submits through. Duplicate requests (within a batch or across
-//!   batches) simulate once and share one `Arc<SingleRun>`; results are
-//!   reassembled in submission order, so every downstream report, CSV and
-//!   Prometheus rendering is byte-identical whatever the job count.
+//!   batches) resolve once and share one `Arc<SingleRun>`. Each pool job
+//!   resolves one memory miss end to end: store load, then (on a miss)
+//!   simulation and write-back. Results and every counter, note and
+//!   verification report are folded in submission order, so every
+//!   downstream report, CSV and Prometheus rendering is byte-identical
+//!   whatever the job count.
 //!
 //! Determinism argument: the DES guarantees identical (config, seed) ⇒
-//! identical trace and metrics. Workers only race for *which* request to
-//! run next, never on simulator state, and the batch result vector is
-//! indexed by submission position, not completion order. Aggregation
-//! (means, σ, histogram merges) therefore consumes runs in exactly the
-//! order the serial path produced them.
+//! identical trace and metrics, and a store entry is a pure function of
+//! its key. Workers only race for *which* request to resolve next, never
+//! on shared state, and the batch result vector is indexed by submission
+//! position, not completion order. Aggregation (means, σ, histogram
+//! merges) therefore consumes runs in exactly the order the serial path
+//! produced them.
 
 use crate::experiment::{Experiment, Measurement, SingleRun};
 use crate::store::{LoadOutcome, SimStore};
+use etwtrace::shard::ShardRunner;
 use simobs::span;
 use std::collections::{HashMap, HashSet};
 use std::num::NonZeroUsize;
@@ -98,49 +102,14 @@ impl RunRequest {
     }
 }
 
-/// Index-tagged jobs handed to a [`Runner`]: `(submission index, request)`.
-type Job = (usize, RunRequest);
-
-/// Executes batches of [`RunRequest`]s.
+/// Fans index-tagged work out over `jobs` scoped worker threads.
 ///
-/// Implementations must return one result per job, tagged with the job's
-/// submission index; they are free to execute in any order and on any
-/// thread. The [`RunContext`] re-orders results by index, so scheduling
-/// never leaks into rendered output.
-pub trait Runner: Send + Sync {
-    /// Executes every job and returns `(index, result)` pairs.
-    fn execute(&self, jobs: Vec<Job>) -> Vec<(usize, SingleRun)>;
-
-    /// Worker parallelism (1 for serial runners), for reporting.
-    fn jobs(&self) -> usize {
-        1
-    }
-}
-
-/// Runs every request in submission order on the calling thread.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SerialRunner;
-
-impl Runner for SerialRunner {
-    fn execute(&self, jobs: Vec<Job>) -> Vec<(usize, SingleRun)> {
-        let mut worker = span::span("pool", "worker");
-        worker.add_events(jobs.len() as u64);
-        jobs.into_iter()
-            .map(|(idx, req)| {
-                let _work = span::span("pool", "work");
-                (idx, req.execute())
-            })
-            .collect()
-    }
-}
-
-/// Fans requests out over `jobs` scoped worker threads.
-///
-/// Workers claim jobs through an atomic cursor, build a private
-/// single-threaded [`machine::Machine`] per request, and deposit the
-/// plain-data [`SingleRun`] into the job's dedicated result slot. No
-/// simulator state is shared: the `Machine` (and everything `Rc`-shaped a
-/// future machine revision might hold) lives and dies inside one worker.
+/// Workers claim indices through an atomic cursor; callers deposit each
+/// result into the index's own slot, so completion order never leaks into
+/// output. The same pool runs the [`RunContext`]'s run batches and the
+/// sharded trace analyzers. No simulator state is shared: a job's
+/// `Machine` (and everything `Rc`-shaped a future machine revision might
+/// hold) lives and dies inside one worker.
 #[derive(Clone, Copy, Debug)]
 pub struct ThreadPoolRunner {
     jobs: usize,
@@ -153,56 +122,15 @@ impl ThreadPoolRunner {
     }
 }
 
-impl Runner for ThreadPoolRunner {
-    fn execute(&self, jobs: Vec<Job>) -> Vec<(usize, SingleRun)> {
-        type Slot = Mutex<Option<(usize, SingleRun)>>;
-        let slots: Vec<Slot> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        let jobs = &jobs;
-        std::thread::scope(|s| {
-            for _ in 0..self.jobs.min(jobs.len()) {
-                s.spawn(|| {
-                    // One span per worker lifetime, one per claimed job:
-                    // worker wall time minus the sum of its work spans is
-                    // the steal/idle overhead the doctor reports as pool
-                    // occupancy.
-                    let mut worker = span::span("pool", "worker");
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some((idx, req)) = jobs.get(i) else { break };
-                        worker.add_events(1);
-                        let run = {
-                            let _work = span::span("pool", "work");
-                            req.execute()
-                        };
-                        *slots[i].lock().expect("result slot poisoned") = Some((*idx, run));
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("worker filled every claimed slot")
-            })
-            .collect()
-    }
-
-    fn jobs(&self) -> usize {
-        self.jobs
-    }
-}
-
-/// The pool doubles as the worker set for sharded trace analysis: shard
-/// bodies are closures over `Sync` state (no `SingleRun` plumbing), so the
-/// same scoped-thread pattern applies directly. The analyzer merge step
-/// orders results by shard index, so — exactly as with [`Runner`] — worker
-/// scheduling can never leak into rendered output.
-impl etwtrace::shard::ShardRunner for ThreadPoolRunner {
+/// Shard bodies and run-batch workers are both closures over `Sync` state.
+/// Callers order results by index, so worker scheduling can never leak
+/// into rendered output.
+impl ShardRunner for ThreadPoolRunner {
+    /// Calls `f(0..shards)` on up to `jobs` scoped workers, or inline on
+    /// the calling thread when only one worker would run.
     fn run_shards(&self, shards: usize, f: &(dyn Fn(usize) + Sync)) {
-        if shards <= 1 {
+        let workers = self.jobs.min(shards);
+        if workers <= 1 {
             for i in 0..shards {
                 f(i);
             }
@@ -210,7 +138,7 @@ impl etwtrace::shard::ShardRunner for ThreadPoolRunner {
         }
         let cursor = AtomicUsize::new(0);
         std::thread::scope(|s| {
-            for _ in 0..self.jobs.min(shards) {
+            for _ in 0..workers {
                 s.spawn(|| loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     if i >= shards {
@@ -227,6 +155,25 @@ impl etwtrace::shard::ShardRunner for ThreadPoolRunner {
     }
 }
 
+/// The disk tier's answer to one memory-missed request.
+enum Disk {
+    /// No store attached.
+    Off,
+    Hit,
+    Miss,
+    /// The entry failed a load check (the reason) and was quarantined.
+    Quarantined(String),
+}
+
+/// One memory-missed request, resolved end to end on a pool worker.
+struct Resolved {
+    disk: Disk,
+    /// The stored run on a hit, else a fresh simulation.
+    run: SingleRun,
+    /// Why the fresh run's write-back failed, if it did.
+    save_error: Option<std::io::Error>,
+}
+
 /// The memoizing execution front end: suite and figure builders submit
 /// [`RunRequest`]s here instead of driving machines themselves.
 ///
@@ -237,7 +184,7 @@ impl etwtrace::shard::ShardRunner for ThreadPoolRunner {
 /// evicted; call [`RunContext::clear_cache`] between unrelated sweeps if
 /// trace memory matters.
 pub struct RunContext {
-    runner: Box<dyn Runner>,
+    pool: ThreadPoolRunner,
     /// Shard count for streaming trace analysis (0 = pool width).
     analyzer_shards: AtomicUsize,
     cache: Mutex<HashMap<RunKey, Arc<SingleRun>>>,
@@ -272,9 +219,16 @@ impl Default for RunContext {
 }
 
 impl RunContext {
-    fn with_runner(runner: Box<dyn Runner>) -> RunContext {
+    /// A serial context: the calling thread resolves everything, in order.
+    pub fn serial() -> RunContext {
+        RunContext::pooled(1)
+    }
+
+    /// A pooled context with `jobs` workers (`jobs <= 1` runs everything
+    /// on the calling thread).
+    pub fn pooled(jobs: usize) -> RunContext {
         RunContext {
-            runner,
+            pool: ThreadPoolRunner::new(jobs),
             analyzer_shards: AtomicUsize::new(0),
             cache: Mutex::new(HashMap::new()),
             store: None,
@@ -287,21 +241,6 @@ impl RunContext {
             verify_traces: AtomicU64::new(0),
             verify_findings: AtomicU64::new(0),
             verify_reports: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// A serial context: the calling thread runs everything, in order.
-    pub fn serial() -> RunContext {
-        RunContext::with_runner(Box::new(SerialRunner))
-    }
-
-    /// A pooled context with `jobs` workers (`jobs <= 1` degrades to the
-    /// serial runner).
-    pub fn pooled(jobs: usize) -> RunContext {
-        if jobs <= 1 {
-            RunContext::serial()
-        } else {
-            RunContext::with_runner(Box::new(ThreadPoolRunner::new(jobs)))
         }
     }
 
@@ -321,9 +260,9 @@ impl RunContext {
         RunContext::pooled(jobs)
     }
 
-    /// Worker parallelism of the underlying runner.
+    /// Worker parallelism of the pool.
     pub fn jobs(&self) -> usize {
-        self.runner.jobs()
+        self.pool.width()
     }
 
     /// Sets the shard count for streaming trace analysis (`0` = pool
@@ -342,10 +281,10 @@ impl RunContext {
         }
     }
 
-    /// The worker set sharded analyzers run on — the same pool width the
-    /// run batches use.
+    /// The worker set sharded analyzers run on — the pool the run batches
+    /// use.
     pub fn shard_runner(&self) -> ThreadPoolRunner {
-        ThreadPoolRunner::new(self.jobs())
+        self.pool
     }
 
     /// Number of memoized runs currently held.
@@ -494,109 +433,145 @@ impl RunContext {
     /// submission order.
     ///
     /// Requests whose key is already cached are served from the cache;
-    /// duplicates within the batch simulate once. Everything else goes to
-    /// the runner in one submission so independent iterations overlap.
+    /// duplicates within the batch resolve once. Every other request is one
+    /// pool job that [resolves](RunContext::resolve) it end to end. The
+    /// calling thread then folds the outcomes in submission order — tier
+    /// counters, store notes (quarantines before write-back failures),
+    /// verification tallies (store-loaded runs first) and memo inserts — so
+    /// none of them depends on the job count.
     pub fn run_singles(&self, requests: Vec<RunRequest>) -> Vec<Arc<SingleRun>> {
         let keys: Vec<RunKey> = requests.iter().map(RunRequest::cache_key).collect();
-        let mut fresh: Vec<Job> = Vec::new();
+        let mut fresh: Vec<usize> = Vec::new();
         {
             let mut tier = span::span("tier", "memory");
             tier.add_events(requests.len() as u64);
             let cache = self.cache.lock().expect("run cache poisoned");
             let mut scheduled: HashSet<&RunKey> = HashSet::new();
-            for (i, (req, key)) in requests.iter().zip(&keys).enumerate() {
+            for (i, key) in keys.iter().enumerate() {
                 if !cache.contains_key(key) && scheduled.insert(key) {
-                    fresh.push((i, req.clone()));
+                    fresh.push(i);
                 }
             }
         }
         self.hits
             .fetch_add((requests.len() - fresh.len()) as u64, Ordering::Relaxed);
         span::counter_add("memo_hits", (requests.len() - fresh.len()) as u64);
-        // Second memo tier: replay memory misses from the persistent store.
-        // Every loaded run already passed the store's integrity pipeline
+        let resolved = self.pool_map(fresh.len(), |j| {
+            self.resolve(&requests[fresh[j]], &keys[fresh[j]])
+        });
+        let (mut stored, mut simulated, mut failed_saves) = (Vec::new(), Vec::new(), Vec::new());
+        for (&i, r) in fresh.iter().zip(resolved) {
+            let label = format!("{:?} seed={}", requests[i].experiment.app, requests[i].seed);
+            match r.disk {
+                Disk::Off => {}
+                Disk::Hit => {
+                    self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                    span::counter_add("disk_hits", 1);
+                    stored.push((i, format!("{label} (store)"), r.run));
+                    continue;
+                }
+                Disk::Miss => {
+                    self.disk_misses.fetch_add(1, Ordering::Relaxed);
+                    span::counter_add("disk_misses", 1);
+                }
+                Disk::Quarantined(reason) => {
+                    self.disk_misses.fetch_add(1, Ordering::Relaxed);
+                    self.quarantined.fetch_add(1, Ordering::Relaxed);
+                    span::counter_add("disk_misses", 1);
+                    span::counter_add("store_quarantined", 1);
+                    self.push_store_note(format!("quarantined {label}: {reason}"));
+                }
+            }
+            if let Some(e) = r.save_error {
+                failed_saves.push(format!("write-back failed for {label}: {e}"));
+            }
+            simulated.push((i, label, r.run));
+        }
+        for note in failed_saves {
+            self.push_store_note(note);
+        }
+        self.misses
+            .fetch_add(simulated.len() as u64, Ordering::Relaxed);
+        span::counter_add("memo_misses", simulated.len() as u64);
+        // Every stored run already passed the store's integrity pipeline
         // (checksum, epoch, key, re-verification), so it joins the memory
         // cache exactly as a fresh simulation would.
-        if let Some(store) = &self.store {
-            let mut tier = span::span("tier", "disk");
-            tier.add_events(fresh.len() as u64);
-            let mut unstored: Vec<Job> = Vec::with_capacity(fresh.len());
-            let mut loaded: Vec<(usize, SingleRun)> = Vec::new();
-            for (idx, req) in fresh {
-                match store.load(&keys[idx]) {
-                    LoadOutcome::Hit(run) => {
-                        self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                        span::counter_add("disk_hits", 1);
-                        loaded.push((idx, *run));
-                    }
-                    LoadOutcome::Miss => {
-                        self.disk_misses.fetch_add(1, Ordering::Relaxed);
-                        span::counter_add("disk_misses", 1);
-                        unstored.push((idx, req));
-                    }
-                    LoadOutcome::Quarantined { reason } => {
-                        self.disk_misses.fetch_add(1, Ordering::Relaxed);
-                        self.quarantined.fetch_add(1, Ordering::Relaxed);
-                        span::counter_add("disk_misses", 1);
-                        span::counter_add("store_quarantined", 1);
-                        self.push_store_note(format!(
-                            "quarantined {:?} seed={}: {reason}",
-                            req.experiment.app, req.seed
-                        ));
-                        unstored.push((idx, req));
-                    }
-                }
-            }
-            if !loaded.is_empty() {
-                for (idx, run) in &loaded {
-                    let label = format!(
-                        "{:?} seed={} (store)",
-                        requests[*idx].experiment.app, requests[*idx].seed
-                    );
-                    self.tally_verification(run, &label);
-                }
-                let mut cache = self.cache.lock().expect("run cache poisoned");
-                for (idx, run) in loaded {
-                    cache.insert(keys[idx].clone(), Arc::new(run));
-                }
-            }
-            fresh = unstored;
+        for (_, label, run) in stored.iter().chain(&simulated) {
+            self.tally_verification(run, label);
         }
-        self.misses.fetch_add(fresh.len() as u64, Ordering::Relaxed);
-        span::counter_add("memo_misses", fresh.len() as u64);
-        if !fresh.is_empty() {
-            let labels: Vec<(usize, String)> = fresh
-                .iter()
-                .map(|(i, req)| (*i, format!("{:?} seed={}", req.experiment.app, req.seed)))
-                .collect();
-            let executed = {
-                let mut tier = span::span("tier", "simulate");
-                tier.add_events(fresh.len() as u64);
-                self.runner.execute(fresh)
-            };
-            for ((idx, run), (lidx, label)) in executed.iter().zip(&labels) {
-                debug_assert_eq!(idx, lidx);
-                self.tally_verification(run, label);
-            }
-            // Best-effort write-back: a full disk or read-only store costs
-            // persistence, never correctness.
-            if let Some(store) = &self.store {
-                for (idx, run) in &executed {
-                    if let Err(e) = store.save(&keys[*idx], run) {
-                        self.push_store_note(format!(
-                            "write-back failed for {:?} seed={}: {e}",
-                            requests[*idx].experiment.app, requests[*idx].seed
-                        ));
-                    }
-                }
-            }
-            let mut cache = self.cache.lock().expect("run cache poisoned");
-            for (idx, run) in executed {
-                cache.insert(keys[idx].clone(), Arc::new(run));
-            }
+        let mut cache = self.cache.lock().expect("run cache poisoned");
+        for (i, _, run) in stored.into_iter().chain(simulated) {
+            cache.insert(keys[i].clone(), Arc::new(run));
         }
-        let cache = self.cache.lock().expect("run cache poisoned");
         keys.iter().map(|k| Arc::clone(&cache[k])).collect()
+    }
+
+    /// Resolves one memory-missed request on the calling worker: a store
+    /// load, and on a miss or quarantine a simulation plus its write-back.
+    /// The write-back is best-effort: a full disk or read-only store costs
+    /// persistence, never correctness.
+    fn resolve(&self, req: &RunRequest, key: &RunKey) -> Resolved {
+        let disk = match &self.store {
+            None => Disk::Off,
+            Some(store) => {
+                let mut tier = span::span("tier", "disk");
+                tier.add_events(1);
+                match store.load(key) {
+                    LoadOutcome::Hit(run) => {
+                        return Resolved {
+                            disk: Disk::Hit,
+                            run: *run,
+                            save_error: None,
+                        }
+                    }
+                    LoadOutcome::Miss => Disk::Miss,
+                    LoadOutcome::Quarantined { reason } => Disk::Quarantined(reason),
+                }
+            }
+        };
+        let run = {
+            let mut tier = span::span("tier", "simulate");
+            tier.add_events(1);
+            req.execute()
+        };
+        let save_error = self.store.as_ref().and_then(|s| s.save(key, &run).err());
+        Resolved {
+            disk,
+            run,
+            save_error,
+        }
+    }
+
+    /// Calls `f(0..n)` on the pool and returns the results in index order.
+    /// One `pool/worker` span per worker and one `pool/work` span per call:
+    /// worker wall time minus its work spans is the claim/idle overhead the
+    /// doctor reports as pool occupancy.
+    fn pool_map<T: Send>(&self, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let cursor = AtomicUsize::new(0);
+        self.pool.run_shards(self.jobs().min(n), &|_| {
+            let mut worker = span::span("pool", "worker");
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                worker.add_events(1);
+                let out = {
+                    let _work = span::span("pool", "work");
+                    f(i)
+                };
+                *slots[i].lock().expect("result slot poisoned") = Some(out);
+            }
+        });
+        slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("result slot poisoned")
+                    .expect("workers claim every index")
+            })
+            .collect()
     }
 
     /// Executes (or recalls) one iteration of `experiment` at `seed`.
@@ -661,6 +636,17 @@ mod tests {
         assert_ne!(a.cache_key(), c.cache_key());
         let d = RunRequest::new(&tiny(AppId::Handbrake).logical(4, true), 7);
         assert_ne!(a.cache_key(), d.cache_key());
+    }
+
+    #[test]
+    fn a_width_1_pool_runs_inline_in_index_order() {
+        let caller = std::thread::current().id();
+        let seen = Mutex::new(Vec::new());
+        ThreadPoolRunner::new(1).run_shards(3, &|i| {
+            seen.lock().unwrap().push((i, std::thread::current().id()));
+        });
+        let expected: Vec<_> = (0..3).map(|i| (i, caller)).collect();
+        assert_eq!(seen.into_inner().unwrap(), expected);
     }
 
     #[test]

@@ -35,8 +35,8 @@
 //!
 //! ## Write discipline
 //!
-//! All writes funnel through [`atomic_write`]: payload to a temp sibling,
-//! then `rename(2)` into place. Readers therefore never observe a
+//! All writes funnel through [`atomic_write`]: payload to a per-call temp
+//! sibling, then `rename(2)` into place. Readers therefore never observe a
 //! half-written entry, concurrent writers of the same key are idempotent
 //! (identical content, last rename wins), and a crash leaves at most a
 //! stray temp file. The workspace determinism lint enforces this funnel:
@@ -48,6 +48,7 @@ use cryptomine::Sha256;
 use etwtrace::{hb, setl3, verify, PidSet};
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Environment variable overriding the store location (the default is
 /// `target/simstore/` under the current directory).
@@ -326,17 +327,24 @@ pub fn env_root() -> Option<PathBuf> {
 
 /// The sanctioned write path for store entries: write `bytes` to a temp
 /// sibling, then atomically rename over `path`. Readers never observe a
-/// partial entry; a crash strands at most a temp file.
+/// partial entry; a crash strands at most a temp file. Every call writes
+/// its own temp sibling (`.tmp<pid>-<n>`, `n` from a process-wide
+/// counter), so threads saving one key at once never share a temp file.
 ///
 /// # Errors
 /// Propagates I/O errors from directory creation, the write or the rename.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
     let dir = path
         .parent()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "entry path has no parent"))?;
     std::fs::create_dir_all(dir)?;
     let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp{}", std::process::id()));
+    tmp.push(format!(
+        ".tmp{}-{}",
+        std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
     let tmp = PathBuf::from(tmp);
     // lint:allow(fs-write): this IS the atomic rename helper every other
     // store write is required to go through.
@@ -445,6 +453,33 @@ mod tests {
         assert_eq!(back.trace, run.trace);
         assert_eq!(back.filter, run.filter);
         assert_eq!(back.metrics, run.metrics);
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn concurrent_saves_of_one_key_leave_one_whole_entry() {
+        let store = tmp_store("race");
+        let (key, run) = tiny_run();
+        let path = store.entry_path(&key);
+        for _ in 0..8 {
+            let _ = std::fs::remove_file(&path);
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        start.wait();
+                        store.save(&key, &run).unwrap();
+                    });
+                }
+            });
+            assert!(matches!(store.load(&key), LoadOutcome::Hit(_)));
+        }
+        let left: Vec<_> = std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name())
+            .collect();
+        assert_eq!(left, [path.file_name().unwrap()], "no temp file may remain");
         let _ = std::fs::remove_dir_all(store.root());
     }
 

@@ -50,26 +50,47 @@ fn store_ctx(root: &Path, jobs: usize) -> RunContext {
     ctx
 }
 
-fn first_entry(root: &Path) -> PathBuf {
-    fn walk(dir: &Path) -> Option<PathBuf> {
-        let mut entries: Vec<_> = std::fs::read_dir(dir).ok()?.flatten().collect();
-        entries.sort_by_key(|e| e.path());
-        for e in entries {
-            let p = e.path();
+/// Every live entry of a store, in path order (the quarantine is skipped).
+fn entries(root: &Path) -> Vec<PathBuf> {
+    fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
+        let Ok(read) = std::fs::read_dir(dir) else {
+            return;
+        };
+        let mut paths: Vec<_> = read.flatten().map(|e| e.path()).collect();
+        paths.sort();
+        for p in paths {
             if p.is_dir() {
-                if p.file_name().is_some_and(|n| n == "quarantine") {
-                    continue;
-                }
-                if let Some(found) = walk(&p) {
-                    return Some(found);
+                if p.file_name().is_some_and(|n| n != "quarantine") {
+                    walk(&p, out);
                 }
             } else if p.extension().is_some_and(|x| x == "run") {
-                return Some(p);
+                out.push(p);
             }
         }
-        None
     }
-    walk(root).expect("store has at least one entry")
+    let mut out = Vec::new();
+    walk(root, &mut out);
+    out
+}
+
+/// Flips one byte in the middle of an entry.
+fn corrupt(entry: &Path) {
+    let mut bytes = std::fs::read(entry).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x80;
+    parastat::store::atomic_write(entry, &bytes).unwrap();
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for e in std::fs::read_dir(from).unwrap().flatten() {
+        let target = to.join(e.file_name());
+        if e.path().is_dir() {
+            copy_dir(&e.path(), &target);
+        } else {
+            std::fs::copy(e.path(), &target).unwrap();
+        }
+    }
 }
 
 #[test]
@@ -111,11 +132,7 @@ fn corrupted_entry_requarantines_and_resimulates_identically() {
     let cold_render = render(&store_ctx(&root, 1));
 
     // Flip one byte in one persisted entry.
-    let victim = first_entry(&root);
-    let mut bytes = std::fs::read(&victim).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x80;
-    parastat::store::atomic_write(&victim, &bytes).unwrap();
+    corrupt(&entries(&root)[0]);
 
     let repair = store_ctx(&root, 2);
     let repaired_render = render(&repair);
@@ -136,6 +153,41 @@ fn corrupted_entry_requarantines_and_resimulates_identically() {
     assert_eq!(render(&healed), cold_render);
     assert_eq!(healed.store_stats(), (4, 0, 0));
 
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn corrupted_copies_replay_identically_at_any_job_count() {
+    let root = tmp_root("copies");
+    let cold_render = render(&store_ctx(&root, 1));
+    for entry in &entries(&root)[..2] {
+        corrupt(entry);
+    }
+    let copies = [tmp_root("copies-serial"), tmp_root("copies-pooled")];
+    for copy in &copies {
+        copy_dir(&root, copy);
+    }
+
+    // The serial and the pooled replay each load two good entries and
+    // quarantine, re-simulate and write back two bad ones.
+    let serial = store_ctx(&copies[0], 1);
+    let pooled = store_ctx(&copies[1], 4);
+    let serial_render = render(&serial);
+    assert_eq!(serial_render, cold_render);
+    assert_eq!(render(&pooled), serial_render);
+    assert_eq!(serial.store_stats(), (2, 2, 2));
+    assert_eq!(pooled.store_stats(), serial.store_stats());
+    assert_eq!(serial.store_notes().len(), 2);
+    assert_eq!(pooled.store_notes(), serial.store_notes());
+    assert_eq!(pooled.verify_stats(), serial.verify_stats());
+
+    // Both write-backs healed their copy.
+    for copy in &copies {
+        let healed = store_ctx(copy, 1);
+        assert_eq!(render(&healed), cold_render);
+        assert_eq!(healed.store_stats(), (4, 0, 0));
+        let _ = std::fs::remove_dir_all(copy);
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 

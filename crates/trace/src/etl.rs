@@ -51,8 +51,9 @@ pub fn write_etl<W: Write>(trace: &EtlTrace, mut w: W) -> io::Result<()> {
 ///
 /// # Errors
 /// Returns `InvalidData` for a bad magic/version, an implausible CPU count,
-/// malformed or out-of-order records or a v3 checksum mismatch, and
-/// propagates I/O errors from the reader.
+/// malformed or out-of-order records, a context switch on a CPU past the
+/// header's count or a v3 checksum mismatch, and propagates I/O errors from
+/// the reader.
 pub fn read_etl<R: Read>(mut r: R) -> io::Result<EtlTrace> {
     let mut magic = [0u8; 5];
     r.read_exact(&mut magic)?;
@@ -182,8 +183,7 @@ impl TraceInfo {
 /// walked block by block; a legacy flat file goes through [`read_etl`].
 ///
 /// # Errors
-/// Same conditions as [`read_etl`], plus `InvalidData` for a context
-/// switch on a CPU past the header's count.
+/// Same conditions as [`read_etl`].
 pub fn trace_info<R: Read>(mut r: R) -> io::Result<TraceInfo> {
     let mut bytes = Vec::new();
     r.read_to_end(&mut bytes)?;
@@ -615,18 +615,57 @@ mod tests {
     }
 
     #[test]
-    fn trace_info_rejects_a_context_switch_past_the_cpu_count() {
-        let mut b = TraceBuilder::new(4);
-        b.push(TraceEvent::CSwitch {
-            at: SimTime::ZERO,
-            cpu: 1 << 40,
-            old: None,
-            new: Some(ThreadKey { pid: 1, tid: 10 }),
-            ready_since: None,
-        });
-        let v3 = crate::setl3::encode(&b.finish(SimTime::ZERO, SimTime::from_nanos(1)));
-        let err = trace_info(v3.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    fn a_context_switch_past_the_cpu_count_is_invalid_data() {
+        // Hash-valid traces of a 4-CPU machine whose one CSwitch names a CPU
+        // past the header's count: `TraceBuilder::push` takes it and both
+        // encoders write it, so only the readers can refuse it.
+        let crafted = |cpu| {
+            let mut b = TraceBuilder::new(4);
+            b.push(TraceEvent::CSwitch {
+                at: SimTime::ZERO,
+                cpu,
+                old: None,
+                new: Some(ThreadKey { pid: 1, tid: 10 }),
+                ready_since: None,
+            });
+            b.finish(SimTime::ZERO, SimTime::from_nanos(1))
+        };
+        let runner = crate::shard::SerialShards;
+        let filter: crate::PidSet = [1u64].into_iter().collect();
+        for cpu in [4, 1 << 40] {
+            let v3 = crate::setl3::encode(&crafted(cpu));
+            let sharded = crate::ShardedTrace::from_bytes(v3.clone()).unwrap();
+            let mut results = vec![
+                ("read_etl", read_etl(v3.as_slice()).map(drop)),
+                ("trace_info", trace_info(v3.as_slice()).map(drop)),
+                (
+                    "read_timeline",
+                    crate::timeline::read_timeline(v3.as_slice(), 8).map(drop),
+                ),
+                (
+                    "timeline_sharded",
+                    crate::timeline::timeline_sharded(&sharded, 8, &runner, 2).map(drop),
+                ),
+                (
+                    "concurrency_sharded",
+                    crate::analysis::concurrency_sharded(&sharded, &filter, &runner, 2).map(drop),
+                ),
+            ];
+            // The flat format stores the CPU as a u32.
+            if cpu == 4 {
+                let mut v2 = Vec::new();
+                write_etl(&crafted(cpu), &mut v2).unwrap();
+                results.push(("flat read_etl", read_etl(v2.as_slice()).map(drop)));
+                results.push((
+                    "flat read_timeline",
+                    crate::timeline::read_timeline(v2.as_slice(), 8).map(drop),
+                ));
+            }
+            for (reader, result) in results {
+                let err = result.expect_err(reader);
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{reader}: {err}");
+            }
+        }
     }
 
     #[test]

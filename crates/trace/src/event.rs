@@ -324,13 +324,18 @@ impl TraceBuilder {
     }
 
     /// Appends an event read from a trace file. A file is untrusted input,
-    /// so where [`TraceBuilder::push`] panics this returns `InvalidData`.
+    /// so where [`TraceBuilder::push`] panics this returns `InvalidData`,
+    /// and so does a context switch on a CPU past the builder's count
+    /// (analyzers size their per-CPU state from it).
     pub(crate) fn push_decoded(&mut self, event: TraceEvent) -> std::io::Result<()> {
+        let bad = |msg| Err(std::io::Error::new(std::io::ErrorKind::InvalidData, msg));
         if event.at() < self.last_at {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "trace records out of time order",
-            ));
+            return bad("trace records out of time order");
+        }
+        if let TraceEvent::CSwitch { cpu, .. } = event {
+            if cpu >= self.n_logical_cpus {
+                return bad("context switch on a CPU past the header's count");
+            }
         }
         self.last_at = event.at();
         self.events.push(event);

@@ -549,7 +549,13 @@ where
         if block_hash != m.hash {
             return Err(bad("block checksum mismatch"));
         }
-        let mut cursor = BlockCursor::new(block, &index.strings, m.clocks.clone(), m.records);
+        let mut cursor = BlockCursor::new(
+            block,
+            &index.strings,
+            index.n_logical,
+            m.clocks.clone(),
+            m.records,
+        );
         while let Some(ev) = cursor.next_event()? {
             f(ev)?;
         }
@@ -749,9 +755,12 @@ fn encode_event(out: &mut Vec<u8>, ev: &TraceEvent, strings: &StringIds, clocks:
     }
 }
 
+/// Decodes one record. A context switch must name a CPU below
+/// `n_logical`: analyzers size their per-CPU state from the header.
 pub(crate) fn decode_event<R: Read>(
     r: &mut R,
     strings: &[String],
+    n_logical: usize,
     clocks: &mut Clocks,
 ) -> io::Result<TraceEvent> {
     let mut tag = [0u8; 1];
@@ -781,7 +790,10 @@ pub(crate) fn decode_event<R: Read>(
             }
         }
         3 => {
-            let cpu = get_uv(r)? as usize;
+            let cpu = usize::try_from(get_uv(r)?)
+                .ok()
+                .filter(|&cpu| cpu < n_logical)
+                .ok_or_else(|| bad("context switch on a CPU past the header's count"))?;
             let at = decode_at(r, Some(cpu), clocks)?;
             let old = get_opt_key(r)?;
             let new = get_opt_key(r)?;

@@ -147,6 +147,7 @@ impl ShardedTrace {
         Ok(BlockCursor::new(
             buf,
             &self.index.strings,
+            self.index.n_logical,
             m.clocks.clone(),
             m.records,
         ))
@@ -387,6 +388,8 @@ impl ShardedTrace {
 pub struct BlockCursor<'a> {
     buf: &'a [u8],
     strings: &'a [String],
+    /// The header's logical CPU count; a `CSwitch` must name a CPU below it.
+    n_logical: usize,
     clocks: Clocks,
     remaining: u64,
 }
@@ -397,12 +400,14 @@ impl<'a> BlockCursor<'a> {
     pub(crate) fn new(
         buf: &'a [u8],
         strings: &'a [String],
+        n_logical: usize,
         clocks: Clocks,
         records: u64,
     ) -> BlockCursor<'a> {
         BlockCursor {
             buf,
             strings,
+            n_logical,
             clocks,
             remaining: records,
         }
@@ -411,9 +416,10 @@ impl<'a> BlockCursor<'a> {
     /// The next event in the block, or `None` after the last record.
     ///
     /// # Errors
-    /// `InvalidData` for malformed records or trailing bytes after the
-    /// declared record count. Corruption never reaches this point: the
-    /// block hash check at cursor creation rejects it wholesale.
+    /// `InvalidData` for malformed records, a context switch on a CPU past
+    /// the header's count, or trailing bytes after the declared record
+    /// count. Bit rot never reaches this point: the block hash check at
+    /// cursor creation rejects it wholesale.
     pub fn next_event(&mut self) -> io::Result<Option<TraceEvent>> {
         if self.remaining == 0 {
             if !self.buf.is_empty() {
@@ -421,7 +427,12 @@ impl<'a> BlockCursor<'a> {
             }
             return Ok(None);
         }
-        let ev = setl3::decode_event(&mut self.buf, self.strings, &mut self.clocks)?;
+        let ev = setl3::decode_event(
+            &mut self.buf,
+            self.strings,
+            self.n_logical,
+            &mut self.clocks,
+        )?;
         let mut check = [0u8; 1];
         self.buf.read_exact(&mut check)?;
         self.remaining -= 1;
