@@ -263,6 +263,19 @@ pub fn doctor_report_with_timelines(
         let _ = writeln!(out, "{}", stat_line(name, &s));
     }
 
+    // The DES event loop's aggregate-only phase timers, with each phase's
+    // share of the loop's time.
+    out.push_str("\nsimulator\n");
+    let phases = record.stats_for("machine");
+    if phases.is_empty() {
+        out.push_str("    no simulation recorded\n");
+    }
+    let loop_ns: u64 = phases.iter().map(|(_, s)| s.total_ns).sum();
+    for (name, s) in phases {
+        let share = 100.0 * s.total_ns as f64 / loop_ns.max(1) as f64;
+        let _ = writeln!(out, "{}  share {share:>5.1}%", stat_line(name, &s));
+    }
+
     // Shard occupancy: worker lifetime vs time inside block-decode spans.
     // Low occupancy means the serial fold (not decoding) dominates.
     out.push_str("\nshards\n");
@@ -405,6 +418,19 @@ mod tests {
         assert!(report.contains("memory: 0 hits / 2 misses"), "{report}");
         assert!(report.contains("run_once"), "{report}");
         assert!(report.contains("2 entries"), "{report}");
+        // The simulator section follows the analyzers and lists every DES
+        // phase with its share of the event loop.
+        let analyzers = report.find("\nanalyzers\n").expect("analyzers section");
+        let simulator = report.find("\nsimulator\n").expect("simulator section");
+        assert!(analyzers < simulator, "{report}");
+        let section = report[simulator + 1..].split("\n\n").next().unwrap_or("");
+        for phase in ["sync", "handle", "dispatch", "reprice"] {
+            let line = section
+                .lines()
+                .find(|l| l.trim_start().starts_with(phase))
+                .unwrap_or_else(|| panic!("no {phase} line:\n{report}"));
+            assert!(line.contains("share"), "{line}");
+        }
         let fp = store_footprint(&root);
         assert_eq!(fp.entries, 2);
         assert!(fp.entry_bytes > 0);

@@ -25,6 +25,10 @@ pub struct LogicalCpu {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Topology {
     cpus: Vec<LogicalCpu>,
+    /// `siblings[i]` is [`Topology::sibling_of`]`(i)`, worked out once at
+    /// construction: the scheduler asks for it on every placement and
+    /// every re-pricing.
+    siblings: Vec<Option<usize>>,
     physical_cores_enabled: usize,
     smt_enabled: bool,
 }
@@ -68,14 +72,24 @@ impl Topology {
             }
         }
         let physical_cores_enabled = cpus.iter().map(|c| c.physical).max().map_or(0, |m| m + 1);
+        let siblings = cpus
+            .iter()
+            .map(|me| {
+                cpus.iter()
+                    .find(|c| c.physical == me.physical && c.id != me.id)
+                    .map(|c| c.id)
+            })
+            .collect();
         Topology {
             cpus,
+            siblings,
             physical_cores_enabled,
             smt_enabled: smt && spec.smt_ways > 1,
         }
     }
 
-    /// The enabled logical CPUs, in id order.
+    /// The enabled logical CPUs, in id order. Siblings are numbered
+    /// adjacently, so `physical` never decreases along the slice.
     pub fn cpus(&self) -> &[LogicalCpu] {
         &self.cpus
     }
@@ -95,13 +109,10 @@ impl Topology {
         self.smt_enabled
     }
 
-    /// The logical CPU that shares a physical core with `cpu`, if enabled.
+    /// The lowest-numbered other enabled logical CPU on `cpu`'s physical
+    /// core, if any.
     pub fn sibling_of(&self, cpu: usize) -> Option<usize> {
-        let me = self.cpus.get(cpu)?;
-        self.cpus
-            .iter()
-            .find(|c| c.physical == me.physical && c.id != me.id)
-            .map(|c| c.id)
+        self.siblings.get(cpu).copied().flatten()
     }
 
     /// All enabled logical CPUs on the given physical core.
@@ -164,6 +175,21 @@ mod tests {
     #[should_panic(expected = "at least one")]
     fn zero_logical_panics() {
         Topology::with_logical_cpus(&presets::i7_8700k(), 0, true);
+    }
+
+    #[test]
+    fn sibling_is_the_lowest_other_thread_of_the_core() {
+        // 4-way SMT, 6 logical: CPUs 0-3 on core 0, CPUs 4-5 on core 1.
+        let spec = CpuSpec {
+            smt_ways: 4,
+            ..presets::i7_8700k()
+        };
+        let t = Topology::with_logical_cpus(&spec, 6, true);
+        let siblings: Vec<_> = (0..7).map(|cpu| t.sibling_of(cpu)).collect();
+        assert_eq!(
+            siblings,
+            [Some(1), Some(0), Some(0), Some(0), Some(5), Some(4), None]
+        );
     }
 
     #[test]

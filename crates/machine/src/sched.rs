@@ -91,6 +91,9 @@ struct CpuSlot {
     current: Option<Tid>,
     /// Bumped to invalidate in-flight Quantum events.
     gen: u64,
+    /// Ops/sec of `current`, set by the last re-pricing (see
+    /// [`Machine::reprice_if_dirty`]); meaningless while idle.
+    speed: f64,
 }
 
 /// The simulated desktop machine. See the crate docs for the programming
@@ -111,8 +114,13 @@ pub struct Machine {
     gpu_waiters: HashMap<SubmissionId, Vec<Tid>>,
     trace: TraceBuilder,
     rng: Rng,
-    /// Set when occupancy changed; compute completions need re-pricing.
+    /// Set when occupancy or a running thread's work kind changed: cached
+    /// speeds and compute completions need re-pricing.
     dirty: bool,
+    /// Occupied CPUs (dispatch has nothing to do when all are).
+    busy_cpus: usize,
+    /// SMT sibling pairs with both CPUs occupied, as of the last re-pricing.
+    corun_pairs: u64,
     metrics: SchedMetrics,
 }
 
@@ -122,8 +130,16 @@ const OPS_EPS: f64 = 1e-2;
 
 impl Machine {
     /// Builds an idle machine from a configuration.
+    ///
+    /// # Panics
+    /// Panics if the topology enables more than 64 logical CPUs: a thread's
+    /// affinity mask is a `u64` with one bit per logical CPU.
     pub fn new(cfg: MachineConfig) -> Machine {
         let n = cfg.topology.logical_count();
+        assert!(
+            n <= 64,
+            "{n} logical CPUs enabled, but the u64 affinity mask covers at most 64"
+        );
         let gpus: Vec<GpuDevice> = cfg.gpus.iter().cloned().map(GpuDevice::new).collect();
         let gpu_gens = vec![0; gpus.len()];
         let rng = Rng::seed_from(cfg.seed);
@@ -133,6 +149,7 @@ impl Machine {
                 .map(|_| CpuSlot {
                     current: None,
                     gen: 0,
+                    speed: 0.0,
                 })
                 .collect(),
             cfg,
@@ -149,6 +166,8 @@ impl Machine {
             gpu_waiters: HashMap::new(),
             rng,
             dirty: false,
+            busy_cpus: 0,
+            corun_pairs: 0,
             metrics: SchedMetrics::default(),
         }
     }
@@ -489,45 +508,51 @@ impl Machine {
     }
 
     /// Integrates compute progress of all running threads from `last_sync`
-    /// to `now` under the scheduling configuration that held in between.
+    /// to `now` under the scheduling configuration that held in between,
+    /// whose speeds and co-running pairs the last re-pricing cached.
     fn sync(&mut self) {
         if self.now <= self.last_sync {
             return;
         }
+        debug_assert_eq!(self.stale_speed(), None, "cached CPU speed is stale");
         let elapsed = (self.now - self.last_sync).as_secs_f64();
-        let elapsed_ns = (self.now - self.last_sync).as_nanos();
-        let active_physical = self.active_physical();
-        for cpu in 0..self.cpus.len() {
-            let Some(tid) = self.cpus[cpu].current else {
+        // SMT co-residency: attribute the elapsed interval once per sibling
+        // pair that had both logical CPUs occupied.
+        if self.corun_pairs > 0 {
+            let elapsed_ns = (self.now - self.last_sync).as_nanos();
+            self.metrics.smt_corun_ns.add(self.corun_pairs * elapsed_ns);
+        }
+        for slot in &self.cpus {
+            let Some(tid) = slot.current else {
                 continue;
             };
-            // SMT co-residency: attribute the elapsed interval once per
-            // sibling pair that had both logical CPUs occupied.
-            if let Some(sib) = self.cfg.topology.sibling_of(cpu) {
-                if sib > cpu && self.cpus[sib].current.is_some() {
-                    self.metrics.smt_corun_ns.add(elapsed_ns);
-                }
-            }
-            let speed = self.thread_speed(cpu, active_physical);
-            let th = &mut self.threads[tid.0 as usize];
-            if let Some(work) = th.pending.as_mut() {
-                work.ops = (work.ops - elapsed * speed).max(-1.0);
+            if let Some(work) = self.threads[tid.0 as usize].pending.as_mut() {
+                work.ops = (work.ops - elapsed * slot.speed).max(-1.0);
             }
         }
         self.last_sync = self.now;
     }
 
+    /// The first busy CPU whose cached speed differs, bit for bit, from a
+    /// fresh [`Machine::thread_speed`] (debug builds check this every sync).
+    fn stale_speed(&self) -> Option<usize> {
+        let active_physical = self.active_physical();
+        (0..self.cpus.len()).find(|&cpu| {
+            self.cpus[cpu].current.is_some()
+                && self.cpus[cpu].speed.to_bits()
+                    != self.thread_speed(cpu, active_physical).to_bits()
+        })
+    }
+
+    /// Physical cores with at least one occupied logical CPU. Siblings are
+    /// numbered adjacently, so a core is counted at its first busy thread.
     fn active_physical(&self) -> usize {
-        let topo = &self.cfg.topology;
-        let mut seen = [false; 64];
         let mut count = 0;
-        for (cpu, slot) in self.cpus.iter().enumerate() {
-            if slot.current.is_some() {
-                let phys = topo.cpus()[cpu].physical;
-                if !seen[phys] {
-                    seen[phys] = true;
-                    count += 1;
-                }
+        let mut last = None;
+        for (slot, lc) in self.cpus.iter().zip(self.cfg.topology.cpus()) {
+            if slot.current.is_some() && last != Some(lc.physical) {
+                last = Some(lc.physical);
+                count += 1;
             }
         }
         count
@@ -741,6 +766,7 @@ impl Machine {
         debug_assert_eq!(self.cpus[cpu].current, Some(tid));
         self.cpus[cpu].current = None;
         self.cpus[cpu].gen += 1; // cancel the quantum
+        self.busy_cpus -= 1;
         let pid = self.threads[tid.0 as usize].pid;
         self.trace.push(TraceEvent::CSwitch {
             at: self.now,
@@ -759,7 +785,7 @@ impl Machine {
     /// SMT sibling is idle (Windows-style placement), honouring priority
     /// classes and affinity masks.
     fn dispatch(&mut self) {
-        'outer: while self.any_ready() {
+        'outer: while self.busy_cpus < self.cpus.len() && self.any_ready() {
             // Highest class first; within a class, FIFO over threads that
             // still have an allowed free CPU.
             let mut picked: Option<(usize, Tid)> = None;
@@ -799,6 +825,7 @@ impl Machine {
             th.last_cpu = Some(cpu);
             self.cpus[cpu].current = Some(tid);
             self.cpus[cpu].gen += 1;
+            self.busy_cpus += 1;
             let gen = self.cpus[cpu].gen;
             self.calendar.schedule(
                 self.now.saturating_add(self.cfg.quantum),
@@ -862,17 +889,31 @@ impl Machine {
         self.make_ready(tid);
     }
 
-    /// Re-projects compute-completion times after occupancy changed.
+    /// Re-prices after occupancy or a running thread's work kind changed:
+    /// caches each busy CPU's speed and the co-running SMT pairs for
+    /// [`Machine::sync`], and re-projects compute-completion times.
+    ///
+    /// Both caches are functions of occupancy and the running work kinds
+    /// only. Every step that changes either sets `dirty`, and this runs at
+    /// the end of that same calendar step, before the next `sync`.
     fn reprice_if_dirty(&mut self) {
         if !self.dirty {
             return;
         }
         self.dirty = false;
         let active_physical = self.active_physical();
+        self.corun_pairs = 0;
         for cpu in 0..self.cpus.len() {
             let Some(tid) = self.cpus[cpu].current else {
                 continue;
             };
+            let speed = self.thread_speed(cpu, active_physical);
+            self.cpus[cpu].speed = speed;
+            if let Some(sib) = self.cfg.topology.sibling_of(cpu) {
+                if sib > cpu && self.cpus[sib].current.is_some() {
+                    self.corun_pairs += 1;
+                }
+            }
             let Some(work) = self.threads[tid.0 as usize].pending else {
                 continue;
             };
@@ -884,7 +925,6 @@ impl Machine {
                     .schedule(self.now, Ev::CompleteCompute(tid, gen));
                 continue;
             }
-            let speed = self.thread_speed(cpu, active_physical);
             let secs = work.ops / speed;
             let t = self
                 .now
@@ -1597,6 +1637,47 @@ mod tests {
             fg_busy > 5.0 * bg_busy,
             "foreground {fg_busy} vs background {bg_busy}"
         );
+    }
+
+    /// A machine over `physical × ways` logical CPUs, all enabled.
+    fn wide_machine(physical_cores: usize, smt_ways: usize) -> Machine {
+        let cpu = simcpu::CpuSpec {
+            physical_cores,
+            smt_ways,
+            ..simcpu::presets::i7_8700k()
+        };
+        Machine::new(MachineConfig::new(cpu))
+    }
+
+    #[test]
+    fn sixty_four_logical_cpus_fit_the_affinity_mask() {
+        let mut m = wide_machine(32, 2);
+        let pid = m.add_process("wide.exe");
+        for i in 0..70 {
+            m.spawn(
+                pid,
+                &format!("w{i}"),
+                Box::new(Burn {
+                    segments: 2,
+                    ms: 1.0,
+                    kind: ComputeKind::Vector,
+                }),
+            );
+        }
+        m.run_for(SimDuration::from_millis(20));
+        assert_eq!(m.sched_metrics().threads_exited.get(), 70);
+    }
+
+    #[test]
+    #[should_panic(expected = "u64 affinity mask covers at most 64")]
+    fn more_than_sixty_four_smt_cpus_panic() {
+        wide_machine(33, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "u64 affinity mask covers at most 64")]
+    fn more_than_sixty_four_physical_cores_panic() {
+        wide_machine(66, 1);
     }
 
     #[test]

@@ -133,16 +133,19 @@ fn lint(args: &[String]) {
 }
 
 /// Benches the gate runs by default: the pure-CPU kernel and trace-analysis
-/// benches, which are fast and steady enough for a CI smoke signal. The
-/// simulation-sweep benches (`experiments`, `runner`, `simulator`) take
-/// minutes and are left to explicit `--bench` selection.
-const GATE_BENCHES: [&str; 6] = [
+/// benches, plus `simulator` (one simulated second of four workloads and
+/// three analyzers over its trace), the DES hot loop every table runs
+/// through. All run in seconds, fast enough for a CI smoke signal. The
+/// simulation-sweep benches (`experiments`, `runner`) take minutes and are
+/// left to explicit `--bench` selection.
+const GATE_BENCHES: [&str; 7] = [
     "hash_kernels",
     "profiler",
     "verify",
     "self_trace",
     "timeline",
     "shard",
+    "simulator",
 ];
 
 /// Maximum cost of the enabled span tracer over its disabled twin, as a
