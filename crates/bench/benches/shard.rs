@@ -1,9 +1,9 @@
 #![allow(missing_docs)] // criterion_group! generates undocumented glue
 
 //! Sharded streaming analyzers against the materialize-then-fold pipeline,
-//! over the same ~250k-event synthetic trace as the timeline bench. Three
-//! comparisons, pinned by `xtask bench-gate` as same-run pairs (immune to
-//! baseline drift across machines):
+//! over the same ~250k-event synthetic trace as the timeline bench. Four
+//! comparisons, three of them pinned by `xtask bench-gate` as same-run
+//! pairs (immune to baseline drift across machines):
 //!
 //! * `shard/materialized/tlp_250k_events` — the pre-shard pipeline:
 //!   `setl3::read_setl3` materializes every event into a `Vec`, then
@@ -18,13 +18,18 @@
 //!   reach the tail, the seek path binary-searches the block index
 //!   (`blocks_in_window`) and decodes only the overlapping blocks. This is
 //!   the pair the gate holds to a ≥5× speedup.
+//! * `shard/fold{1,2}/verify_hb_250k_events` — `verify_sharded` plus
+//!   `hb::analyze_sharded`, two ordered `fold_events` passes, on a 1- and
+//!   a 2-worker pool. At width 2 one worker folds while the other decodes
+//!   ahead, so the pair pins the fold pipeline's parallel gain.
 //!
 //! Every timed region covers the full pipeline from encoded bytes to the
 //! report figure — index parse and buffer hand-off included.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use etwtrace::{
-    analysis, setl3, EtlTrace, ShardedTrace, ThreadKey, TraceBuilder, TraceEvent, WaitReason,
+    analysis, hb, setl3, verify, EtlTrace, HbOptions, ShardedTrace, ThreadKey, TraceBuilder,
+    TraceEvent, WaitReason,
 };
 use parastat::ThreadPoolRunner;
 use simcore::SimTime;
@@ -112,6 +117,7 @@ fn bench_shard(c: &mut Criterion) {
     let encoded = setl3::encode(&trace);
     let filter = trace.pids_by_name("app");
     let pool1 = ThreadPoolRunner::new(1);
+    let pool2 = ThreadPoolRunner::new(2);
     let pool4 = ThreadPoolRunner::new(4);
     let tail_lo = ms(ROUNDS - ROUNDS / 50);
 
@@ -137,6 +143,22 @@ fn bench_shard(c: &mut Criterion) {
                 .tlp()
         })
     });
+
+    for (name, pool, shards) in [
+        ("shard/fold1/verify_hb_250k_events", &pool1, 1),
+        ("shard/fold2/verify_hb_250k_events", &pool2, 2),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let s = ShardedTrace::from_bytes(encoded.clone()).expect("index");
+                let report = verify::verify_sharded(&s, pool, shards)
+                    .expect("in-memory shards cannot fail I/O");
+                let causal = hb::analyze_sharded(&s, &HbOptions::default(), pool, shards)
+                    .expect("in-memory shards cannot fail I/O");
+                (report.is_clean(), causal.is_clean())
+            })
+        });
+    }
 
     c.bench_function("shard/materialized/window_tail_250k_events", |b| {
         b.iter(|| {

@@ -406,6 +406,57 @@ fn synth_writes_a_verify_clean_v3_stream_of_the_exact_size() {
 }
 
 #[test]
+fn a_corrupt_block_past_the_first_window_exits_2_from_every_analyzer() {
+    let path = tmp("corrupt-block.etl");
+    let file = path.to_str().unwrap();
+    let gen = tracetool(&["synth", "170000", file]);
+    assert!(gen.status.success(), "synth failed: {gen:?}");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let blocks = etwtrace::ShardedTrace::from_bytes(bytes.clone())
+        .unwrap()
+        .n_blocks();
+    assert!(blocks >= 40, "synth wrote only {blocks} blocks");
+
+    // The middle byte lies in the record area, which the index does not
+    // cover: the trace still indexes, and exactly one block fails its
+    // hash. That block lies past the first fold window (2 × 4 blocks).
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    let flipped = etwtrace::ShardedTrace::from_bytes(bytes.clone()).unwrap();
+    let bad: Vec<usize> = (0..blocks)
+        .filter(|&b| flipped.decode_block(b).is_err())
+        .collect();
+    assert!(bad.len() == 1 && bad[0] >= 8, "corrupt blocks: {bad:?}");
+    parastat::store::atomic_write(&path, &bytes).unwrap();
+
+    for shards in [None, Some("2"), Some("4")] {
+        for (sub, prefix) in [
+            ("verify", None),
+            ("tlp", Some("app")),
+            ("latency", Some("app")),
+            ("bottlenecks", Some("app")),
+            ("critical-path", Some("app")),
+            ("timeline", None),
+        ] {
+            let mut argv = Vec::new();
+            if let Some(n) = shards {
+                argv.extend(["--analyzer-shards", n]);
+            }
+            argv.extend([sub, file]);
+            argv.extend(prefix);
+            let out = tracetool(&argv);
+            assert_eq!(out.status.code(), Some(2), "{argv:?}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains("block checksum mismatch"),
+                "{argv:?}: {stderr}"
+            );
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn unknown_subcommand_exits_nonzero_with_usage() {
     let out = tracetool(&["frobnicate"]);
     assert_eq!(out.status.code(), Some(2));

@@ -276,8 +276,10 @@ pub fn doctor_report_with_timelines(
         let _ = writeln!(out, "{}  share {share:>5.1}%", stat_line(name, &s));
     }
 
-    // Shard occupancy: worker lifetime vs time inside block-decode spans.
-    // Low occupancy means the serial fold (not decoding) dominates.
+    // Shard occupancy: task lifetime vs time inside block-decode spans.
+    // Every task of an ordered fold decodes, the folder included; the rest
+    // is the fold itself and waits for a block or a free window slot, so
+    // low occupancy means the fold, not decoding, bounds the pass.
     out.push_str("\nshards\n");
     let shard: Vec<_> = record.stats_for("shard");
     let worker = shard.iter().find(|(n, _)| *n == "worker").map(|(_, s)| *s);
@@ -299,10 +301,7 @@ pub fn doctor_report_with_timelines(
                 human_ns(decode.total_ns),
                 decode.events,
             );
-            let _ = writeln!(
-                out,
-                "  occupancy: {occupancy:.1}% (rest is claim/fold idle)"
-            );
+            let _ = writeln!(out, "  occupancy: {occupancy:.1}% (rest is fold and waits)");
         }
         _ => out.push_str("  no sharded analysis recorded\n"),
     }
@@ -358,7 +357,6 @@ pub fn doctor_report_now(ctx: &RunContext) -> String {
 mod tests {
     use super::*;
     use crate::experiment::{Budget, Experiment};
-    use crate::store::SimStore;
     use simcore::SimDuration;
     use workloads::AppId;
 
@@ -388,53 +386,5 @@ mod tests {
     fn footprint_of_missing_root_is_empty() {
         let fp = store_footprint(Path::new("target/definitely-not-a-store"));
         assert_eq!(fp, StoreFootprint::default());
-    }
-
-    #[test]
-    fn report_covers_pool_tiers_and_store() {
-        let mut root = std::env::temp_dir();
-        root.push(format!("doctor-unit-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-
-        // Serialize against any other test in this binary that toggles the
-        // global tracer gate.
-        static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _guard = GATE.lock().unwrap_or_else(|e| e.into_inner());
-        span::reset();
-        span::set_enabled(true);
-        let mut ctx = RunContext::pooled(2);
-        ctx.set_store(SimStore::open(&root));
-        let exp = Experiment::new(AppId::Braina).budget(Budget {
-            duration: SimDuration::from_secs(2),
-            iterations: 2,
-        });
-        ctx.run_experiment(&exp);
-        let report = doctor_report_now(&ctx);
-        span::set_enabled(false);
-        span::reset();
-
-        assert!(report.contains("parastat doctor"), "{report}");
-        assert!(report.contains("occupancy:"), "{report}");
-        assert!(report.contains("memory: 0 hits / 2 misses"), "{report}");
-        assert!(report.contains("run_once"), "{report}");
-        assert!(report.contains("2 entries"), "{report}");
-        // The simulator section follows the analyzers and lists every DES
-        // phase with its share of the event loop.
-        let analyzers = report.find("\nanalyzers\n").expect("analyzers section");
-        let simulator = report.find("\nsimulator\n").expect("simulator section");
-        assert!(analyzers < simulator, "{report}");
-        let section = report[simulator + 1..].split("\n\n").next().unwrap_or("");
-        for phase in ["sync", "handle", "dispatch", "reprice"] {
-            let line = section
-                .lines()
-                .find(|l| l.trim_start().starts_with(phase))
-                .unwrap_or_else(|| panic!("no {phase} line:\n{report}"));
-            assert!(line.contains("share"), "{line}");
-        }
-        let fp = store_footprint(&root);
-        assert_eq!(fp.entries, 2);
-        assert!(fp.entry_bytes > 0);
-        assert_eq!(fp.quarantined, 0);
-        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -30,10 +30,11 @@
 use crate::event::{PidSet, TraceEvent};
 use crate::setl3::{self, Clocks, Index};
 use simcore::SimTime;
+use simobs::span::Span;
 use std::io::{self, Read};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Executes `f(0..shards)` on some set of workers. Implemented by
 /// `parastat::runner::ThreadPoolRunner` (scoped threads) and by
@@ -286,66 +287,134 @@ impl ShardedTrace {
     }
 
     /// Streams every event through `f` **in trace order** while blocks
-    /// decode in parallel on `runner`: waves of `2 × shards` blocks are
-    /// decoded concurrently, then folded serially in block order. Memory
-    /// stays bounded by one wave (≈ `2 × shards × 4096` events) no matter
-    /// how large the trace is, and the fold sees the exact event sequence a
-    /// sequential reader would — so any analyzer fold driven through here
-    /// is byte-identical to its materialized twin by construction.
+    /// decode in parallel on `runner`, all inside one runner scope of
+    /// `min(shards, blocks)` tasks (DESIGN.md §14.2):
+    ///
+    /// * the first task to start takes `f` and folds blocks `0..n` in
+    ///   order;
+    /// * every other task claims the next undecoded block and decodes it,
+    ///   block hash first, into a ready slot, never more than `2 × shards`
+    ///   blocks ahead of the fold;
+    /// * when the folder's next block is still being decoded, the folder
+    ///   claims and decodes the next unclaimed block itself instead of
+    ///   waiting, so a cheap fold still keeps every worker decoding.
+    ///
+    /// Memory stays bounded by that window (≈ `2 × shards × 4096` events)
+    /// however large the trace is, and the fold sees the exact event
+    /// sequence a sequential reader would — so any analyzer fold driven
+    /// through here is byte-identical to its materialized twin by
+    /// construction. `f` must be `Send`: it runs on whichever task starts
+    /// first.
     ///
     /// # Errors
-    /// The first decode error in block order.
-    pub fn fold_events<F>(
-        &self,
-        runner: &dyn ShardRunner,
-        shards: usize,
-        mut f: F,
-    ) -> io::Result<()>
+    /// The first decode error in block order. `f` has then seen exactly
+    /// the events of the blocks before it.
+    ///
+    /// # Panics
+    /// A panic in `f` or in a decode halts every other task at its next
+    /// claim or wait, and the runner re-raises it.
+    pub fn fold_events<F>(&self, runner: &dyn ShardRunner, shards: usize, f: F) -> io::Result<()>
+    where
+        F: FnMut(&TraceEvent) + Send,
+    {
+        let blocks = self.index.blocks.len();
+        // A window wider than the trace would only add empty slots.
+        let window = shards.max(1).saturating_mul(2).min(blocks.max(1));
+        let pipe = Pipeline::new(blocks, window);
+        let fold = Mutex::new(Some(f));
+        let outcome = Mutex::new(None);
+        runner.run_shards(shards.clamp(1, blocks.max(1)), &|_task| {
+            let mut worker = simobs::span::span("shard", "worker");
+            let _halt = HaltOnUnwind(&pipe);
+            let folder = fold.lock().unwrap_or_else(PoisonError::into_inner).take();
+            match folder {
+                Some(f) => {
+                    let res = self.fold_in_order(&pipe, &mut worker, f);
+                    pipe.halt();
+                    *outcome.lock().unwrap_or_else(PoisonError::into_inner) = Some(res);
+                }
+                None => self.decode_ahead(&pipe, &mut worker),
+            }
+        });
+        outcome
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            // lint:allow(analyzer-panic): run_shards runs at least one task,
+            // and the first task to start folds
+            .expect("the first task to start folds")
+    }
+
+    /// The folder's side of [`ShardedTrace::fold_events`]: folds blocks in
+    /// order. It decodes its next block itself when no task has claimed
+    /// it, and the next unclaimed one while another task finishes it.
+    fn fold_in_order<F>(&self, pipe: &Pipeline, worker: &mut Span, mut f: F) -> io::Result<()>
     where
         F: FnMut(&TraceEvent),
     {
-        let shards = shards.max(1);
-        let wave = shards * 2;
-        let mut base = 0;
-        while base < self.index.blocks.len() {
-            let n = wave.min(self.index.blocks.len() - base);
-            type Slot = Mutex<Option<io::Result<Vec<TraceEvent>>>>;
-            let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            runner.run_shards(shards.min(n), &|_shard| {
-                let mut worker = simobs::span::span("shard", "worker");
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+        for block in 0..pipe.blocks {
+            let events = loop {
+                let mut claims = pipe.lock();
+                if let Some(decoded) = claims.ready[block % pipe.window].take() {
+                    break decoded?;
+                }
+                if claims.halted {
+                    return Err(io::Error::other("a block decoder panicked"));
+                }
+                match pipe.claim(&mut claims) {
+                    Some(next) => {
+                        drop(claims);
+                        let decoded = self.decode_claimed(worker, next);
+                        if next == block {
+                            break decoded?;
+                        }
+                        pipe.land(next, decoded);
                     }
-                    worker.add_events(1);
-                    let res = {
-                        let mut sp = simobs::span::span("shard", "decode");
-                        sp.add_events(self.index.blocks[base + i].records);
-                        sp.add_bytes(self.index.blocks[base + i].len as u64);
-                        self.decode_block(base + i)
-                    };
-                    // lint:allow(analyzer-panic): a poisoned slot means a
-                    // worker already panicked; propagating is the only
-                    // sound option
-                    *slots[i].lock().expect("decode slot poisoned") = Some(res);
+                    // `block` is claimed and still decoding: its task lands
+                    // it (or unwinds and halts) without waiting on anyone.
+                    None => drop(pipe.wait(claims)),
                 }
-            });
-            for slot in slots {
-                let decoded = slot
-                    .into_inner()
-                    // lint:allow(analyzer-panic): same poisoning argument as above
-                    .expect("decode slot poisoned")
-                    // lint:allow(analyzer-panic): the claim loop covers 0..n, so every slot is filled
-                    .expect("every wave slot claimed")?;
-                for ev in &decoded {
-                    f(ev);
-                }
+            };
+            for ev in &events {
+                f(ev);
             }
-            base += n;
+            pipe.advance();
         }
         Ok(())
+    }
+
+    /// A decoding task's side of [`ShardedTrace::fold_events`]: claims
+    /// blocks inside the window and lands them for the folder until every
+    /// block is claimed or the pipeline halts.
+    fn decode_ahead(&self, pipe: &Pipeline, worker: &mut Span) {
+        loop {
+            let block = {
+                let mut claims = pipe.lock();
+                loop {
+                    if claims.halted || claims.next == pipe.blocks {
+                        return;
+                    }
+                    if let Some(block) = pipe.claim(&mut claims) {
+                        break block;
+                    }
+                    // The window is full: the folder, which started before
+                    // this task, frees a slot when it finishes a block.
+                    claims = pipe.wait(claims);
+                }
+            };
+            let decoded = self.decode_claimed(worker, block);
+            pipe.land(block, decoded);
+        }
+    }
+
+    /// Decodes one claimed block under a `shard/decode` span and counts it
+    /// on the task's `shard/worker` span.
+    fn decode_claimed(&self, worker: &mut Span, block: usize) -> Decoded {
+        worker.add_events(1);
+        let m = &self.index.blocks[block];
+        let mut sp = simobs::span::span("shard", "decode");
+        sp.add_events(m.records);
+        sp.add_bytes(m.len as u64);
+        self.decode_block(block)
     }
 
     /// The pids whose image name starts with `prefix` (case-insensitive) —
@@ -376,6 +445,104 @@ impl ShardedTrace {
             Ok(pids)
         })?;
         Ok(per_shard.into_iter().flatten().collect())
+    }
+}
+
+/// One decoded block, or why it failed.
+type Decoded = io::Result<Vec<TraceEvent>>;
+
+/// The state the tasks of one [`ShardedTrace::fold_events`] scope share.
+struct Pipeline {
+    /// Blocks in the trace.
+    blocks: usize,
+    /// How many blocks, counted from the one being folded, may be claimed
+    /// at once: `2 × shards`, capped at the block count.
+    window: usize,
+    claims: Mutex<Claims>,
+    /// Signalled when a block lands, the fold advances or the pipeline
+    /// halts.
+    changed: Condvar,
+}
+
+struct Claims {
+    /// The next block no task has claimed.
+    next: usize,
+    /// Blocks folded so far; block `b` may be claimed once
+    /// `b < folded + window`.
+    folded: usize,
+    /// Decoded blocks waiting for the fold; block `b` lands in slot
+    /// `b % window`, which the fold emptied when it took block `b - window`.
+    ready: Vec<Option<Decoded>>,
+    /// The fold is over or a task unwound: no task claims or waits again.
+    halted: bool,
+}
+
+impl Pipeline {
+    fn new(blocks: usize, window: usize) -> Pipeline {
+        Pipeline {
+            blocks,
+            window,
+            claims: Mutex::new(Claims {
+                next: 0,
+                folded: 0,
+                ready: (0..window).map(|_| None).collect(),
+                halted: false,
+            }),
+            changed: Condvar::new(),
+        }
+    }
+
+    /// Locks the shared state. Every critical section is a few field
+    /// writes that cannot leave it inconsistent, so a task that unwound
+    /// elsewhere poisons nothing and halting still works.
+    fn lock(&self) -> MutexGuard<'_, Claims> {
+        self.claims.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'a>(&self, claims: MutexGuard<'a, Claims>) -> MutexGuard<'a, Claims> {
+        self.changed
+            .wait(claims)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claims the next block, if there is one and it lies inside the
+    /// window.
+    fn claim(&self, claims: &mut Claims) -> Option<usize> {
+        let block = claims.next;
+        let free = block < self.blocks && block < claims.folded + self.window;
+        free.then(|| {
+            claims.next += 1;
+            block
+        })
+    }
+
+    /// Parks a decoded block in its slot for the folder.
+    fn land(&self, block: usize, decoded: Decoded) {
+        self.lock().ready[block % self.window] = Some(decoded);
+        self.changed.notify_all();
+    }
+
+    /// Counts one more folded block, which frees a window slot.
+    fn advance(&self) {
+        self.lock().folded += 1;
+        self.changed.notify_all();
+    }
+
+    fn halt(&self) {
+        self.lock().halted = true;
+        self.changed.notify_all();
+    }
+}
+
+/// Halts the pipeline if its task unwinds, so a panic in the fold or in a
+/// decode never leaves another task waiting for a block or a free slot.
+struct HaltOnUnwind<'a>(&'a Pipeline);
+
+impl Drop for HaltOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.halt();
+        }
     }
 }
 
@@ -592,10 +759,11 @@ mod tests {
         );
     }
 
-    /// A multi-block trace exercising every analyzer at once: context
-    /// switches, blocking waits of all reasons, GPU packet lifecycles,
-    /// frames, and thread churn across two processes.
-    fn rich_trace() -> crate::event::EtlTrace {
+    /// A trace of `blocks` full blocks plus a partial one, exercising every
+    /// analyzer at once: context switches, blocking waits of all reasons,
+    /// GPU packet lifecycles, frames, and thread churn across two
+    /// processes.
+    fn rich_trace(blocks: u64) -> crate::event::EtlTrace {
         use crate::event::WaitReason;
         let mut b = TraceBuilder::new(4);
         for (pid, name) in [(1u64, "app.exe"), (2, "other.exe")] {
@@ -616,7 +784,7 @@ mod tests {
                 name: format!("t{i}"),
             });
         }
-        let n = (BLOCK_RECORDS * 2 + 333) as usize;
+        let n = (BLOCK_RECORDS * blocks + 333) as usize;
         for i in 0..n {
             let at = SimTime::from_nanos(i as u64 * 700 + 1);
             let ev = match i % 11 {
@@ -694,44 +862,167 @@ mod tests {
         b.finish(SimTime::ZERO, SimTime::from_nanos(n as u64 * 700 + 1000))
     }
 
+    /// Runs tasks on up to `.0` scoped threads claiming indices in order —
+    /// a real pool's schedule — and re-raises the first task panic with
+    /// its own payload.
+    struct ScopedThreads(usize);
+
+    impl ShardRunner for ScopedThreads {
+        fn run_shards(&self, shards: usize, f: &(dyn Fn(usize) + Sync)) {
+            let next = AtomicUsize::new(0);
+            std::thread::scope(|s| {
+                let workers: Vec<_> = (0..self.0.min(shards))
+                    .map(|_| {
+                        s.spawn(|| loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= shards {
+                                break;
+                            }
+                            f(i);
+                        })
+                    })
+                    .collect();
+                for w in workers {
+                    if let Err(panic) = w.join() {
+                        std::panic::resume_unwind(panic);
+                    }
+                }
+            });
+        }
+
+        fn width(&self) -> usize {
+            self.0
+        }
+    }
+
+    /// Reports width 4 but runs tasks one at a time in reverse index order:
+    /// no task may count on another running beside it, or on task 0 going
+    /// first.
+    struct OneAtATimeReversed;
+
+    impl ShardRunner for OneAtATimeReversed {
+        fn run_shards(&self, shards: usize, f: &(dyn Fn(usize) + Sync)) {
+            for i in (0..shards).rev() {
+                f(i);
+            }
+        }
+
+        fn width(&self) -> usize {
+            4
+        }
+    }
+
+    fn runners() -> [(&'static str, &'static dyn ShardRunner); 4] {
+        [
+            ("serial", &SerialShards),
+            ("scoped2", &ScopedThreads(2)),
+            ("scoped4", &ScopedThreads(4)),
+            ("reversed", &OneAtATimeReversed),
+        ]
+    }
+
     #[test]
     fn every_sharded_analyzer_matches_its_materialized_twin() {
-        let trace = rich_trace();
+        // At least three fold windows at the widest shard count (2 × 7).
+        let trace = rich_trace(3 * 2 * 7);
         let sharded = ShardedTrace::from_bytes(encode(&trace)).unwrap();
-        assert!(sharded.n_blocks() >= 3);
+        assert!(sharded.n_blocks() >= 3 * 2 * 7);
         let filter = trace.pids_by_name("app");
         let opts = crate::hb::HbOptions::default();
-        for shards in [1usize, 2, 4, 7] {
-            assert_eq!(
-                crate::verify::verify_sharded(&sharded, &SerialShards, shards).unwrap(),
-                crate::verify::verify_trace(&trace),
-                "verify diverged at {shards} shards"
-            );
-            assert_eq!(
-                crate::hb::analyze_sharded(&sharded, &opts, &SerialShards, shards).unwrap(),
-                crate::hb::analyze(&trace, &opts),
-                "hb diverged at {shards} shards"
-            );
-            assert_eq!(
-                crate::blame::blame_sharded(&sharded, &filter, &SerialShards, shards).unwrap(),
-                crate::blame::blame(&trace, &filter),
-                "blame diverged at {shards} shards"
-            );
-            let cp_sharded =
-                crate::critical::critical_path_sharded(&sharded, &filter, &SerialShards, shards)
-                    .unwrap();
-            let cp = crate::critical::critical_path(&trace, &filter);
-            assert_eq!(cp_sharded, cp, "critical path diverged at {shards} shards");
-            assert_eq!(
-                cp_sharded.measured_tlp.to_bits(),
-                cp.measured_tlp.to_bits(),
-                "measured TLP diverged at {shards} shards"
-            );
-            assert_eq!(
-                crate::timeline::timeline_sharded(&sharded, 48, &SerialShards, shards).unwrap(),
-                crate::timeline::fold_trace(&trace, 48),
-                "timeline diverged at {shards} shards"
-            );
+        let verified = crate::verify::verify_trace(&trace);
+        let causal = crate::hb::analyze(&trace, &opts);
+        let blamed = crate::blame::blame(&trace, &filter);
+        let cp = crate::critical::critical_path(&trace, &filter);
+        let tl = crate::timeline::fold_trace(&trace, 48);
+        // The width-1 reference, a real pool's schedule, and one that runs
+        // the tasks one by one starting from the last.
+        let schedules: [(&str, &dyn ShardRunner, &[usize]); 3] = [
+            ("serial", &SerialShards, &[1]),
+            ("scoped4", &ScopedThreads(4), &[2, 3, 4, 7]),
+            ("reversed", &OneAtATimeReversed, &[2, 3, 4, 7]),
+        ];
+        for (name, runner, shard_counts) in schedules {
+            for &shards in shard_counts {
+                let at = format!("{name} runner at {shards} shards");
+                assert_eq!(
+                    crate::verify::verify_sharded(&sharded, runner, shards).unwrap(),
+                    verified,
+                    "verify diverged on the {at}"
+                );
+                assert_eq!(
+                    crate::hb::analyze_sharded(&sharded, &opts, runner, shards).unwrap(),
+                    causal,
+                    "hb diverged on the {at}"
+                );
+                assert_eq!(
+                    crate::blame::blame_sharded(&sharded, &filter, runner, shards).unwrap(),
+                    blamed,
+                    "blame diverged on the {at}"
+                );
+                let cp_sharded =
+                    crate::critical::critical_path_sharded(&sharded, &filter, runner, shards)
+                        .unwrap();
+                assert_eq!(cp_sharded, cp, "critical path diverged on the {at}");
+                assert_eq!(
+                    cp_sharded.measured_tlp.to_bits(),
+                    cp.measured_tlp.to_bits(),
+                    "measured TLP diverged on the {at}"
+                );
+                assert_eq!(
+                    crate::timeline::timeline_sharded(&sharded, 48, runner, shards).unwrap(),
+                    tl,
+                    "timeline diverged on the {at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fold gave up mid-trace")]
+    fn a_panicking_fold_panics_through_a_threaded_runner_instead_of_hanging() {
+        let trace = big_trace((BLOCK_RECORDS * 12) as usize);
+        let sharded = ShardedTrace::from_bytes(encode(&trace)).unwrap();
+        let middle = (BLOCK_RECORDS * 6 + 5) as usize;
+        let mut seen = 0usize;
+        let _ = sharded.fold_events(&ScopedThreads(2), 2, |_| {
+            seen += 1;
+            if seen == middle {
+                panic!("fold gave up mid-trace");
+            }
+        });
+    }
+
+    #[test]
+    fn a_flipped_block_fails_the_fold_after_exactly_the_blocks_before_it() {
+        let trace = big_trace((BLOCK_RECORDS * 12 + 7) as usize);
+        let clean = encode(&trace);
+        // Block 9 lies past the first window at 2, 3 and 4 shards.
+        let k = 9;
+        let m = &ShardedTrace::from_bytes(clean.clone())
+            .unwrap()
+            .index
+            .blocks[k];
+        let mut bytes = clean;
+        bytes[m.offset + m.len / 2] ^= 0x40;
+        let sharded = ShardedTrace::from_bytes(bytes).unwrap();
+        let before: usize = (0..k).map(|b| sharded.block_records(b) as usize).sum();
+        for (name, runner) in runners() {
+            for shards in [1usize, 2, 3, 4, 7] {
+                let mut seen = Vec::new();
+                let err = sharded
+                    .fold_events(runner, shards, |ev| seen.push(ev.clone()))
+                    .unwrap_err();
+                assert!(
+                    err.to_string().contains("block checksum mismatch"),
+                    "{name} runner at {shards} shards: {err}"
+                );
+                assert!(
+                    seen[..] == trace.events()[..before],
+                    "{name} runner at {shards} shards folded {} events, not the {before} \
+                     of blocks 0..{k}",
+                    seen.len()
+                );
+            }
         }
     }
 }

@@ -153,13 +153,16 @@ const GATE_BENCHES: [&str; 7] = [
 const SELF_TRACE_MAX_PCT: f64 = 5.0;
 
 /// Minimum speedups the sharded streaming analyzers must hold over their
-/// materialize-then-fold twins, pinned from same-run pairs of the `shard`
-/// bench (immune to baseline drift across machines). The streaming pair is
-/// a conservative floor that holds even on one core — the win there is
+/// reference twins, pinned from same-run pairs of the `shard` bench (immune
+/// to baseline drift across machines). The streaming pair is a
+/// conservative floor that holds even on one core — the win there is
 /// skipping event materialization, not parallelism. The seek pair is the
 /// headline: decoding only the index-selected tail blocks beats decoding
-/// the whole stream by well over 5× (~35× measured single-core).
-const SHARD_MIN_SPEEDUP: [(&str, &str, f64); 2] = [
+/// the whole stream by well over 5× (~35× measured single-core). The fold
+/// pair holds `fold_events` to a parallel gain: at width 2 one worker
+/// folds while the other decodes ahead, where a fold that overlaps nothing
+/// runs at about 1.0× its width-1 time.
+const SHARD_MIN_SPEEDUP: [(&str, &str, f64); 3] = [
     (
         "shard/materialized/tlp_250k_events",
         "shard/streaming4/tlp_250k_events",
@@ -169,6 +172,11 @@ const SHARD_MIN_SPEEDUP: [(&str, &str, f64); 2] = [
         "shard/materialized/window_tail_250k_events",
         "shard/seek/window_tail_250k_events",
         5.0,
+    ),
+    (
+        "shard/fold1/verify_hb_250k_events",
+        "shard/fold2/verify_hb_250k_events",
+        1.2,
     ),
 ];
 
@@ -463,31 +471,32 @@ fn compare_self_trace_pairs(current: &BTreeMap<String, u64>, max_pct: f64) -> Ve
     regressions
 }
 
-/// Holds each sharded analyzer to its pinned speedup over the materialized
-/// twin, from same-run pairs. A pair only fires when its materialized side
-/// was measured this run, so `--bench` selections that skip the shard bench
-/// stay quiet; a measured materialized side with a missing twin is an error.
+/// Holds each sharded analyzer to its pinned speedup over its reference
+/// twin (the materialized pipeline, or the same fold at width 1), from
+/// same-run pairs. A pair only fires when its reference side was measured
+/// this run, so `--bench` selections that skip the shard bench stay quiet;
+/// a measured reference side with a missing twin is an error.
 fn compare_shard_pairs(
     current: &BTreeMap<String, u64>,
     pairs: &[(&str, &str, f64)],
 ) -> Vec<String> {
     let mut regressions = Vec::new();
-    for &(materialized, sharded, min_speedup) in pairs {
-        let Some(&mat) = current.get(materialized) else {
+    for &(reference, sharded, min_speedup) in pairs {
+        let Some(&base) = current.get(reference) else {
             continue;
         };
         match current.get(sharded) {
             Some(&shard) if shard > 0 => {
-                let speedup = mat as f64 / shard as f64;
+                let speedup = base as f64 / shard as f64;
                 if speedup < min_speedup {
                     regressions.push(format!(
-                        "sharded speedup on `{sharded}`: {shard} ns/iter vs {mat} materialized \
-                         ({speedup:.2}x, pinned minimum {min_speedup}x)"
+                        "sharded speedup on `{sharded}`: {shard} ns/iter vs {base} on \
+                         `{reference}` ({speedup:.2}x, pinned minimum {min_speedup}x)"
                     ));
                 }
             }
             _ => regressions.push(format!(
-                "`{materialized}` was measured without its `{sharded}` twin; cannot pin speedup"
+                "`{reference}` was measured without its `{sharded}` twin; cannot pin speedup"
             )),
         }
     }
