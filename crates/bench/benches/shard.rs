@@ -14,10 +14,10 @@
 //!   this wins: no `Vec<TraceEvent>` is ever built, and the block hash
 //!   (verified once per block) replaces per-record check-byte recompute.
 //! * `shard/{materialized,seek}/window_tail_250k_events` — an analyzer over
-//!   the trace's last 2%: the flat reader must decode all 250k events to
-//!   reach the tail, the seek path binary-searches the block index
-//!   (`blocks_in_window`) and decodes only the overlapping blocks. This is
-//!   the pair the gate holds to a ≥5× speedup.
+//!   the trace's last 2%: the materializing reader must decode all 250k
+//!   events to reach the tail, the seek path binary-searches the block
+//!   index (`blocks_in_window`) and decodes only the overlapping blocks.
+//!   This is the pair the gate holds to a ≥5× speedup.
 //! * `shard/fold{1,2}/verify_hb_250k_events` — `verify_sharded` plus
 //!   `hb::analyze_sharded`, two ordered `fold_events` passes, on a 1- and
 //!   a 2-worker pool. At width 2 one worker folds while the other decodes

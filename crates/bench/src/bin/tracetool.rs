@@ -16,8 +16,6 @@
 //! tracetool export-cpu <trace.etl>                       # CPU Usage (Precise) CSV
 //! tracetool export-gpu <trace.etl>                       # GPU Utilization (FM) CSV
 //! tracetool export-chrome <trace.etl> <out.json>         # Perfetto timeline
-//! tracetool pack <trace.etl> <out.etl>                   # re-encode as compact SETL v3
-//! tracetool unpack <trace.etl> <out.etl>                 # re-encode as flat v2
 //! tracetool synth <events> <out.etl>                     # synthetic v3 stress trace
 //! ```
 //!
@@ -25,8 +23,9 @@
 //! 0 = clean, 1 = findings (verify diagnostics, diff regression),
 //! 2 = usage error or corrupt input.
 //!
-//! `record` writes SETL v3; every reader also accepts legacy flat v1/v2
-//! files, which `pack` converts (and `unpack` writes, for old tools).
+//! A trace file is one SETL v3 stream, the format `record` writes. Every
+//! reader refuses a legacy flat v1/v2 file with exit 2 and a message
+//! naming the converter, `tracetool pack` from an older build.
 //!
 //! `info` summarizes a trace file without materializing it: container
 //! format, event/record counts, string-table size, window duration,
@@ -38,9 +37,7 @@
 //! `critical-path`, `timeline`) accept a global `--analyzer-shards N`
 //! flag that routes them through the sharded streaming path: blocks of a
 //! SETL v3 file decode in parallel on `N` workers (`0` = one per hardware
-//! thread) and fold into byte-identical reports. Sharding requires a v3
-//! file — flat v1/v2 traces exit 2 with a message pointing at
-//! `tracetool pack`.
+//! thread) and fold into byte-identical reports.
 
 use etwtrace::{
     analysis, blame, chrome, critical, etl, export, hb, setl3, verify, EtlTrace, PidSet,
@@ -50,7 +47,7 @@ use machine::{Machine, MachineConfig};
 use parastat::ThreadPoolRunner;
 use simcore::{SimDuration, SimTime};
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 use workloads::{build, AppId, WorkloadOpts};
 
 fn main() {
@@ -80,8 +77,9 @@ fn main() {
             let trace = m.into_trace();
             // lint:allow(fs-write): streamed whole-file trace export to a
             // user-chosen path; never consumed by the persistent store.
-            let file = File::create(out).unwrap_or_else(|e| usage(&format!("{out}: {e}")));
-            setl3::write_setl3(&trace, BufWriter::new(file)).expect("write trace");
+            File::create(out)
+                .and_then(|file| setl3::write_setl3(&trace, file))
+                .unwrap_or_else(|e| usage(&format!("{out}: {e}")));
             eprintln!("{} events → {out}", trace.events().len());
         }
         Some("info") => {
@@ -313,8 +311,6 @@ fn main() {
         Some("help") | Some("--help") | Some("-h") => {
             print!("{}", usage_text());
         }
-        Some("pack") => recode(&args, "pack", setl3::write_setl3),
-        Some("unpack") => recode(&args, "unpack", etl::write_etl),
         Some("synth") => {
             let [_, events, out] = &args[..] else {
                 usage("synth <events> <out.etl>");
@@ -347,35 +343,6 @@ fn main() {
     }
 }
 
-/// `pack` / `unpack`: reads either trace format (`etl::read_etl` sniffs
-/// the magic) and rewrites it through `encode`. Round trips are bit-exact
-/// on the event log; only the container bytes change.
-fn recode(
-    args: &[String],
-    cmd: &str,
-    encode: fn(&EtlTrace, BufWriter<File>) -> std::io::Result<()>,
-) {
-    let [_, path, out] = args else {
-        usage(&format!("{cmd} <trace.etl> <out.etl>"));
-    };
-    let trace = read(path);
-    // lint:allow(fs-write): streamed whole-file re-encode to a user-chosen
-    // path; the self-checksummed codec detects any torn write on read.
-    let file = File::create(out).unwrap_or_else(|e| usage(&format!("{out}: {e}")));
-    encode(&trace, BufWriter::new(file)).expect("write trace");
-    let before = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-    let after = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
-    eprintln!(
-        "{} events, {before} → {after} bytes ({:.2}x) → {out}",
-        trace.events().len(),
-        if after > 0 {
-            before as f64 / after as f64
-        } else {
-            0.0
-        }
-    );
-}
-
 /// Strips a global `--analyzer-shards N` flag from anywhere on the command
 /// line. `Some(n)` routes supporting subcommands through the sharded
 /// streaming path; `0` resolves to one shard per hardware thread.
@@ -395,8 +362,7 @@ fn take_shards(args: &mut Vec<String>) -> Option<usize> {
     })
 }
 
-/// Opens a SETL v3 file for sharded analysis. Flat v1/v2 traces exit 2
-/// here with a message naming the fix (`tracetool pack`).
+/// Opens a trace file for sharded analysis.
 fn read_sharded(path: &str) -> ShardedTrace {
     let bytes = std::fs::read(path).unwrap_or_else(|e| usage(&format!("{path}: {e}")));
     ShardedTrace::from_bytes(bytes).unwrap_or_else(|e| usage(&format!("{path}: {e}")))
@@ -520,7 +486,9 @@ fn synth(n: u64, out: &str) {
             ready_since: None,
         });
     }
-    w.finish().unwrap_or_else(|e| usage(&format!("{out}: {e}")));
+    w.finish()
+        .and_then(|mut w| w.flush())
+        .unwrap_or_else(|e| usage(&format!("{out}: {e}")));
     let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
     eprintln!("{count} events ({bytes} bytes) → {out}");
 }
@@ -545,10 +513,11 @@ fn load(args: &[String], arity: usize) -> EtlTrace {
     read(&args[1])
 }
 
-/// Loads one `diff` operand as a metric map. Trace files (either SETL
-/// format, sniffed by magic) fold through the streaming timeline pass
-/// into [`etwtrace::Timeline::metrics`]; anything else parses as
-/// Prometheus text exposition. That makes `diff` work uniformly over
+/// Loads one `diff` operand as a metric map. Trace files (sniffed by the
+/// `SETL` magic, so a legacy flat file gets the trace reader's error) fold
+/// through the streaming timeline pass into
+/// [`etwtrace::Timeline::metrics`]; anything else parses as Prometheus
+/// text exposition. That makes `diff` work uniformly over
 /// `.etl` files and `repro --metrics` registry snapshots.
 fn load_metric_set(path: &str) -> std::collections::BTreeMap<String, f64> {
     let bytes = std::fs::read(path).unwrap_or_else(|e| usage(&format!("{path}: {e}")));
@@ -603,14 +572,12 @@ fn usage_text() -> String {
         "       tracetool export-cpu <trace.etl>             CPU Usage (Precise) CSV",
         "       tracetool export-gpu <trace.etl>             GPU Utilization (FM) CSV",
         "       tracetool export-chrome <trace.etl> <out>    Perfetto timeline JSON",
-        "       tracetool pack <trace.etl> <out.etl>         re-encode as compact SETL v3",
-        "       tracetool unpack <trace.etl> <out.etl>       re-encode as flat SETL v2",
         "       tracetool synth <events> <out.etl>           synthetic v3 stress trace",
         "       tracetool help                               this listing",
         "",
         "global: --analyzer-shards N  decode trace blocks on N workers (0 = all",
         "        hardware threads) for verify/tlp/latency/bottlenecks/critical-path/",
-        "        timeline; needs a blocked v3 file (see `pack`), output is identical",
+        "        timeline; output is identical",
         "",
         "exit codes: 0 clean, 1 findings (verify diagnostics, diff regression),",
         "            2 usage error or corrupt input",

@@ -3,7 +3,7 @@
 //! JSON, and verify the JSON covers every context switch and GPU packet with
 //! well-formed `ph`/`ts`/`pid`/`tid`/`name` fields.
 
-use etwtrace::{chrome, etl, TraceEvent};
+use etwtrace::{chrome, etl, setl3, TraceEvent};
 use machine::{Machine, MachineConfig};
 use simcore::SimDuration;
 use workloads::{build, AppId, WorkloadOpts};
@@ -35,8 +35,7 @@ fn chrome_export_round_trips_and_covers_the_trace() {
 
     // Round-trip through the binary format, as `tracetool export-chrome`
     // does when reading a recorded `.etl` file.
-    let mut bytes = Vec::new();
-    etl::write_etl(&trace, &mut bytes).expect("serialize trace");
+    let bytes = setl3::encode(&trace);
     let reloaded = etl::read_etl(bytes.as_slice()).expect("reload trace");
     assert_eq!(reloaded.events(), trace.events());
 

@@ -1,7 +1,7 @@
 //! End-to-end CLI tests for `tracetool`: record → verify round trip, the
 //! usage listing, the timeline golden output, the diff exit-code contract
-//! (0 clean / 1 regression / 2 corrupt-or-usage), and exit codes for
-//! help / unknown subcommands.
+//! (0 clean / 1 regression / 2 corrupt-or-usage), the refusal of legacy
+//! flat traces, and exit codes for help / unknown subcommands.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -53,13 +53,13 @@ fn help_lists_every_subcommand_on_stdout() {
         "export-cpu",
         "export-gpu",
         "export-chrome",
-        "pack",
-        "unpack",
         "synth",
         "--analyzer-shards",
     ] {
         assert!(stdout.contains(sub), "usage is missing `{sub}`:\n{stdout}");
     }
+    // The trace-conversion subcommands went with the legacy format.
+    assert!(!stdout.contains("pack <trace.etl>"), "{stdout}");
     // The exit-code contract is part of the help text.
     assert!(
         stdout.contains("exit codes: 0 clean, 1 findings"),
@@ -67,46 +67,10 @@ fn help_lists_every_subcommand_on_stdout() {
     );
 }
 
-/// Records `secs` of VLC into `out` (SETL v3) and writes its flat v2
-/// equivalent to `flat` with `unpack`.
-fn record_and_unpack(secs: &str, out: &Path, flat: &Path) {
+/// Records `secs` of VLC into `out`.
+fn record(secs: &str, out: &Path) {
     let rec = tracetool(&["record", "vlc", secs, out.to_str().unwrap()]);
     assert!(rec.status.success(), "record failed: {rec:?}");
-    let unpack = tracetool(&["unpack", out.to_str().unwrap(), flat.to_str().unwrap()]);
-    assert!(unpack.status.success(), "unpack failed: {unpack:?}");
-}
-
-#[test]
-fn pack_shrinks_at_least_3x_and_round_trips_through_verify() {
-    let etl = tmp("pack-src.etl");
-    let unpacked = tmp("unpacked.etl");
-    let packed = tmp("packed.etl");
-    record_and_unpack("2", &etl, &unpacked);
-    let flat = std::fs::read(&unpacked).unwrap();
-    assert!(flat.starts_with(b"SETL\x02"), "unpack writes flat v2");
-    let compact = std::fs::metadata(&etl).unwrap().len();
-    assert!(
-        compact * 3 <= flat.len() as u64,
-        "v3 must be >=3x smaller: flat {} -> v3 {compact} bytes",
-        flat.len()
-    );
-
-    // The flat file is a legacy import: every reader still sniffs it…
-    let ver = tracetool(&["verify", unpacked.to_str().unwrap()]);
-    assert!(ver.status.success(), "verify on unpacked failed: {ver:?}");
-
-    // …and pack turns it back into the recording, byte for byte.
-    let pack = tracetool(&["pack", unpacked.to_str().unwrap(), packed.to_str().unwrap()]);
-    assert!(pack.status.success(), "pack failed: {pack:?}");
-    assert_eq!(
-        std::fs::read(&etl).unwrap(),
-        std::fs::read(&packed).unwrap(),
-        "record|unpack|pack must reproduce the recording byte for byte"
-    );
-
-    for p in [&etl, &packed, &unpacked] {
-        let _ = std::fs::remove_file(p);
-    }
 }
 
 #[test]
@@ -159,56 +123,98 @@ fn a_context_switch_past_the_cpu_count_exits_2() {
 }
 
 #[test]
-fn info_summarizes_both_container_generations() {
-    let packed = tmp("info-src.etl");
-    let etl = tmp("info-flat.etl");
-    record_and_unpack("2", &packed, &etl);
+fn info_summarizes_a_recording_of_at_most_12_bytes_per_event() {
+    let etl = tmp("info.etl");
+    record("2", &etl);
 
-    let flat = tracetool(&["info", etl.to_str().unwrap()]);
-    assert!(flat.status.success(), "info on flat failed: {flat:?}");
-    let flat_out = String::from_utf8_lossy(&flat.stdout);
-    assert!(flat_out.contains("SETL v2 (flat)"), "{flat_out}");
-    assert!(flat_out.contains("records by type:"), "{flat_out}");
-    assert!(flat_out.contains("CSwitches per CPU:"), "{flat_out}");
+    let info = tracetool(&["info", etl.to_str().unwrap()]);
+    assert!(info.status.success(), "info failed: {info:?}");
+    let out = String::from_utf8_lossy(&info.stdout);
+    assert!(out.contains("SETL3 r2 (compact, blocked)"), "{out}");
+    assert!(out.contains("string table  :"), "{out}");
+    assert!(out.contains("records by type:"), "{out}");
+    assert!(out.contains("CSwitches per CPU:"), "{out}");
+
+    // Size ceiling: 12 bytes per event is a third of what the retired flat
+    // v2 container took (36 bytes per event on this recording).
+    let events: u64 = out
+        .lines()
+        .find_map(|l| l.strip_prefix("events        : "))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("info must print the event count: {out}"));
+    let bytes = std::fs::metadata(&etl).unwrap().len();
     assert!(
-        flat_out.contains("none (flat container)"),
-        "flat traces have no string table: {flat_out}"
+        bytes <= events * 12,
+        "{bytes} bytes for {events} events is over 12 bytes per event"
     );
 
-    let compact = tracetool(&["info", packed.to_str().unwrap()]);
-    assert!(
-        compact.status.success(),
-        "info on packed failed: {compact:?}"
-    );
-    let compact_out = String::from_utf8_lossy(&compact.stdout);
-    assert!(
-        compact_out.contains("SETL3 r2 (compact, blocked)"),
-        "{compact_out}"
-    );
-    assert!(compact_out.contains("string table  :"), "{compact_out}");
-
-    // Same trace, so everything below the container line must agree.
-    let tail = |s: &str| {
-        s.lines()
-            .skip_while(|l| !l.starts_with("events"))
-            .take_while(|l| !l.starts_with("string table"))
-            .map(String::from)
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(tail(&flat_out), tail(&compact_out));
-
-    // A corrupt compact trace is rejected, not summarized: checksums are
-    // enforced on the streaming path too.
-    let mut bytes = std::fs::read(&packed).unwrap();
+    // A corrupt trace is rejected, not summarized: checksums are enforced
+    // on the streaming path too.
+    let mut bytes = std::fs::read(&etl).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
     // lint:allow(fs-write): deliberately planting a corrupt temp trace.
-    std::fs::write(&packed, &bytes).unwrap();
-    let bad = tracetool(&["info", packed.to_str().unwrap()]);
+    std::fs::write(&etl, &bytes).unwrap();
+    let bad = tracetool(&["info", etl.to_str().unwrap()]);
     assert_eq!(bad.status.code(), Some(2), "corrupt trace must be rejected");
 
-    for p in [&etl, &packed] {
-        let _ = std::fs::remove_file(p);
+    let _ = std::fs::remove_file(&etl);
+}
+
+#[test]
+fn a_legacy_flat_trace_exits_2_from_every_reader() {
+    // A flat v2 header with no records: `SETL`, u32 version, u32 CPU
+    // count, then u64 start, end and event count.
+    let mut bytes = b"SETL".to_vec();
+    bytes.extend_from_slice(&2u32.to_le_bytes());
+    bytes.extend_from_slice(&12u32.to_le_bytes());
+    for field in [0u64, 1_000_000, 0] {
+        bytes.extend_from_slice(&field.to_le_bytes());
+    }
+    assert_eq!(bytes.len(), 36);
+    let path = tmp("legacy-flat.etl");
+    parastat::store::atomic_write(&path, &bytes).unwrap();
+    let json = tmp("legacy-flat.json");
+    let (file, json) = (path.to_str().unwrap(), json.to_str().unwrap());
+    for argv in [
+        vec!["info", file],
+        vec!["summary", file],
+        vec!["verify", file],
+        vec!["tlp", file, "vlc"],
+        vec!["latency", file, "vlc"],
+        vec!["bottlenecks", file, "vlc"],
+        vec!["critical-path", file, "vlc"],
+        vec!["timeline", file],
+        vec!["export-cpu", file],
+        vec!["export-gpu", file],
+        vec!["export-chrome", file, json],
+        vec!["diff", file, file],
+        vec!["--analyzer-shards", "4", "verify", file],
+        vec!["--analyzer-shards", "4", "timeline", file],
+    ] {
+        let out = tracetool(&argv);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("v1/v2") && stderr.contains("tracetool pack"),
+            "{argv:?}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_failed_trace_write_exits_2_without_a_panic() {
+    for argv in [
+        vec!["record", "vlc", "1", "/dev/full"],
+        vec!["synth", "1", "/dev/full"],
+    ] {
+        let out = tracetool(&argv);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
+        assert!(stderr.contains("/dev/full"), "{argv:?}: {stderr}");
     }
 }
 
@@ -237,14 +243,6 @@ fn timeline_matches_the_committed_golden_output() {
     let bad = tracetool(&["timeline", etl.to_str().unwrap(), "--buckets", "0"]);
     assert_eq!(bad.status.code(), Some(2));
 
-    // The flat v2 equivalent folds to the same bytes.
-    let flat = tmp("timeline-flat.etl");
-    let unpack = tracetool(&["unpack", etl.to_str().unwrap(), flat.to_str().unwrap()]);
-    assert!(unpack.status.success(), "unpack failed: {unpack:?}");
-    let flat_out = tracetool(&["timeline", flat.to_str().unwrap()]);
-    assert_eq!(flat_out.status.code(), Some(0), "{flat_out:?}");
-    assert_eq!(flat_out.stdout, out.stdout);
-
     // A corrupt trace is rejected with exit 2: the fold enforces checksums
     // like every other reader.
     let mut bytes = std::fs::read(&etl).unwrap();
@@ -255,9 +253,7 @@ fn timeline_matches_the_committed_golden_output() {
     let corrupt = tracetool(&["timeline", etl.to_str().unwrap()]);
     assert_eq!(corrupt.status.code(), Some(2), "corrupt trace must exit 2");
 
-    for p in [&etl, &flat] {
-        let _ = std::fs::remove_file(p);
-    }
+    let _ = std::fs::remove_file(&etl);
 }
 
 #[test]
@@ -310,9 +306,8 @@ fn diff_exit_codes_pin_the_regression_contract() {
 
 #[test]
 fn analyzer_shards_match_serial_output_byte_for_byte() {
-    let packed = tmp("shards.etl");
-    let etl = tmp("shards-flat.etl");
-    record_and_unpack("2", &packed, &etl);
+    let etl = tmp("shards.etl");
+    record("2", &etl);
 
     // Every analyzer subcommand must render the same bytes whether it
     // materializes serially or shards the v3 blocks over a pool.
@@ -324,7 +319,7 @@ fn analyzer_shards_match_serial_output_byte_for_byte() {
         ("critical-path", Some("vlc")),
         ("timeline", None),
     ] {
-        let mut argv = vec![sub, packed.to_str().unwrap()];
+        let mut argv = vec![sub, etl.to_str().unwrap()];
         argv.extend(prefix);
         let serial = tracetool(&argv);
         assert!(serial.status.success(), "{sub} serial failed: {serial:?}");
@@ -343,26 +338,16 @@ fn analyzer_shards_match_serial_output_byte_for_byte() {
         }
     }
 
-    // A flat v1/v2 trace has no block index: the sharded path must refuse
-    // with a usage error (exit 2) and point at `pack` — never panic.
-    let flat = tracetool(&["--analyzer-shards", "4", "verify", etl.to_str().unwrap()]);
-    assert_eq!(flat.status.code(), Some(2), "{flat:?}");
-    let stderr = String::from_utf8_lossy(&flat.stderr);
-    assert!(stderr.contains("no block index"), "{stderr}");
-    assert!(stderr.contains("tracetool pack"), "{stderr}");
-
     // Bad flag values are usage errors too.
     let bad = tracetool(&[
         "--analyzer-shards",
         "zebra",
         "verify",
-        packed.to_str().unwrap(),
+        etl.to_str().unwrap(),
     ]);
     assert_eq!(bad.status.code(), Some(2), "{bad:?}");
 
-    for p in [&etl, &packed] {
-        let _ = std::fs::remove_file(p);
-    }
+    let _ = std::fs::remove_file(&etl);
 }
 
 #[test]

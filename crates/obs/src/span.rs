@@ -255,7 +255,7 @@ pub struct Span {
 }
 
 /// Opens a span. Keep the returned guard alive for the duration of the
-/// region: `let _s = span::span("codec", "read_etl");`.
+/// region: `let _s = span::span("codec", "read_setl3");`.
 #[inline]
 pub fn span(cat: &'static str, name: &'static str) -> Span {
     if !enabled() {

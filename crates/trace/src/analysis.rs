@@ -63,38 +63,74 @@ impl ConcurrencyProfile {
 pub fn concurrency(trace: &EtlTrace, filter: &PidSet) -> ConcurrencyProfile {
     let mut sp = simobs::span::span("analyzer", "tlp");
     sp.add_events(trace.events().len() as u64);
-    let n = trace.n_logical_cpus();
-    let mut hist = Histogram::new(n);
-    let mut per_cpu: Vec<Option<u64>> = vec![None; n];
-    let mut running = 0usize;
-    let mut cursor = trace.start();
+    let mut fold = ConcurrencyFold::new(filter, trace.n_logical_cpus(), trace.start(), trace.end());
     for ev in trace.events() {
-        if let TraceEvent::CSwitch {
+        fold.push(ev);
+    }
+    fold.finish()
+}
+
+/// The Eq. 1 replay behind [`concurrency`], shared by the materialized path
+/// and the wide-machine fallback of [`concurrency_sharded`] (see
+/// [`GpuUtilFold`] for the determinism argument).
+struct ConcurrencyFold<'a> {
+    filter: &'a PidSet,
+    start: SimTime,
+    end: SimTime,
+    hist: Histogram,
+    /// Pid running on each logical CPU.
+    per_cpu: Vec<Option<u64>>,
+    /// CPUs running a filtered pid.
+    running: usize,
+    cursor: SimTime,
+}
+
+impl<'a> ConcurrencyFold<'a> {
+    fn new(filter: &'a PidSet, n_logical: usize, start: SimTime, end: SimTime) -> Self {
+        ConcurrencyFold {
+            filter,
+            start,
+            end,
+            hist: Histogram::new(n_logical),
+            per_cpu: vec![None; n_logical],
+            running: 0,
+            cursor: start,
+        }
+    }
+
+    fn push(&mut self, ev: &TraceEvent) {
+        let TraceEvent::CSwitch {
             at, cpu, old, new, ..
         } = ev
-        {
-            let at = (*at).max(trace.start()).min(trace.end());
-            hist.add(running, at.saturating_since(cursor));
-            cursor = at;
-            debug_assert!(*cpu < n, "CSwitch on disabled cpu {cpu}");
-            if let Some(prev) = per_cpu[*cpu] {
-                debug_assert_eq!(Some(prev), old.map(|k| k.pid), "cswitch old mismatch");
-                if filter.contains(prev) {
-                    running -= 1;
-                }
+        else {
+            return;
+        };
+        let at = (*at).max(self.start).min(self.end);
+        self.hist
+            .add(self.running, at.saturating_since(self.cursor));
+        self.cursor = at;
+        debug_assert!(*cpu < self.per_cpu.len(), "CSwitch on disabled cpu {cpu}");
+        if let Some(prev) = self.per_cpu[*cpu] {
+            debug_assert_eq!(Some(prev), old.map(|k| k.pid), "cswitch old mismatch");
+            if self.filter.contains(prev) {
+                self.running -= 1;
             }
-            per_cpu[*cpu] = new.map(|k| k.pid);
-            if let Some(next) = per_cpu[*cpu] {
-                if filter.contains(next) {
-                    running += 1;
-                }
+        }
+        self.per_cpu[*cpu] = new.map(|k| k.pid);
+        if let Some(next) = self.per_cpu[*cpu] {
+            if self.filter.contains(next) {
+                self.running += 1;
             }
         }
     }
-    hist.add(running, trace.end().saturating_since(cursor));
-    ConcurrencyProfile {
-        histogram: hist,
-        n_logical: n,
+
+    fn finish(mut self) -> ConcurrencyProfile {
+        self.hist
+            .add(self.running, self.end.saturating_since(self.cursor));
+        ConcurrencyProfile {
+            histogram: self.hist,
+            n_logical: self.per_cpu.len(),
+        }
     }
 }
 
@@ -809,38 +845,9 @@ pub fn concurrency_sharded(
         // The merge tracks untouched CPUs in a u128 mask; wider machines
         // take the ordered streaming fold instead (identical output, blocks
         // still decode in parallel, no partial merge).
-        let mut hist = Histogram::new(n);
-        let mut per_cpu: Vec<Option<u64>> = vec![None; n];
-        let mut running = 0usize;
-        let mut cursor = start;
-        trace.fold_events(runner, shards, |ev| {
-            if let TraceEvent::CSwitch {
-                at, cpu, old, new, ..
-            } = ev
-            {
-                let at = (*at).max(start).min(end);
-                hist.add(running, at.saturating_since(cursor));
-                cursor = at;
-                debug_assert!(*cpu < n, "CSwitch on disabled cpu {cpu}");
-                if let Some(prev) = per_cpu[*cpu] {
-                    debug_assert_eq!(Some(prev), old.map(|k| k.pid), "cswitch old mismatch");
-                    if filter.contains(prev) {
-                        running -= 1;
-                    }
-                }
-                per_cpu[*cpu] = new.map(|k| k.pid);
-                if let Some(next) = per_cpu[*cpu] {
-                    if filter.contains(next) {
-                        running += 1;
-                    }
-                }
-            }
-        })?;
-        hist.add(running, end.saturating_since(cursor));
-        return Ok(ConcurrencyProfile {
-            histogram: hist,
-            n_logical: n,
-        });
+        let mut fold = ConcurrencyFold::new(filter, n, start, end);
+        trace.fold_events(runner, shards, |ev| fold.push(ev))?;
+        return Ok(fold.finish());
     }
 
     // Map: fold each contiguous block range into a TlpShard partial.
@@ -996,12 +1003,12 @@ mod tests {
     }
 
     /// A multi-block trace with cross-shard CPU occupancy: threads of two
-    /// processes trade 4 CPUs, with long stretches where some CPUs see no
-    /// switch at all (the "untouched at shard start" case the merge must
-    /// resolve against earlier shards).
-    fn busy_trace() -> EtlTrace {
+    /// processes trade `n_cpus` CPUs, with long stretches where some CPUs
+    /// see no switch at all (the "untouched at shard start" case the merge
+    /// must resolve against earlier shards).
+    fn busy_trace(n_cpus: usize) -> EtlTrace {
         let n_events = (crate::setl3::BLOCK_RECORDS * 3 + 500) as usize;
-        let mut b = TraceBuilder::new(4);
+        let mut b = TraceBuilder::new(n_cpus);
         b.push(TraceEvent::ProcessStart {
             at: SimTime::ZERO,
             pid: 1,
@@ -1012,16 +1019,16 @@ mod tests {
             pid: 2,
             name: "other.exe".into(),
         });
-        let mut occupant: [Option<ThreadKey>; 4] = [None; 4];
+        let mut occupant: Vec<Option<ThreadKey>> = vec![None; n_cpus];
         for i in 0..n_events {
             let at = SimTime::from_nanos(i as u64 * 700 + 1);
-            // Skew toward CPUs 0/1 so CPUs 2/3 stay untouched across whole
+            // Skew toward CPUs 0/1 so the rest stay untouched across whole
             // shards; alternate pids so the filter matters.
             let cpu = match i % 11 {
                 0..=4 => 0,
                 5..=8 => 1,
                 9 => 2,
-                _ => 3,
+                _ => 3 + (i / 11) % (n_cpus - 3),
             };
             let next = match i % 3 {
                 0 => Some(key(1, 10 + (i % 5) as u64)),
@@ -1045,25 +1052,31 @@ mod tests {
 
     #[test]
     fn sharded_concurrency_is_bit_identical_to_serial() {
-        let trace = busy_trace();
-        let sharded = ShardedTrace::from_bytes(crate::setl3::encode(&trace)).unwrap();
-        for filter in [
-            trace.pids_by_name("app"),
-            trace.pids_by_name("other"),
-            trace.all_pids(),
-            PidSet::new(),
-        ] {
-            let serial = concurrency(&trace, &filter);
-            for shards in [1usize, 2, 3, 4, 7] {
-                let got = concurrency_sharded(&sharded, &filter, &SerialShards, shards).unwrap();
-                assert_eq!(serial, got, "shards={shards}");
+        // 200 CPUs is past the merge's 127-CPU mask, so that trace takes
+        // the ordered-fold fallback.
+        for n_cpus in [4, 200] {
+            let trace = busy_trace(n_cpus);
+            let sharded = ShardedTrace::from_bytes(crate::setl3::encode(&trace)).unwrap();
+            assert!(sharded.n_blocks() >= 3);
+            for filter in [
+                trace.pids_by_name("app"),
+                trace.pids_by_name("other"),
+                trace.all_pids(),
+                PidSet::new(),
+            ] {
+                let serial = concurrency(&trace, &filter);
+                for shards in [1usize, 2, 3, 4, 7] {
+                    let got =
+                        concurrency_sharded(&sharded, &filter, &SerialShards, shards).unwrap();
+                    assert_eq!(serial, got, "cpus={n_cpus} shards={shards}");
+                }
             }
         }
     }
 
     #[test]
     fn sharded_stat_folds_are_bit_identical_to_serial() {
-        let trace = busy_trace();
+        let trace = busy_trace(4);
         let sharded = ShardedTrace::from_bytes(crate::setl3::encode(&trace)).unwrap();
         let filter = trace.pids_by_name("app");
         for shards in [1usize, 4] {

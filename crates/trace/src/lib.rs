@@ -20,12 +20,12 @@
 //! * [`chrome`] — Chrome trace-event JSON export, loadable in Perfetto or
 //!   `chrome://tracing` for interactive timeline inspection.
 //! * [`etl`] — trace files (the `.etl` of the paper's Fig. 1): `read_etl`
-//!   reloads a recorded trace bit-exactly for offline analysis, from v3 or
-//!   from the legacy flat v1/v2 format it alone still decodes.
-//! * [`setl3`] — the compact v3 codec (varint deltas, interned strings,
-//!   block index, checksums) that `tracetool record` and the persistent
-//!   run store write, with the one header/index parser every v3 reader
-//!   shares.
+//!   reloads a recorded trace bit-exactly for offline analysis and
+//!   `trace_info` summarizes one without materializing it.
+//! * [`setl3`] — the one trace format, SETL v3 (varint deltas, interned
+//!   strings, block index, checksums), that `tracetool record` and the
+//!   persistent run store write, with the one header/index parser every
+//!   reader shares.
 //! * [`verify`] — streaming invariant checker over the raw event stream
 //!   (timestamp order, CPU occupancy, wait balance, GPU packet lifecycle)
 //!   with machine-readable diagnostics.

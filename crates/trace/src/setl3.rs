@@ -1,10 +1,10 @@
-//! SETL v3 — the compact binary trace codec: the format `tracetool record`
-//! writes and the persistent run store keeps.
+//! SETL v3 — the binary trace codec: the one format `tracetool record`
+//! writes, every reader reads and the persistent run store keeps.
 //!
-//! The v1/v2 format ([`crate::etl`]) spends 8 bytes on every timestamp and
-//! 16 on every thread key; a 60 s trace is dominated by `CSwitch` records
-//! whose fields are tiny deltas. v3 shrinks the stream 3–6× while staying
-//! dependency-free and bit-exact:
+//! A 60 s trace is dominated by `CSwitch` records whose fields are tiny
+//! deltas, so the codec spends bytes only on what changes (the CLI tests
+//! hold a `tracetool record` trace to at most 12 bytes per event) while
+//! staying dependency-free and bit-exact:
 //!
 //! * **varints everywhere** — LEB128 unsigned integers for counts, ids and
 //!   keys;
@@ -39,9 +39,10 @@
 //! [`crate::shard::ShardedTrace`] hands blocks to workers instead.
 //!
 //! The stream starts with the 5-byte magic `SETL3` and a revision byte;
-//! only revision 2 (the blocked layout) is read. Flat v1/v2 files
-//! ([`crate::etl`]) are a legacy import format: `read_etl` still reads them
-//! and `tracetool pack` converts them to v3.
+//! only revision 2 (the blocked layout) is read. [`Index::parse`] alone
+//! decides which streams are read, so every reader refuses a legacy flat
+//! SETL v1/v2 file (magic `SETL` + a binary version) with the same message:
+//! `tracetool pack` from an older build converts one to v3.
 
 use crate::event::{EtlTrace, ThreadKey, TraceBuilder, TraceEvent, WaitReason};
 use crate::shard::BlockCursor;
@@ -60,10 +61,10 @@ pub const BLOCK_RECORDS: u64 = 4096;
 /// input from asking for absurd allocations.
 const MAX_STRINGS: u64 = 1 << 22;
 const MAX_STRING_LEN: u64 = 1 << 20;
-/// Upper bound on a header's logical CPU count, flat or v3. Readers and
-/// analyzers size per-CPU state from it, so it caps what a crafted header
-/// can make them allocate.
-pub(crate) const MAX_LOGICAL_CPUS: u64 = 1 << 20;
+/// Upper bound on a header's logical CPU count. Readers and analyzers size
+/// per-CPU state from it, so it caps what a crafted header can make them
+/// allocate.
+const MAX_LOGICAL_CPUS: u64 = 1 << 20;
 
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -402,13 +403,13 @@ impl Index {
     /// cross-checks the block extents against the record area.
     ///
     /// # Errors
-    /// `InvalidData` with a distinct message for flat v1/v2 traces and for
-    /// other revisions, for any structural inconsistency or exceeded bound,
-    /// and for a `meta_hash` mismatch.
+    /// `InvalidData` with a distinct message for legacy flat v1/v2 traces
+    /// and for other revisions, for any structural inconsistency or
+    /// exceeded bound, and for a `meta_hash` mismatch.
     pub(crate) fn parse(bytes: &[u8]) -> io::Result<Index> {
         let Some(rest) = bytes.strip_prefix(MAGIC.as_slice()) else {
             return Err(if bytes.starts_with(b"SETL") {
-                bad("flat SETL v1/v2 trace has no block index; run `tracetool pack` to convert it to v3 first")
+                bad("legacy flat SETL v1/v2 trace is no longer read; convert it to v3 with `tracetool pack` from an older build")
             } else {
                 bad("not a SETL3 trace stream")
             });
@@ -1098,20 +1099,6 @@ pub(crate) mod tests {
         let buf = encode(&trace);
         let back = read_setl3(buf.as_slice()).unwrap();
         assert_eq!(trace, back);
-    }
-
-    #[test]
-    fn v3_is_smaller_than_v2() {
-        let trace = demo_trace();
-        let v3 = encode(&trace);
-        let mut v2 = Vec::new();
-        crate::etl::write_etl(&trace, &mut v2).unwrap();
-        assert!(
-            v3.len() < v2.len(),
-            "v3 {} bytes, v2 {} bytes",
-            v3.len(),
-            v2.len()
-        );
     }
 
     #[test]

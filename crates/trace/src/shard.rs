@@ -81,10 +81,9 @@ impl ShardedTrace {
     /// Indexes a v3 stream.
     ///
     /// # Errors
-    /// `InvalidData` with a distinct message for flat v1/v2 traces (no
-    /// block index — `tracetool pack` converts them), for other v3
-    /// revisions, for any structural inconsistency, and for a `meta_hash`
-    /// mismatch.
+    /// `InvalidData` with a distinct message for legacy flat v1/v2 traces
+    /// and for other v3 revisions, for any structural inconsistency, and
+    /// for a `meta_hash` mismatch.
     pub fn from_bytes(bytes: Vec<u8>) -> io::Result<ShardedTrace> {
         let index = Index::parse(&bytes)?;
         Ok(ShardedTrace { bytes, index })
@@ -178,8 +177,8 @@ impl ShardedTrace {
     /// event and the *next* snapshot's largest clock bounds its last. Both
     /// bounds are nondecreasing in block order, so the overlap test binary
     /// searches the index and never touches a record byte: a windowed
-    /// analyzer decodes only the returned blocks, while a flat reader has
-    /// to decode the whole stream to reach the same window.
+    /// analyzer decodes only the returned blocks, while a materializing
+    /// reader has to decode the whole stream to reach the same window.
     pub fn blocks_in_window(&self, lo: SimTime, hi: SimTime) -> Range<usize> {
         let n = self.index.blocks.len();
         let first_at = |i: usize| -> u64 {
@@ -661,10 +660,15 @@ mod tests {
         let err = ShardedTrace::from_bytes(rev1).unwrap_err();
         assert!(err.to_string().contains("revision"), "{err}");
 
-        let mut flat = Vec::new();
-        crate::etl::write_etl(&big_trace(8), &mut flat).unwrap();
+        // A legacy flat v2 header: `SETL`, u32 version, u32 CPU count, then
+        // u64 start, end and event count.
+        let mut flat = b"SETL".to_vec();
+        flat.extend_from_slice(&2u32.to_le_bytes());
+        flat.extend_from_slice(&4u32.to_le_bytes());
+        flat.resize(36, 0);
         let err = ShardedTrace::from_bytes(flat).unwrap_err();
         assert!(err.to_string().contains("v1/v2"), "{err}");
+        assert!(err.to_string().contains("tracetool pack"), "{err}");
     }
 
     #[test]

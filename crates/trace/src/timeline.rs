@@ -13,8 +13,7 @@
 //! * **Streaming.** [`read_timeline`] walks a SETL v3 file's blocks in
 //!   order through the one checksum-enforcing v3 decoder and never
 //!   materializes a `Vec<TraceEvent>`. Fold state is O(threads + CPUs +
-//!   engines), independent of trace length. (Legacy flat files are
-//!   materialized through `read_etl` first.)
+//!   engines), independent of trace length.
 //! * **Exact conservation.** All accounting is integer nanoseconds. Bucket
 //!   widths are `duration / n` with the remainder spread over the first
 //!   `duration % n` buckets, so widths sum exactly to the window, and every
@@ -26,7 +25,6 @@
 //! The timeline is whole-system (no [`crate::PidSet`] filter): it is a
 //! triage view like `tracetool info`, not an Equation-1 measurement.
 
-use crate::etl;
 use crate::event::{EtlTrace, ThreadKey, TraceEvent, WaitReason};
 use crate::setl3;
 use std::collections::BTreeMap;
@@ -476,20 +474,15 @@ pub fn timeline_sharded(
     Ok(f.finish())
 }
 
-/// Folds a trace file of either format. A v3 stream is walked block by
-/// block with full checksum verification and no `Vec<TraceEvent>` is
-/// built; a legacy flat file is materialized through
-/// [`crate::etl::read_etl`] first.
+/// Folds a trace file. The v3 stream is walked block by block with full
+/// checksum verification and no `Vec<TraceEvent>` is built.
 ///
 /// # Errors
-/// Same conditions as [`crate::etl::read_etl`]: bad magic/version,
+/// Same conditions as [`crate::etl::read_etl`]: bad magic/revision,
 /// malformed records, checksum mismatches, reader I/O errors.
 pub fn read_timeline<R: Read>(mut r: R, n_buckets: usize) -> io::Result<Timeline> {
     let mut bytes = Vec::new();
     r.read_to_end(&mut bytes)?;
-    if !bytes.starts_with(setl3::MAGIC) {
-        return etl::read_etl(bytes.as_slice()).map(|trace| fold_trace(&trace, n_buckets));
-    }
     let mut sp = simobs::span::span("analyzer", "timeline");
     let index = setl3::Index::parse(&bytes)?;
     let mut f = Folder::new(
@@ -906,12 +899,9 @@ mod tests {
     }
 
     #[test]
-    fn streaming_both_generations_equals_the_in_memory_fold() {
+    fn streaming_equals_the_in_memory_fold() {
         let trace = demo();
         let folded = fold_trace(&trace, 8);
-        let mut v2 = Vec::new();
-        etl::write_etl(&trace, &mut v2).unwrap();
-        assert_eq!(read_timeline(v2.as_slice(), 8).unwrap(), folded);
         let v3 = setl3::encode(&trace);
         assert_eq!(read_timeline(v3.as_slice(), 8).unwrap(), folded);
     }

@@ -122,15 +122,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// encode → decode is the identity, both through the direct v3 entry
-    /// points and through the magic-sniffing `etl::read_etl` reader.
+    /// points and through `etl::read_etl`, the reader every consumer calls.
     #[test]
     fn encode_decode_is_identity(steps in arb_steps(), n_cpus in 1usize..=16) {
         let trace = build_trace(&steps, n_cpus);
         let bytes = setl3::encode(&trace);
         let back = setl3::read_setl3(bytes.as_slice()).expect("decode own encoding");
         prop_assert_eq!(&back, &trace);
-        let sniffed = etl::read_etl(bytes.as_slice()).expect("read_etl dispatches on magic");
-        prop_assert_eq!(&sniffed, &trace);
+        let via_etl = etl::read_etl(bytes.as_slice()).expect("read_etl reads v3");
+        prop_assert_eq!(&via_etl, &trace);
     }
 
     /// Any single flipped bit anywhere in the file is a decode error —

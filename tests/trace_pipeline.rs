@@ -135,8 +135,7 @@ fn etl_file_roundtrips_a_real_workload_trace() {
             iterations: 1,
         })
         .run_once(11);
-    let mut buf = Vec::new();
-    desktop_parallelism::etwtrace::etl::write_etl(&run.trace, &mut buf).unwrap();
+    let buf = desktop_parallelism::etwtrace::setl3::encode(&run.trace);
     assert!(buf.len() > 1000, "trace file is {} bytes", buf.len());
     let back = desktop_parallelism::etwtrace::etl::read_etl(buf.as_slice()).unwrap();
     assert_eq!(run.trace, back);
