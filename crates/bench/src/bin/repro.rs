@@ -11,11 +11,7 @@
 //! timeline figures) under `--out` (default `results/`).
 //!
 //! `--jobs N` sets how many simulations run concurrently (default: the
-//! `PARASTAT_JOBS` environment variable, else every available core).
-//! `--analyzer-shards N` sets how many workers the streaming trace
-//! analyzers decode blocks on (`0`/default = the pool width); sharding is
-//! a wall-clock knob only — every report is byte-identical at any value.
-//! Each
+//! `PARASTAT_JOBS` environment variable, else every available core). Each
 //! simulation stays single-threaded and seeded, and results are reassembled
 //! in submission order, so every artefact is byte-identical whatever `N` is.
 //!
@@ -85,7 +81,6 @@ fn main() {
     let mut metrics_out: Option<PathBuf> = None;
     let mut metrics_app = "handbrake".to_string();
     let mut jobs: Option<usize> = None;
-    let mut analyzer_shards: Option<usize> = None;
     let mut want_blame = false;
     let mut want_verify = false;
     let mut store_flag: Option<bool> = None;
@@ -118,15 +113,6 @@ fn main() {
             "--doctor" => want_doctor = true,
             "--budget" => {
                 budget_name = it.next().unwrap_or_else(|| usage("--budget needs a value"));
-            }
-            "--analyzer-shards" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage("--analyzer-shards needs a value"));
-                analyzer_shards = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| usage(&format!("invalid --analyzer-shards `{v}`"))),
-                );
             }
             "--jobs" => {
                 let v = it.next().unwrap_or_else(|| usage("--jobs needs a value"));
@@ -185,9 +171,6 @@ fn main() {
         Some(n) => RunContext::pooled(n),
         None => RunContext::from_env(),
     };
-    if let Some(n) = analyzer_shards {
-        ctx.set_analyzer_shards(n);
-    }
     // `--no-store` > `--store` > "PARASTAT_STORE is set" > off.
     let use_store = store_flag.unwrap_or_else(|| parastat::store::env_root().is_some());
     if use_store {
@@ -402,24 +385,14 @@ fn run_timelines(ctx: &RunContext, b: Budget) -> Vec<(String, etwtrace::Timeline
         .map(|e| parastat::RunRequest::new(e, e.base_seed))
         .collect();
     let runs = ctx.run_singles(reqs);
-    let shards = ctx.analyzer_shards();
     workloads::AppId::ALL
         .iter()
         .zip(runs)
         .map(|(&app, run)| {
-            // With >1 analyzer shards the fold streams through the blocked
-            // v3 container on the pool; the sharded fold is bit-identical
-            // to the in-memory one, so the artefact never changes.
-            let tl = if shards > 1 {
-                let sharded =
-                    etwtrace::ShardedTrace::from_bytes(etwtrace::setl3::encode(&run.trace))
-                        .expect("fresh v3 encode is indexable");
-                etwtrace::timeline::timeline_sharded(&sharded, 24, &ctx.shard_runner(), shards)
-                    .expect("in-memory sharded fold cannot fail I/O")
-            } else {
-                etwtrace::fold_trace(&run.trace, 24)
-            };
-            (app.display_name().to_string(), tl)
+            (
+                app.display_name().to_string(),
+                etwtrace::fold_trace(&run.trace, 24),
+            )
         })
         .collect()
 }
@@ -505,7 +478,7 @@ fn emit(out_dir: &Path, name: &str, report: &str, csv: Option<String>) {
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: repro <artefact>...|all [--blame] [--verify] [--budget quick|standard|paper] [--jobs N] [--analyzer-shards N] [--out DIR]"
+        "usage: repro <artefact>...|all [--blame] [--verify] [--budget quick|standard|paper] [--jobs N] [--out DIR]"
     );
     eprintln!("       repro <artefact> --store [--store-stats]   # persistent run store (see PARASTAT_STORE)");
     eprintln!("       repro --blame [--budget …]");

@@ -50,6 +50,14 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use workloads::{build, AppId, WorkloadOpts};
 
+/// The longest `record` window: more whole seconds overflow the
+/// nanosecond clock.
+const MAX_RECORD_SECS: u64 = u64::MAX / 1_000_000_000;
+
+/// The most `timeline --buckets`: the fold allocates every bucket up front,
+/// 144 bytes each, so this caps it at 144 MiB.
+const MAX_BUCKETS: usize = 1 << 20;
+
 fn main() {
     // Arm the flight recorder: a panicking analysis leaves its last spans
     // behind under target/flight-recorder/ for post-mortem.
@@ -65,6 +73,11 @@ fn main() {
                 usage("record <app-substring> <seconds> <out.etl>");
             };
             let secs: u64 = secs.parse().unwrap_or_else(|_| usage("bad seconds"));
+            if secs > MAX_RECORD_SECS {
+                usage(&format!(
+                    "<seconds> {secs} is above the maximum of {MAX_RECORD_SECS}"
+                ));
+            }
             let app = resolve_app(app);
             eprintln!("recording {} for {secs}s…", app.display_name());
             let mut m = Machine::new(MachineConfig::study_rig(12, true));
@@ -253,6 +266,11 @@ fn main() {
                             .and_then(|v| v.parse().ok())
                             .filter(|&n| n > 0)
                             .unwrap_or_else(|| usage("--buckets needs a positive integer"));
+                        if buckets > MAX_BUCKETS {
+                            usage(&format!(
+                                "--buckets {buckets} is above the maximum of {MAX_BUCKETS}"
+                            ));
+                        }
                     }
                     "--csv" => format = "csv",
                     "--json" => format = "json",

@@ -108,10 +108,7 @@ fn chrome_export_round_trips_and_covers_the_trace() {
     assert_eq!(instants, frames);
     // Four counter series (TLP, ready queue, blocked threads, GPU busy %),
     // one sample per timeline bucket plus a closing sample each.
-    assert!(
-        counters > 0 && counters.is_multiple_of(4),
-        "got {counters} counters"
-    );
+    assert!(counters > 0 && counters % 4 == 0, "got {counters} counters");
 
     // Determinism: exporting the same trace twice is byte-identical.
     assert_eq!(json, chrome::chrome_trace(&trace));

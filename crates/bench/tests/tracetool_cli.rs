@@ -1,7 +1,8 @@
 //! End-to-end CLI tests for `tracetool`: record → verify round trip, the
 //! usage listing, the timeline golden output, the diff exit-code contract
 //! (0 clean / 1 regression / 2 corrupt-or-usage), the refusal of legacy
-//! flat traces, and exit codes for help / unknown subcommands.
+//! flat traces, out-of-range arguments, and exit codes for help / unknown
+//! subcommands.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -216,6 +217,44 @@ fn a_failed_trace_write_exits_2_without_a_panic() {
         assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
         assert!(stderr.contains("/dev/full"), "{argv:?}: {stderr}");
     }
+}
+
+#[test]
+fn a_record_window_past_the_nanosecond_clock_exits_2() {
+    // 18446744074 s is the first whole second past u64::MAX nanoseconds.
+    let etl = tmp("too-long.etl");
+    let _ = std::fs::remove_file(&etl);
+    let out = tracetool(&["record", "vlc", "18446744074", etl.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("maximum of 18446744073"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!etl.exists(), "a rejected record must not write {etl:?}");
+}
+
+#[test]
+fn an_oversized_bucket_count_exits_2_on_both_paths() {
+    let etl = tmp("buckets.etl");
+    record("1", &etl);
+    let file = etl.to_str().unwrap();
+    // One past the cap, and a count whose buckets would need 144 TB.
+    for n in ["1048577", "1000000000000"] {
+        for argv in [
+            vec!["timeline", file, "--buckets", n],
+            vec!["--analyzer-shards", "2", "timeline", file, "--buckets", n],
+        ] {
+            let out = tracetool(&argv);
+            assert_eq!(out.status.code(), Some(2), "{argv:?}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!("--buckets {n}")),
+                "{argv:?}: {stderr}"
+            );
+            assert!(!stderr.contains("memory allocation"), "{argv:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
+        }
+    }
+    let _ = std::fs::remove_file(&etl);
 }
 
 #[test]

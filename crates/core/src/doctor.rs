@@ -276,36 +276,6 @@ pub fn doctor_report_with_timelines(
         let _ = writeln!(out, "{}  share {share:>5.1}%", stat_line(name, &s));
     }
 
-    // Shard occupancy: task lifetime vs time inside block-decode spans.
-    // Every task of an ordered fold decodes, the folder included; the rest
-    // is the fold itself and waits for a block or a free window slot, so
-    // low occupancy means the fold, not decoding, bounds the pass.
-    out.push_str("\nshards\n");
-    let shard: Vec<_> = record.stats_for("shard");
-    let worker = shard.iter().find(|(n, _)| *n == "worker").map(|(_, s)| *s);
-    let decode = shard.iter().find(|(n, _)| *n == "decode").map(|(_, s)| *s);
-    let _ = writeln!(
-        out,
-        "  configured analyzer shards: {}",
-        ctx.analyzer_shards()
-    );
-    match (worker, decode) {
-        (Some(worker), Some(decode)) if worker.total_ns > 0 => {
-            let occupancy = 100.0 * decode.total_ns as f64 / worker.total_ns as f64;
-            let _ = writeln!(
-                out,
-                "  workers: {} spans, {} wall; decode: {} spans, {} wall, {} events",
-                worker.count,
-                human_ns(worker.total_ns),
-                decode.count,
-                human_ns(decode.total_ns),
-                decode.events,
-            );
-            let _ = writeln!(out, "  occupancy: {occupancy:.1}% (rest is fold and waits)");
-        }
-        _ => out.push_str("  no sharded analysis recorded\n"),
-    }
-
     // Time-resolved view: where the workloads lost their parallelism.
     if !timelines.is_empty() {
         out.push_str("\ntimelines\n");

@@ -324,31 +324,6 @@ impl SingleRun {
         blame::blame(&self.trace, &self.filter)
     }
 
-    /// Both bottleneck analyses (blame attribution + critical path)
-    /// through the sharded streaming pipeline: the sealed trace re-encodes
-    /// into the blocked v3 container once and both analyzers fold its
-    /// blocks on `runner`. Bit-identical to [`Self::blame`] and
-    /// [`Self::critical_path`] at any shard count — this is the path
-    /// `repro --blame --analyzer-shards N` takes, so shard-occupancy spans
-    /// land in the doctor report.
-    pub fn sharded_bottleneck_analysis(
-        &self,
-        runner: &dyn etwtrace::ShardRunner,
-        shards: usize,
-    ) -> (blame::BlameReport, critical::CriticalPath) {
-        // lint:allow(analyzer-panic): a just-sealed trace always re-encodes
-        // into an indexable v3 stream.
-        let sharded = etwtrace::ShardedTrace::from_bytes(etwtrace::setl3::encode(&self.trace))
-            .expect("fresh v3 encode is indexable");
-        // lint:allow(analyzer-panic): in-memory shards cannot fail I/O.
-        let blamed = blame::blame_sharded(&sharded, &self.filter, runner, shards)
-            .expect("in-memory sharded fold cannot fail I/O");
-        // lint:allow(analyzer-panic): in-memory shards cannot fail I/O.
-        let cp = critical::critical_path_sharded(&sharded, &self.filter, runner, shards)
-            .expect("in-memory sharded fold cannot fail I/O");
-        (blamed, cp)
-    }
-
     /// Wait-for graph critical path and the what-if TLP upper bound.
     pub fn critical_path(&self) -> critical::CriticalPath {
         critical::critical_path(&self.trace, &self.filter)

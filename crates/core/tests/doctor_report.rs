@@ -1,14 +1,14 @@
 //! The doctor report over one pooled session: pool occupancy, cache tiers,
-//! store footprint, the DES phase split, the slowest spans and the shard
-//! pipeline's span contract.
+//! store footprint, the DES phase split and the slowest spans; plus the
+//! shard pipeline's span contract, read from the same snapshot.
 //!
 //! This is its own test binary because the span recorder is process-wide:
 //! spans from other tests in the same process would land in this report's
 //! slowest-span list and shard counters.
 
 use etwtrace::{setl3, verify, ShardedTrace};
-use parastat::doctor::{doctor_report_now, store_footprint};
-use parastat::{Budget, Experiment, RunContext, RunRequest, SimStore};
+use parastat::doctor::{doctor_report, store_footprint};
+use parastat::{Budget, Experiment, RunContext, RunRequest, SimStore, ThreadPoolRunner};
 use simcore::SimDuration;
 use simobs::span;
 use workloads::AppId;
@@ -47,8 +47,8 @@ fn report_covers_pool_tiers_store_and_shards() {
         .map(|i| RunRequest::new(&exp, exp.base_seed + i))
         .collect();
     let runs = ctx.run_singles(requests);
-    // One ordered fold over the session's own first run, at 2 shards on the
-    // context's pool.
+    // One ordered fold over the session's own first run, at 2 shards on a
+    // 2-worker pool.
     let trace = &runs[0].trace;
     let sharded =
         ShardedTrace::from_bytes(setl3::encode(trace)).expect("fresh v3 encode is indexable");
@@ -56,9 +56,10 @@ fn report_covers_pool_tiers_store_and_shards() {
         sharded.n_blocks() >= 2,
         "the fold needs a second block to hand out"
     );
-    let verified = verify::verify_sharded(&sharded, &ctx.shard_runner(), 2)
+    let verified = verify::verify_sharded(&sharded, &ThreadPoolRunner::new(2), 2)
         .expect("in-memory shards cannot fail I/O");
-    let report = doctor_report_now(&ctx);
+    let record = span::snapshot();
+    let report = doctor_report(&ctx, &record);
     span::set_enabled(false);
     span::reset();
     assert_eq!(verified, verify::verify_trace(trace));
@@ -81,26 +82,26 @@ fn report_covers_pool_tiers_store_and_shards() {
         assert!(line(phases, phase).contains("share"), "{phases}");
     }
 
+    // Only `tracetool` folds trace files in shards, so the report has no
+    // shard section.
+    assert!(!report.contains("\nshards\n"), "{report}");
+
     // The fold ran two tasks, each with one worker span, and recorded one
     // decode span per block whichever task decoded it. Decode spans nest
-    // inside worker spans, so occupancy cannot pass 100%.
-    let shards = section(&report, "shards");
-    let workers = line(shards, "workers:");
-    assert!(workers.starts_with("  workers: 2 spans"), "{shards}");
-    let decodes = format!("decode: {} spans", sharded.n_blocks());
-    assert!(workers.contains(&decodes), "{shards}");
-    assert!(
-        workers.ends_with(&format!(", {} events", sharded.count())),
-        "{shards}"
-    );
-    let occupancy: f64 = line(shards, "occupancy:")
-        .trim_start()
-        .trim_start_matches("occupancy:")
-        .split('%')
-        .next()
-        .and_then(|pct| pct.trim().parse().ok())
-        .unwrap_or_else(|| panic!("unparsable occupancy:\n{shards}"));
-    assert!(occupancy > 0.0 && occupancy <= 100.0, "{shards}");
+    // inside worker spans, so decode time cannot pass worker time.
+    let shard = record.stats_for("shard");
+    let stat = |name: &str| {
+        shard
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, s)| *s)
+            .unwrap_or_else(|| panic!("no shard/{name} spans: {shard:?}"))
+    };
+    let (worker, decode) = (stat("worker"), stat("decode"));
+    assert_eq!(worker.count, 2, "{shard:?}");
+    assert_eq!(decode.count, sharded.n_blocks() as u64, "{shard:?}");
+    assert_eq!(decode.events, sharded.count(), "{shard:?}");
+    assert!(decode.total_ns <= worker.total_ns, "{shard:?}");
 
     let fp = store_footprint(&root);
     assert_eq!(fp.entries, 2);

@@ -235,7 +235,7 @@ impl GpuDevice {
         let n_idle = self
             .nvenc
             .as_ref()
-            .is_none_or(|q| q.running.is_none() && q.pending.is_empty());
+            .map_or(true, |q| q.running.is_none() && q.pending.is_empty());
         q_idle && n_idle
     }
 

@@ -470,7 +470,7 @@ impl Machine {
                     return;
                 }
                 if let TState::Running { .. } = th.state {
-                    let done = th.pending.as_ref().is_none_or(|w| w.ops <= OPS_EPS);
+                    let done = th.pending.as_ref().map_or(true, |w| w.ops <= OPS_EPS);
                     if done {
                         self.segment_finished(tid);
                     } else {
@@ -872,7 +872,7 @@ impl Machine {
         };
         let running_class = self.threads[tid.0 as usize].priority;
         let contender = self.best_ready_class_for(cpu);
-        if contender.is_none_or(|c| c > running_class) {
+        if contender.map_or(true, |c| c > running_class) {
             // No equal-or-higher-class thread wants this CPU: renew.
             self.cpus[cpu].gen += 1;
             let gen = self.cpus[cpu].gen;
@@ -1282,7 +1282,7 @@ mod tests {
                     phase += 1;
                     match phase {
                         1..=8 => {
-                            if phase.is_multiple_of(2) {
+                            if phase % 2 == 0 {
                                 Action::Sleep(SimDuration::from_micros(300))
                             } else {
                                 Action::Compute(Work::busy_ms(1.0))

@@ -275,7 +275,7 @@ impl Series {
     /// Panics in debug builds if `t` precedes the last point.
     pub fn push(&mut self, t: SimTime, v: f64) {
         debug_assert!(
-            self.points.last().is_none_or(|&(lt, _)| t >= lt),
+            self.points.last().map_or(true, |&(lt, _)| t >= lt),
             "series time went backwards"
         );
         self.points.push((t, v));

@@ -296,10 +296,12 @@ impl<'a> GpuUtilFold<'a> {
         let (at, delta) = match ev {
             TraceEvent::GpuStart {
                 at, gpu: g, pid, ..
-            } if self.filter.contains(*pid) && self.gpu.is_none_or(|want| want == *g) => (*at, 1),
+            } if self.filter.contains(*pid) && self.gpu.map_or(true, |want| want == *g) => (*at, 1),
             TraceEvent::GpuEnd {
                 at, gpu: g, pid, ..
-            } if self.filter.contains(*pid) && self.gpu.is_none_or(|want| want == *g) => (*at, -1),
+            } if self.filter.contains(*pid) && self.gpu.map_or(true, |want| want == *g) => {
+                (*at, -1)
+            }
             _ => return,
         };
         let at = at.max(self.start).min(self.end);
@@ -378,10 +380,10 @@ pub fn gpu_util_series(
         let (at, delta) = match ev {
             TraceEvent::GpuStart {
                 at, gpu: g, pid, ..
-            } if filter.contains(*pid) && gpu.is_none_or(|want| want == *g) => (*at, 1),
+            } if filter.contains(*pid) && gpu.map_or(true, |want| want == *g) => (*at, 1),
             TraceEvent::GpuEnd {
                 at, gpu: g, pid, ..
-            } if filter.contains(*pid) && gpu.is_none_or(|want| want == *g) => (*at, -1),
+            } if filter.contains(*pid) && gpu.map_or(true, |want| want == *g) => (*at, -1),
             _ => continue,
         };
         let at = at.max(trace.start()).min(trace.end());

@@ -44,9 +44,6 @@ pub trait ShardRunner: Sync {
     /// Calls `f(i)` exactly once for every `i in 0..shards`, possibly
     /// concurrently, returning after all calls complete.
     fn run_shards(&self, shards: usize, f: &(dyn Fn(usize) + Sync));
-
-    /// Worker parallelism (1 for serial runners) — the default shard count.
-    fn width(&self) -> usize;
 }
 
 /// Runs every shard on the calling thread, in index order.
@@ -58,10 +55,6 @@ impl ShardRunner for SerialShards {
         for i in 0..shards {
             f(i);
         }
-    }
-
-    fn width(&self) -> usize {
-        1
     }
 }
 
@@ -893,15 +886,10 @@ mod tests {
                 }
             });
         }
-
-        fn width(&self) -> usize {
-            self.0
-        }
     }
 
-    /// Reports width 4 but runs tasks one at a time in reverse index order:
-    /// no task may count on another running beside it, or on task 0 going
-    /// first.
+    /// Runs tasks one at a time in reverse index order: no task may count
+    /// on another running beside it, or on task 0 going first.
     struct OneAtATimeReversed;
 
     impl ShardRunner for OneAtATimeReversed {
@@ -909,10 +897,6 @@ mod tests {
             for i in (0..shards).rev() {
                 f(i);
             }
-        }
-
-        fn width(&self) -> usize {
-            4
         }
     }
 

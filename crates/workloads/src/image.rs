@@ -231,7 +231,7 @@ pub fn autocad(m: &mut Machine, opts: &WorkloadOpts) -> Pid {
         // Every command redraws the viewport on the GPU.
         ctx.submit_gpu(0, 0, PacketKind::Graphics3d, autocad::REDRAW_GFLOP);
         let mut actions = vec![Action::Compute(Work::busy_ms(autocad::COMMAND_MS))];
-        if matches!(action, InputAction::Menu(_)) || op.is_multiple_of(4) {
+        if matches!(action, InputAction::Menu(_)) || op % 4 == 0 {
             // Occasional regen uses a helper thread (width 2).
             let mut j = spawn_burst(ctx, 1, autocad::REGEN_MS, 5.0, ComputeKind::Mixed, "regen");
             actions.push(Action::Compute(Work::busy_ms(autocad::REGEN_MS)));

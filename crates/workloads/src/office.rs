@@ -75,7 +75,7 @@ pub fn excel(m: &mut Machine, opts: &WorkloadOpts) -> Pid {
         op += 1;
         ctx.submit_gpu(0, 0, PacketKind::Present, 240.0);
         let _ = action;
-        if op.is_multiple_of(p::EXCEL_WIDE_EVERY) {
+        if op % p::EXCEL_WIDE_EVERY == 0 {
             // Sort / histogram over 1M rows: all logical CPUs.
             let n = ctx.logical_cpus() as u32;
             let total = p::EXCEL_WIDE_MS * 12.0;
