@@ -1,8 +1,8 @@
 //! End-to-end CLI tests for `tracetool`: record → verify round trip, the
 //! usage listing, the timeline golden output, the diff exit-code contract
 //! (0 clean / 1 regression / 2 corrupt-or-usage), the refusal of legacy
-//! flat traces, out-of-range arguments, and exit codes for help / unknown
-//! subcommands.
+//! flat traces and of revision-2 v3 streams, out-of-range arguments, and
+//! exit codes for help / unknown subcommands.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -76,8 +76,10 @@ fn record(secs: &str, out: &Path) {
 
 #[test]
 fn a_huge_header_cpu_count_exits_2_from_info_and_timeline() {
-    // A 22-byte v3 stream whose header declares 2^40 logical CPUs.
-    let mut bytes = b"SETL3\x02".to_vec();
+    // A 22-byte v3 stream of the current revision whose header declares
+    // 2^40 logical CPUs.
+    let mut bytes = b"SETL3".to_vec();
+    bytes.push(etwtrace::setl3::VERSION);
     bytes.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x20]);
     bytes.resize(22, 0);
     let path = tmp("huge-cpus.etl");
@@ -124,19 +126,19 @@ fn a_context_switch_past_the_cpu_count_exits_2() {
 }
 
 #[test]
-fn info_summarizes_a_recording_of_at_most_12_bytes_per_event() {
+fn info_summarizes_a_recording_of_at_most_9_bytes_per_event() {
     let etl = tmp("info.etl");
     record("2", &etl);
 
     let info = tracetool(&["info", etl.to_str().unwrap()]);
     assert!(info.status.success(), "info failed: {info:?}");
     let out = String::from_utf8_lossy(&info.stdout);
-    assert!(out.contains("SETL3 r2 (compact, blocked)"), "{out}");
+    assert!(out.contains("SETL3 r3 (compact, blocked)"), "{out}");
     assert!(out.contains("string table  :"), "{out}");
     assert!(out.contains("records by type:"), "{out}");
     assert!(out.contains("CSwitches per CPU:"), "{out}");
 
-    // Size ceiling: 12 bytes per event is a third of what the retired flat
+    // Size ceiling: 9 bytes per event is a quarter of what the retired flat
     // v2 container took (36 bytes per event on this recording).
     let events: u64 = out
         .lines()
@@ -145,8 +147,8 @@ fn info_summarizes_a_recording_of_at_most_12_bytes_per_event() {
         .unwrap_or_else(|| panic!("info must print the event count: {out}"));
     let bytes = std::fs::metadata(&etl).unwrap().len();
     assert!(
-        bytes <= events * 12,
-        "{bytes} bytes for {events} events is over 12 bytes per event"
+        bytes <= events * 9,
+        "{bytes} bytes for {events} events is over 9 bytes per event"
     );
 
     // A corrupt trace is rejected, not summarized: checksums are enforced
@@ -166,40 +168,52 @@ fn info_summarizes_a_recording_of_at_most_12_bytes_per_event() {
 fn a_legacy_flat_trace_exits_2_from_every_reader() {
     // A flat v2 header with no records: `SETL`, u32 version, u32 CPU
     // count, then u64 start, end and event count.
-    let mut bytes = b"SETL".to_vec();
-    bytes.extend_from_slice(&2u32.to_le_bytes());
-    bytes.extend_from_slice(&12u32.to_le_bytes());
+    let mut flat = b"SETL".to_vec();
+    flat.extend_from_slice(&2u32.to_le_bytes());
+    flat.extend_from_slice(&12u32.to_le_bytes());
     for field in [0u64, 1_000_000, 0] {
-        bytes.extend_from_slice(&field.to_le_bytes());
+        flat.extend_from_slice(&field.to_le_bytes());
     }
-    assert_eq!(bytes.len(), 36);
+    assert_eq!(flat.len(), 36);
+    // A v3 stream of revision 2: the parser refuses it right after the
+    // revision byte, with a message of its own.
+    let mut revision_2 = b"SETL3\x02".to_vec();
+    revision_2.resize(22, 0);
     let path = tmp("legacy-flat.etl");
-    parastat::store::atomic_write(&path, &bytes).unwrap();
     let json = tmp("legacy-flat.json");
     let (file, json) = (path.to_str().unwrap(), json.to_str().unwrap());
-    for argv in [
-        vec!["info", file],
-        vec!["summary", file],
-        vec!["verify", file],
-        vec!["tlp", file, "vlc"],
-        vec!["latency", file, "vlc"],
-        vec!["bottlenecks", file, "vlc"],
-        vec!["critical-path", file, "vlc"],
-        vec!["timeline", file],
-        vec!["export-cpu", file],
-        vec!["export-gpu", file],
-        vec!["export-chrome", file, json],
-        vec!["diff", file, file],
-        vec!["--analyzer-shards", "4", "verify", file],
-        vec!["--analyzer-shards", "4", "timeline", file],
+    for (bytes, needles) in [
+        (flat, &["v1/v2", "tracetool pack"][..]),
+        (
+            revision_2,
+            &["SETL3 revision 2 is no longer read; re-record the trace"][..],
+        ),
     ] {
-        let out = tracetool(&argv);
-        assert_eq!(out.status.code(), Some(2), "{argv:?}: {out:?}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains("v1/v2") && stderr.contains("tracetool pack"),
-            "{argv:?}: {stderr}"
-        );
+        parastat::store::atomic_write(&path, &bytes).unwrap();
+        for argv in [
+            vec!["info", file],
+            vec!["summary", file],
+            vec!["verify", file],
+            vec!["tlp", file, "vlc"],
+            vec!["latency", file, "vlc"],
+            vec!["bottlenecks", file, "vlc"],
+            vec!["critical-path", file, "vlc"],
+            vec!["timeline", file],
+            vec!["export-cpu", file],
+            vec!["export-gpu", file],
+            vec!["export-chrome", file, json],
+            vec!["diff", file, file],
+            vec!["--analyzer-shards", "4", "verify", file],
+            vec!["--analyzer-shards", "4", "timeline", file],
+        ] {
+            let out = tracetool(&argv);
+            assert_eq!(out.status.code(), Some(2), "{argv:?}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                needles.iter().all(|needle| stderr.contains(needle)),
+                "{argv:?}: {stderr}"
+            );
+        }
     }
     let _ = std::fs::remove_file(&path);
 }
@@ -409,7 +423,7 @@ fn synth_writes_a_verify_clean_v3_stream_of_the_exact_size() {
     assert!(info.status.success(), "{info:?}");
     let info_out = String::from_utf8_lossy(&info.stdout);
     assert!(
-        info_out.contains("SETL3 r2 (compact, blocked)"),
+        info_out.contains("SETL3 r3 (compact, blocked)"),
         "synth must emit the blocked container: {info_out}"
     );
     assert!(info_out.contains(&written.to_string()), "{info_out}");

@@ -15,9 +15,11 @@
 //! A store entry is trusted only after four independent checks pass on
 //! load:
 //!
-//! 1. the trailing 64-bit FNV-1a file checksum (catches truncation and any
-//!    single-byte corruption — per-byte XOR-then-odd-multiply is
-//!    injective);
+//! 1. the trailing 64-bit file checksum over the whole entry, trace
+//!    included ([`setl3::checksum`], the codec's own word-at-a-time hash:
+//!    it catches truncation and any single-byte corruption, since each of
+//!    its steps is injective). The trace then checks its own block
+//!    hashes, `meta_hash` and file trailer as it decodes;
 //! 2. the format **epoch** embedded in the entry matches
 //!    [`FORMAT_EPOCH`] (bump it whenever codec or key semantics change:
 //!    stale generations become clean misses, never misreads);
@@ -59,25 +61,16 @@ pub const STORE_ENV: &str = "PARASTAT_STORE";
 /// the registry snapshot format or the [`RunKey`] normalization changes
 /// meaning. Entries from other epochs are quarantined as stale on contact.
 ///
-/// Epoch 2: the trace reader decodes SETL v3 revision 2 only, so epoch-1
-/// entries (which may hold revision-1 traces) are never addressed.
-pub const FORMAT_EPOCH: u32 = 2;
+/// Epoch 3: SETL v3 revision 3 (word-at-a-time checksums, no per-record
+/// check byte) and the same checksum over the entry. The trace reader
+/// decodes revision 3 only, so epoch-2 entries (which hold revision-2
+/// traces under an FNV-1a entry checksum) are never addressed.
+pub const FORMAT_EPOCH: u32 = 3;
 
 const ENTRY_MAGIC: &[u8; 4] = b"SRUN";
 const ENTRY_VERSION: u8 = 1;
 /// Entry file suffix (content-addressed payloads).
 const ENTRY_EXT: &str = "run";
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// Outcome of a [`SimStore::load`]: the second memo tier either has the
 /// run, has nothing, or had something untrustworthy (now quarantined).
@@ -228,7 +221,7 @@ impl SimStore {
         put_uv(&mut out, registry.len() as u64);
         out.extend_from_slice(&registry);
         out.extend_from_slice(&setl3::encode(&run.trace));
-        let hash = fnv1a(FNV_OFFSET, &out);
+        let hash = setl3::checksum(setl3::CHECKSUM_SEED, &out);
         out.extend_from_slice(&hash.to_le_bytes());
         out
     }
@@ -242,7 +235,7 @@ impl SimStore {
         }
         let (payload, trailer) = bytes.split_at(bytes.len() - 8);
         let expect = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-        if fnv1a(FNV_OFFSET, payload) != expect {
+        if setl3::checksum(setl3::CHECKSUM_SEED, payload) != expect {
             return Err("file checksum mismatch".into());
         }
         let mut r: &[u8] = payload;
@@ -593,7 +586,7 @@ mod tests {
         let trace_at = good.len() - 8 - setl3::encode(&run.trace).len();
         let mut bytes = good[..trace_at].to_vec();
         bytes.extend_from_slice(&trace);
-        let hash = fnv1a(FNV_OFFSET, &bytes);
+        let hash = setl3::checksum(setl3::CHECKSUM_SEED, &bytes);
         bytes.extend_from_slice(&hash.to_le_bytes());
         atomic_write(&store.entry_path(&key), &bytes).unwrap();
         let LoadOutcome::Quarantined { reason } = store.load(&key) else {

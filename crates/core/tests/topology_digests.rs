@@ -5,13 +5,16 @@
 //! pipeline transcoder, a frame-paced game and a multi-process browser — on
 //! four topologies: the full 12-logical SMT rig, 5 logical with SMT (the
 //! last physical core has no sibling), 6 without SMT and a single CPU. Each
-//! run's SETL v3 encoding and Prometheus registry are hashed together and
-//! compared to recorded digests, so any change to a simulated float,
-//! calendar entry or counter fails here. Re-record them only for a
-//! deliberate model change.
+//! run's trace window, every trace event field by field, and its Prometheus
+//! registry text are hashed together and compared to recorded digests, so
+//! any change to a simulated float, calendar entry or counter fails here.
+//! The digest never touches a trace codec, so a change to the on-disk
+//! format leaves it alone. Re-record them only for a deliberate model
+//! change.
 
+use etwtrace::{EtlTrace, ThreadKey, TraceEvent, WaitReason};
 use parastat::{Budget, Experiment};
-use simcore::SimDuration;
+use simcore::{SimDuration, SimTime};
 use workloads::AppId;
 
 const APPS: [AppId; 4] = [
@@ -27,36 +30,206 @@ const TOPOLOGIES: [(usize, bool); 4] = [(12, true), (5, true), (6, false), (1, f
 /// One digest per (topology, app), in `TOPOLOGIES` × `APPS` order.
 const EXPECTED: [[u64; 4]; 4] = [
     [
-        0x8869_046e_6929_7230,
-        0xc8bb_2fbf_f5ad_957c,
-        0xe0f8_3108_2d77_4a35,
-        0xd30d_fdff_53ee_f96e,
+        0x06e1_1d7f_3152_ce34,
+        0x669e_e04d_5032_4fe1,
+        0x6b1b_21a5_0ca7_5a1e,
+        0xfa27_55ff_5c74_edcf,
     ],
     [
-        0x3370_1496_1dd4_5b5c,
-        0x11e5_b769_4695_eb31,
-        0xbbf8_7212_4f7f_dcd7,
-        0x4dfe_40d8_1fb4_4e94,
+        0x56f7_c538_e03e_e53c,
+        0xdea1_d23b_c5e8_b790,
+        0x3b88_9e4d_5e61_308a,
+        0x055f_1472_1190_545a,
     ],
     [
-        0xf0a7_c911_fc6d_15ac,
-        0x8a20_9d4d_4371_fbb1,
-        0x7ced_02ce_b909_a77a,
-        0x38d6_be3c_b324_a42a,
+        0xbe70_e53b_d35e_caad,
+        0x1821_59bf_159c_25b8,
+        0x4d2b_a28b_195a_5872,
+        0xb893_3188_c726_56d9,
     ],
     [
-        0x391c_84e2_1ee5_786b,
-        0x8580_7f0e_0134_83df,
-        0x1425_9d3c_f6db_32a1,
-        0xf0b0_1b55_777c_dc40,
+        0xcbf1_d16f_70fa_457c,
+        0x1c4f_5dc8_8d4a_64b6,
+        0xefb1_ea1e_39b0_73c6,
+        0x5175_d9b1_15fe_0152,
     ],
 ];
 
-/// 64-bit FNV-1a.
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(hash, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+/// 64-bit FNV-1a over the little-endian bytes of every field fed to it.
+struct Digest(u64);
+
+impl Digest {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn time(&mut self, t: SimTime) {
+        self.u64(t.as_nanos());
+    }
+
+    /// Length-prefixed, so adjacent strings cannot trade bytes.
+    fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+
+    fn key(&mut self, k: ThreadKey) {
+        self.u64(k.pid);
+        self.u64(k.tid);
+    }
+
+    fn opt_key(&mut self, k: Option<ThreadKey>) {
+        match k {
+            None => self.u64(0),
+            Some(k) => {
+                self.u64(1);
+                self.key(k);
+            }
+        }
+    }
+
+    fn reason(&mut self, r: WaitReason) {
+        match r {
+            WaitReason::Preempted => self.u64(0),
+            WaitReason::Yield => self.u64(1),
+            WaitReason::Sleep => self.u64(2),
+            WaitReason::Event { id } => {
+                self.u64(3);
+                self.u64(id);
+            }
+            WaitReason::Gpu { gpu, packet } => {
+                self.u64(4);
+                self.u64(u64::from(gpu));
+                self.u64(packet);
+            }
+        }
+    }
+
+    fn trace(&mut self, trace: &EtlTrace) {
+        self.u64(trace.n_logical_cpus() as u64);
+        self.time(trace.start());
+        self.time(trace.end());
+        self.u64(trace.events().len() as u64);
+        for ev in trace.events() {
+            self.event(ev);
+        }
+    }
+
+    fn event(&mut self, ev: &TraceEvent) {
+        match ev {
+            TraceEvent::ProcessStart { at, pid, name } => {
+                self.u64(0);
+                self.time(*at);
+                self.u64(*pid);
+                self.str(name);
+            }
+            TraceEvent::ThreadStart { at, key, name } => {
+                self.u64(1);
+                self.time(*at);
+                self.key(*key);
+                self.str(name);
+            }
+            TraceEvent::ThreadEnd { at, key } => {
+                self.u64(2);
+                self.time(*at);
+                self.key(*key);
+            }
+            TraceEvent::CSwitch {
+                at,
+                cpu,
+                old,
+                new,
+                ready_since,
+            } => {
+                self.u64(3);
+                self.time(*at);
+                self.u64(*cpu as u64);
+                self.opt_key(*old);
+                self.opt_key(*new);
+                match ready_since {
+                    None => self.u64(0),
+                    Some(t) => {
+                        self.u64(1);
+                        self.time(*t);
+                    }
+                }
+            }
+            TraceEvent::GpuStart {
+                at,
+                gpu,
+                engine,
+                packet,
+                pid,
+            } => {
+                self.u64(4);
+                self.time(*at);
+                self.u64(*gpu as u64);
+                self.u64(u64::from(*engine));
+                self.u64(*packet);
+                self.u64(*pid);
+            }
+            TraceEvent::GpuEnd {
+                at,
+                gpu,
+                engine,
+                packet,
+                pid,
+            } => {
+                self.u64(5);
+                self.time(*at);
+                self.u64(*gpu as u64);
+                self.u64(u64::from(*engine));
+                self.u64(*packet);
+                self.u64(*pid);
+            }
+            TraceEvent::Frame { at, pid } => {
+                self.u64(6);
+                self.time(*at);
+                self.u64(*pid);
+            }
+            TraceEvent::Marker { at, label } => {
+                self.u64(7);
+                self.time(*at);
+                self.str(label);
+            }
+            TraceEvent::WaitBegin { at, key, reason } => {
+                self.u64(8);
+                self.time(*at);
+                self.key(*key);
+                self.reason(*reason);
+            }
+            TraceEvent::WaitEnd {
+                at,
+                key,
+                reason,
+                waker,
+            } => {
+                self.u64(9);
+                self.time(*at);
+                self.key(*key);
+                self.reason(*reason);
+                self.opt_key(*waker);
+            }
+            TraceEvent::GpuSubmit {
+                at,
+                key,
+                gpu,
+                packet,
+            } => {
+                self.u64(10);
+                self.time(*at);
+                self.key(*key);
+                self.u64(*gpu as u64);
+                self.u64(*packet);
+            }
+        }
+    }
 }
 
 fn digest(app: AppId, logical: usize, smt: bool) -> u64 {
@@ -67,8 +240,10 @@ fn digest(app: AppId, logical: usize, smt: bool) -> u64 {
             iterations: 1,
         })
         .run_once(42);
-    let h = fnv1a(0xcbf2_9ce4_8422_2325, &etwtrace::setl3::encode(&run.trace));
-    fnv1a(h, run.metrics.registry.to_prometheus().as_bytes())
+    let mut d = Digest(0xcbf2_9ce4_8422_2325);
+    d.trace(&run.trace);
+    d.bytes(run.metrics.registry.to_prometheus().as_bytes());
+    d.0
 }
 
 #[test]

@@ -30,8 +30,8 @@ pub fn read_etl<R: Read>(r: R) -> io::Result<EtlTrace> {
 /// materializing the event vector — `tracetool info`'s triage summary.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceInfo {
-    /// Container generation and revision, e.g. `"SETL3 r2 (compact, blocked)"`.
-    pub container: &'static str,
+    /// Container generation and revision, e.g. `"SETL3 r3 (compact, blocked)"`.
+    pub container: String,
     /// Logical CPU count the trace was recorded with.
     pub n_logical: usize,
     /// Trace window start (nanoseconds of virtual time).
@@ -119,7 +119,7 @@ pub fn trace_info<R: Read>(mut r: R) -> io::Result<TraceInfo> {
     let index = setl3::Index::parse(&bytes)?;
     let string_bytes = index.strings.iter().map(|s| s.len() as u64).sum();
     let mut info = TraceInfo {
-        container: "SETL3 r2 (compact, blocked)",
+        container: format!("SETL3 r{} (compact, blocked)", setl3::VERSION),
         n_logical: index.n_logical,
         start_ns: index.start.as_nanos(),
         end_ns: index.end.as_nanos(),
@@ -164,7 +164,7 @@ mod tests {
         let trace = demo_trace();
         let v3 = setl3::encode(&trace);
         let info = trace_info(v3.as_slice()).unwrap();
-        assert_eq!(info.container, "SETL3 r2 (compact, blocked)");
+        assert_eq!(info.container, "SETL3 r3 (compact, blocked)");
         assert_eq!(info.events, trace.events().len() as u64);
         assert_eq!(info.n_logical, 4);
         assert_eq!(info.records_by_kind["CSwitch"], 2);

@@ -3,7 +3,7 @@
 //!
 //! A 60 s trace is dominated by `CSwitch` records whose fields are tiny
 //! deltas, so the codec spends bytes only on what changes (the CLI tests
-//! hold a `tracetool record` trace to at most 12 bytes per event) while
+//! hold a `tracetool record` trace to at most 9 bytes per event) while
 //! staying dependency-free and bit-exact:
 //!
 //! * **varints everywhere** — LEB128 unsigned integers for counts, ids and
@@ -15,16 +15,19 @@
 //! * **interned strings** — process/thread names and marker labels are
 //!   collected into a front-loaded string table (first-appearance order)
 //!   and referenced by index;
-//! * **checksums** — every record carries one FNV-1a check byte, every
-//!   block a 64-bit FNV-1a hash, and the whole file ends in a 64-bit
-//!   FNV-1a checksum, so a flipped byte or truncation is always an
-//!   `InvalidData` error, never a silently wrong trace. (A single-byte
-//!   change is guaranteed to change FNV-1a — XOR-then-multiply-by-an-odd-
-//!   prime is injective — so the trailer alone catches every one-byte
-//!   corruption; the block hashes localize it.)
+//! * **checksums** — every block carries a 64-bit [`checksum`], the block
+//!   index carries `meta_hash` over the header and index, and the whole
+//!   file ends in a 64-bit checksum chained over every segment the writer
+//!   emits, so a flipped byte or truncation is always an `InvalidData`
+//!   error, never a silently wrong trace. [`checksum`] hashes a word at a
+//!   time in four lanes of odd-prime multiplies and rotations, and every
+//!   step is injective, so a change to one byte, or inside one aligned
+//!   8-byte word, always changes it: the trailer alone catches every
+//!   one-byte corruption, and the block hashes localize it. Records carry
+//!   no check bytes of their own; the block hash covers them.
 //! * **blocked record area** — records are grouped into fixed-size blocks
 //!   ([`BLOCK_RECORDS`] each) and a trailing block index records, per
-//!   block: record count, byte length, a 64-bit FNV-1a block hash, and the
+//!   block: record count, byte length, the block's checksum, and the
 //!   delta-decoder clock snapshot at the block boundary. Any block can
 //!   therefore decode on its own — no seek-from-start — and verify without
 //!   touching the rest of the file.
@@ -39,10 +42,12 @@
 //! [`crate::shard::ShardedTrace`] hands blocks to workers instead.
 //!
 //! The stream starts with the 5-byte magic `SETL3` and a revision byte;
-//! only revision 2 (the blocked layout) is read. [`Index::parse`] alone
-//! decides which streams are read, so every reader refuses a legacy flat
-//! SETL v1/v2 file (magic `SETL` + a binary version) with the same message:
-//! `tracetool pack` from an older build converts one to v3.
+//! only revision 3 (the blocked layout with word-at-a-time checksums and
+//! no per-record check byte) is read. [`Index::parse`] alone decides which
+//! streams are read, so every reader refuses a revision-2 stream with a
+//! message of its own (re-record the trace), and a legacy flat SETL v1/v2
+//! file (magic `SETL` + a binary version) with another: `tracetool pack`
+//! from an older build converts one to v3.
 
 use crate::event::{EtlTrace, ThreadKey, TraceBuilder, TraceEvent, WaitReason};
 use crate::shard::BlockCursor;
@@ -52,8 +57,9 @@ use std::io::{self, Read, Write};
 /// The 5-byte stream magic.
 pub const MAGIC: &[u8; 5] = b"SETL3";
 /// Codec revision within the v3 family (bump for incompatible changes).
-/// Revision 2 has the trailing block index; no other revision is read.
-pub const VERSION: u8 = 2;
+/// Revision 3 has the trailing block index, word-at-a-time checksums and
+/// no per-record check byte; no other revision is read.
+pub const VERSION: u8 = 3;
 /// Records per block (the last block may be short).
 pub const BLOCK_RECORDS: u64 = 4096;
 
@@ -66,16 +72,67 @@ const MAX_STRING_LEN: u64 = 1 << 20;
 /// allocate.
 const MAX_LOGICAL_CPUS: u64 = 1 << 20;
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The seed of every checksum chain: the 64-bit FNV-1a offset basis.
+pub const CHECKSUM_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+/// The 64-bit FNV prime, for the bytes after the last whole word.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Odd multipliers of a lane step (xxHash64's first two primes): one for
+/// the word before it enters the lane, one for the lane after it rotates.
+const WORD_PRIME: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const LANE_PRIME: u64 = 0x9e37_79b1_85eb_ca87;
+/// Seeds of lanes 1–3; lane 0 carries the chaining value.
+const LANE_1_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+const LANE_2_SEED: u64 = 0x85eb_ca77_c2b2_ae63;
+const LANE_3_SEED: u64 = 0x1656_67b1_9e37_79f9;
 
-pub(crate) fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    let mut h = hash;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+/// The one checksum of the codec and of the run store: a word-at-a-time
+/// hash chained through `seed`.
+///
+/// Four lanes each take every fourth little-endian `u64` word of `bytes`
+/// (the remainder's whole words included) in a [`lane_step`]. Lane 0
+/// starts from `seed`, the others from fixed constants. The lanes fold
+/// into one value by XOR of rotations, and the last `len % 8` bytes are
+/// hashed into it byte by byte, as FNV-1a does. Every step is a bijection
+/// of the state it changes, so a change inside one aligned 8-byte word, or
+/// to any one byte, always changes the result.
+pub fn checksum(seed: u64, bytes: &[u8]) -> u64 {
+    let mut lanes = [seed, LANE_1_SEED, LANE_2_SEED, LANE_3_SEED];
+    let mut chunks = bytes.chunks_exact(32);
+    for chunk in &mut chunks {
+        for (lane, word) in lanes.iter_mut().zip(chunk.chunks_exact(8)) {
+            *lane = lane_step(*lane, le_word(word));
+        }
     }
-    h
+    let mut words = chunks.remainder().chunks_exact(8);
+    for (lane, word) in lanes.iter_mut().zip(&mut words) {
+        *lane = lane_step(*lane, le_word(word));
+    }
+    let folded = lanes
+        .iter()
+        .zip([0, 16, 32, 48])
+        .fold(0, |h, (lane, r)| h ^ lane.rotate_left(r));
+    words
+        .remainder()
+        .iter()
+        .fold(folded, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// One lane step, in the shape of xxHash64's round: XOR in the word times
+/// an odd prime, rotate, multiply by another odd prime. A multiply never
+/// carries a difference in the top bit anywhere else, so with one multiply
+/// per step that difference would reach the next word of the lane intact
+/// and a second flip there could cancel it. Multiplying the word first and
+/// the lane after the rotation leaves every difference spread over the
+/// lane before the next word arrives.
+fn lane_step(lane: u64, word: u64) -> u64 {
+    (lane ^ word.wrapping_mul(WORD_PRIME))
+        .rotate_left(31)
+        .wrapping_mul(LANE_PRIME)
+}
+
+/// The little-endian value of an 8-byte slice.
+fn le_word(word: &[u8]) -> u64 {
+    u64::from_le_bytes(word.try_into().unwrap_or([0; 8]))
 }
 
 /// Encodes `trace` as a SETL v3 stream.
@@ -166,7 +223,7 @@ struct BlockMetaOut {
     per_cpu: Vec<u64>,
 }
 
-/// A streaming revision-2 encoder: declare the dimensions, string table and
+/// A streaming revision-3 encoder: declare the dimensions, string table and
 /// record count up front, push events one at a time, and `finish` to emit
 /// the block index and checksums. Nothing proportional to the trace is ever
 /// buffered — only the current block — so multi-million-event traces stream
@@ -182,17 +239,16 @@ pub struct V3Writer<W: Write> {
     /// File hash state covering magic..record-area-start (the header), the
     /// seed for the index `meta_hash`.
     header_hash: u64,
-    /// Encoded records (with check bytes) of the block being filled.
+    /// Encoded records of the block being filled.
     block: Vec<u8>,
     block_records: u64,
     /// Clock snapshot taken when the current block opened.
     block_clocks: Clocks,
     metas: Vec<BlockMetaOut>,
-    record: Vec<u8>,
 }
 
 impl<W: Write> V3Writer<W> {
-    /// Starts a revision-2 stream: writes the magic, header and string
+    /// Starts a revision-3 stream: writes the magic, header and string
     /// table. `strings` must contain every name/label the pushed events
     /// will carry (first-appearance order is conventional but not
     /// required); `count` must equal the number of `push` calls.
@@ -210,7 +266,7 @@ impl<W: Write> V3Writer<W> {
         let clocks = Clocks::new(n_logical, start);
         let mut this = V3Writer {
             w,
-            file_hash: FNV_OFFSET,
+            file_hash: CHECKSUM_SEED,
             strings: StringIds::new(strings),
             block_clocks: clocks.clone(),
             clocks,
@@ -221,7 +277,6 @@ impl<W: Write> V3Writer<W> {
             block: Vec::new(),
             block_records: 0,
             metas: Vec::new(),
-            record: Vec::with_capacity(32),
         };
         let mut header = Vec::with_capacity(64);
         header.extend_from_slice(MAGIC);
@@ -242,7 +297,7 @@ impl<W: Write> V3Writer<W> {
 
     fn emit(&mut self, bytes: &[u8]) -> io::Result<()> {
         self.w.write_all(bytes)?;
-        self.file_hash = fnv1a(self.file_hash, bytes);
+        self.file_hash = checksum(self.file_hash, bytes);
         Ok(())
     }
 
@@ -259,12 +314,7 @@ impl<W: Write> V3Writer<W> {
         if self.block_records == 0 {
             self.block_clocks = self.clocks.clone();
         }
-        self.record.clear();
-        let mut record = std::mem::take(&mut self.record);
-        encode_event(&mut record, ev, &self.strings, &mut self.clocks);
-        self.block.extend_from_slice(&record);
-        self.block.push(fnv1a(FNV_OFFSET, &record) as u8);
-        self.record = record;
+        encode_event(&mut self.block, ev, &self.strings, &mut self.clocks);
         self.block_records += 1;
         self.pushed += 1;
         if self.block_records == BLOCK_RECORDS {
@@ -281,7 +331,7 @@ impl<W: Write> V3Writer<W> {
         self.metas.push(BlockMetaOut {
             records: self.block_records,
             bytes: self.block.len() as u64,
-            hash: fnv1a(FNV_OFFSET, &self.block),
+            hash: checksum(CHECKSUM_SEED, &self.block),
             global: self.block_clocks.global - start,
             per_cpu: self
                 .block_clocks
@@ -323,11 +373,11 @@ impl<W: Write> V3Writer<W> {
         // meta_hash covers the header bytes plus the index bytes so far —
         // everything a sharded reader needs to trust without a full-file
         // sequential hash.
-        let meta_hash = fnv1a(self.header_hash, &index);
+        let meta_hash = checksum(self.header_hash, &index);
         index.extend_from_slice(&meta_hash.to_le_bytes());
         let index_len = index.len() as u64;
+        index.extend_from_slice(&index_len.to_le_bytes());
         self.emit(&index)?;
-        self.emit(&index_len.to_le_bytes())?;
         let trailer = self.file_hash;
         self.w.write_all(&trailer.to_le_bytes())?;
         Ok(self.w)
@@ -368,11 +418,11 @@ pub fn decode(bytes: &[u8]) -> io::Result<EtlTrace> {
 pub(crate) struct BlockMeta {
     /// Absolute byte offset of the block in the stream.
     pub(crate) offset: usize,
-    /// Encoded length in bytes (records plus check bytes).
+    /// Encoded length in bytes.
     pub(crate) len: usize,
     /// Records in the block.
     pub(crate) records: u64,
-    /// 64-bit FNV-1a over the block's bytes.
+    /// [`checksum`] of the block's bytes from [`CHECKSUM_SEED`].
     pub(crate) hash: u64,
     /// Clock snapshot before the block's first record (absolute ns).
     pub(crate) clocks: Clocks,
@@ -390,8 +440,8 @@ pub(crate) struct Index {
     pub(crate) count: u64,
     /// Contiguous blocks that tile the record area exactly.
     pub(crate) blocks: Vec<BlockMeta>,
-    /// FNV-1a over the header bytes: the whole-file hash where the record
-    /// area starts.
+    /// [`checksum`] of the header bytes: the whole-file hash where the
+    /// record area starts.
     header_hash: u64,
     /// Offset of the block index, i.e. the end of the record area.
     index_start: usize,
@@ -403,9 +453,9 @@ impl Index {
     /// cross-checks the block extents against the record area.
     ///
     /// # Errors
-    /// `InvalidData` with a distinct message for legacy flat v1/v2 traces
-    /// and for other revisions, for any structural inconsistency or
-    /// exceeded bound, and for a `meta_hash` mismatch.
+    /// `InvalidData` with a distinct message for legacy flat v1/v2 traces,
+    /// for revision-2 streams and for other revisions, for any structural
+    /// inconsistency or exceeded bound, and for a `meta_hash` mismatch.
     pub(crate) fn parse(bytes: &[u8]) -> io::Result<Index> {
         let Some(rest) = bytes.strip_prefix(MAGIC.as_slice()) else {
             return Err(if bytes.starts_with(b"SETL") {
@@ -417,6 +467,11 @@ impl Index {
         let (&revision, mut r) = rest
             .split_first()
             .ok_or_else(|| bad("truncated SETL3 stream"))?;
+        if revision == 2 {
+            return Err(bad(
+                "SETL3 revision 2 is no longer read; re-record the trace",
+            ));
+        }
         if revision != VERSION {
             return Err(bad("unsupported SETL3 revision"));
         }
@@ -444,7 +499,7 @@ impl Index {
         }
         let count = get_uv(&mut r)?;
         let record_start = bytes.len() - r.len();
-        let header_hash = fnv1a(FNV_OFFSET, bytes.get(..record_start).unwrap_or_default());
+        let header_hash = checksum(CHECKSUM_SEED, bytes.get(..record_start).unwrap_or_default());
 
         // Tail: [index entries | meta_hash 8B] [index_len 8B] [trailer 8B].
         let meta_at = bytes
@@ -459,7 +514,7 @@ impl Index {
             .filter(|&at| at >= record_start && at <= meta_at)
             .ok_or_else(|| bad("block index length out of range"))?;
         let mut entries = bytes.get(index_start..meta_at).unwrap_or_default();
-        if fnv1a(header_hash, entries) != meta_hash {
+        if checksum(header_hash, entries) != meta_hash {
             return Err(bad("block index checksum mismatch"));
         }
 
@@ -526,8 +581,9 @@ impl Index {
 }
 
 /// Decodes every record of `bytes`, indexed by `index`, in trace order and
-/// hands each event to `f`. One fused FNV-1a loop over each block checks
-/// its hash before it decodes and carries the whole-file hash, which is
+/// hands each event to `f`. Each block's hash is checked before it
+/// decodes. The whole-file hash chains over the segments [`V3Writer`]
+/// emits — the header, each block, and the index with its length — and is
 /// checked against the trailer after the last block.
 ///
 /// # Errors
@@ -542,14 +598,10 @@ where
         let block = bytes
             .get(m.offset..m.offset + m.len)
             .ok_or_else(|| bad("block extent past the record area"))?;
-        let mut block_hash = FNV_OFFSET;
-        for &b in block {
-            file_hash = (file_hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-            block_hash = (block_hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-        if block_hash != m.hash {
+        if checksum(CHECKSUM_SEED, block) != m.hash {
             return Err(bad("block checksum mismatch"));
         }
+        file_hash = checksum(file_hash, block);
         let mut cursor = BlockCursor::new(
             block,
             &index.strings,
@@ -565,7 +617,7 @@ where
     let tail = bytes
         .get(index.index_start..trailer_at)
         .ok_or_else(|| bad("truncated SETL3 stream"))?;
-    if fnv1a(file_hash, tail) != le_u64(bytes, trailer_at)? {
+    if checksum(file_hash, tail) != le_u64(bytes, trailer_at)? {
         return Err(bad("file checksum mismatch"));
     }
     Ok(())
@@ -623,9 +675,9 @@ impl Clocks {
 
     /// The reference clock an event's delta is taken against.
     fn reference(&mut self, cpu: Option<usize>) -> &mut u64 {
-        match cpu {
-            Some(c) if c < self.per_cpu.len() => &mut self.per_cpu[c],
-            _ => &mut self.global,
+        match cpu.and_then(|c| self.per_cpu.get_mut(c)) {
+            Some(clock) => clock,
+            None => &mut self.global,
         }
     }
 }
@@ -764,9 +816,7 @@ pub(crate) fn decode_event<R: Read>(
     n_logical: usize,
     clocks: &mut Clocks,
 ) -> io::Result<TraceEvent> {
-    let mut tag = [0u8; 1];
-    r.read_exact(&mut tag)?;
-    Ok(match tag[0] {
+    Ok(match get_u8(r)? {
         0 => {
             let at = decode_at(r, None, clocks)?;
             TraceEvent::ProcessStart {
@@ -898,9 +948,7 @@ fn put_reason(out: &mut Vec<u8>, reason: WaitReason) {
 }
 
 fn get_reason<R: Read>(r: &mut R) -> io::Result<WaitReason> {
-    let mut tag = [0u8; 1];
-    r.read_exact(&mut tag)?;
-    Ok(match tag[0] {
+    Ok(match get_u8(r)? {
         0 => WaitReason::Preempted,
         1 => WaitReason::Yield,
         2 => WaitReason::Sleep,
@@ -974,9 +1022,7 @@ fn get_uv<R: Read>(r: &mut R) -> io::Result<u64> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
-        let mut byte = [0u8; 1];
-        r.read_exact(&mut byte)?;
-        let b = byte[0];
+        let b = get_u8(r)?;
         if shift >= 63 && b > 1 {
             return Err(bad("varint overflows u64"));
         }
@@ -989,6 +1035,12 @@ fn get_uv<R: Read>(r: &mut R) -> io::Result<u64> {
             return Err(bad("varint too long"));
         }
     }
+}
+
+fn get_u8<R: Read>(r: &mut R) -> io::Result<u8> {
+    let mut byte = 0u8;
+    r.read_exact(std::slice::from_mut(&mut byte))?;
+    Ok(byte)
 }
 
 fn get_u32v<R: Read>(r: &mut R) -> io::Result<u32> {
@@ -1093,6 +1145,89 @@ pub(crate) mod tests {
         b.finish(SimTime::ZERO, SimTime::ZERO + SimDuration::from_millis(10))
     }
 
+    /// `n` context switches alternating between two CPUs: more than
+    /// [`BLOCK_RECORDS`] of them make a multi-block stream.
+    fn cswitch_trace(n: usize) -> EtlTrace {
+        let mut b = TraceBuilder::new(2);
+        let key = ThreadKey { pid: 7, tid: 70 };
+        for i in 0..n {
+            b.push(TraceEvent::CSwitch {
+                at: SimTime::from_nanos(i as u64 * 1000),
+                cpu: i % 2,
+                old: if i % 2 == 0 { None } else { Some(key) },
+                new: if i % 2 == 0 { Some(key) } else { None },
+                ready_since: None,
+            });
+        }
+        b.finish(SimTime::ZERO, SimTime::from_nanos(n as u64 * 1000))
+    }
+
+    #[test]
+    fn checksum_matches_its_known_answers() {
+        // Inputs are the bytes 0, 1, 2, …: no whole word, exactly one
+        // 32-byte round, a round plus a 5-byte tail, and a round plus one
+        // word in the remainder plus a 5-byte tail.
+        let bytes: Vec<u8> = (0..45).collect();
+        let vectors: [(u64, usize, u64); 6] = [
+            (CHECKSUM_SEED, 0, 0x0900_5b9b_1a6d_e952),
+            (CHECKSUM_SEED, 7, 0x2feb_138c_5876_9bc9),
+            (CHECKSUM_SEED, 32, 0xb199_ccfa_d8d7_9f25),
+            (CHECKSUM_SEED, 37, 0x6c10_6eb8_e36d_bb4f),
+            (CHECKSUM_SEED, 45, 0xa8f6_8714_d5f3_da17),
+            (0x0123_4567_89ab_cdef, 37, 0xa4e1_f30e_25fd_c2ea),
+        ];
+        for (seed, len, want) in vectors {
+            let got = checksum(seed, &bytes[..len]);
+            assert_eq!(got, want, "seed {seed:#x}, {len} bytes: {got:#018x}");
+        }
+    }
+
+    #[test]
+    fn every_two_bit_flip_changes_the_checksum() {
+        // Two 32-byte rounds, a word in the remainder and a 5-byte tail, so
+        // the pairs cover two words of one lane, words of different lanes,
+        // and words with tail bytes. A lane step with one multiply fails
+        // here, rotation or not: the multiply hands a flip of the top bit
+        // to the lane unchanged, so a flip of the matching bit of the
+        // lane's next word cancels it (without a rotation, bit 7 of bytes 7
+        // and 39, or of bytes 15 and 47).
+        let base: Vec<u8> = (0..77u8).map(|i| i.wrapping_mul(151) ^ 0x5a).collect();
+        let want = checksum(CHECKSUM_SEED, &base);
+        let bits = base.len() * 8;
+        let mut buf = base.clone();
+        for i in 0..bits {
+            buf[i / 8] ^= 1 << (i % 8);
+            for j in i + 1..bits {
+                buf[j / 8] ^= 1 << (j % 8);
+                assert_ne!(checksum(CHECKSUM_SEED, &buf), want, "bits {i} and {j}");
+                buf[j / 8] ^= 1 << (j % 8);
+            }
+            buf[i / 8] ^= 1 << (i % 8);
+        }
+    }
+
+    #[test]
+    fn overwriting_any_aligned_word_is_detected() {
+        let buf = encode(&cswitch_trace(BLOCK_RECORDS as usize + 37));
+        let trailer_at = buf.len() - 8;
+        for at in (0..buf.len()).step_by(8) {
+            let mut mutated = buf.clone();
+            for b in mutated.iter_mut().skip(at).take(8) {
+                *b = !*b;
+            }
+            assert!(decode(&mutated).is_err(), "word at byte {at}: decode");
+            if at >= trailer_at {
+                // Only the in-order walk folds the trailer.
+                continue;
+            }
+            let indexed = Index::parse(&mutated).is_err()
+                || crate::shard::ShardedTrace::from_bytes(mutated)
+                    .map(|s| (0..s.n_blocks()).any(|b| s.cursor(b).is_err()))
+                    .unwrap_or(true);
+            assert!(indexed, "word at byte {at}: index and block hashes");
+        }
+    }
+
     #[test]
     fn roundtrip_is_bit_exact() {
         let trace = demo_trace();
@@ -1111,7 +1246,8 @@ pub(crate) mod tests {
             let result = read_setl3(mutated.as_slice());
             // Either the decode errors (checksum / structure) — never a
             // silently different trace. Byte flips that happen to decode to
-            // the same trace are impossible: FNV-1a is injective per byte.
+            // the same trace are impossible: every checksum step is
+            // injective.
             assert!(result.is_err(), "flip at byte {i} went undetected");
         }
     }
@@ -1131,12 +1267,20 @@ pub(crate) mod tests {
     #[test]
     fn unknown_revision_is_rejected() {
         let trace = demo_trace();
-        // Revision 1 (no block index) is no longer read either.
-        for revision in [1, 99] {
+        // Revisions 1 (no block index) and 2 (byte-serial checksums and a
+        // check byte per record) are no longer read either; revision 2
+        // names the remedy.
+        for revision in [1, 2, 99] {
             let mut buf = encode(&trace);
             buf[5] = revision; // revision byte after the 5-byte magic
             let err = read_setl3(buf.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
             assert!(err.to_string().contains("revision"), "{err}");
+            assert_eq!(
+                err.to_string().contains("re-record the trace"),
+                revision == 2,
+                "{err}"
+            );
         }
     }
 
@@ -1234,19 +1378,7 @@ pub(crate) mod tests {
     #[test]
     fn multi_block_stream_roundtrips() {
         // More than two full blocks plus a short tail.
-        let n = (BLOCK_RECORDS * 2 + 37) as usize;
-        let mut b = TraceBuilder::new(2);
-        let key = ThreadKey { pid: 7, tid: 70 };
-        for i in 0..n {
-            b.push(TraceEvent::CSwitch {
-                at: SimTime::from_nanos(i as u64 * 1000),
-                cpu: i % 2,
-                old: if i % 2 == 0 { None } else { Some(key) },
-                new: if i % 2 == 0 { Some(key) } else { None },
-                ready_since: None,
-            });
-        }
-        let trace = b.finish(SimTime::ZERO, SimTime::from_nanos(n as u64 * 1000));
+        let trace = cswitch_trace((BLOCK_RECORDS * 2 + 37) as usize);
         let buf = encode(&trace);
         let back = read_setl3(buf.as_slice()).unwrap();
         assert_eq!(trace, back);

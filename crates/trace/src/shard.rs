@@ -6,8 +6,9 @@
 //! walk it over every block; [`ShardedTrace`] holds the raw bytes and the
 //! parsed index and hands cursors to workers instead. No seek-from-start,
 //! no whole-trace materialization, and every block is integrity-checked on
-//! its own (the index carries a 64-bit FNV-1a hash per block, and the
-//! index itself is covered by `meta_hash`, seeded from the header hash).
+//! its own (the index carries a 64-bit [`setl3::checksum`] per block, and
+//! the index itself is covered by `meta_hash`, seeded from the header
+//! hash).
 //!
 //! Parallelism is injected, not owned: analyzers drive shards through the
 //! [`ShardRunner`] trait so this crate never spawns a thread. `parastat`'s
@@ -31,7 +32,7 @@ use crate::event::{PidSet, TraceEvent};
 use crate::setl3::{self, Clocks, Index};
 use simcore::SimTime;
 use simobs::span::Span;
-use std::io::{self, Read};
+use std::io;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -123,7 +124,8 @@ impl ShardedTrace {
     }
 
     /// A cursor over block `block`, after verifying the block's 64-bit
-    /// FNV-1a hash against the index.
+    /// [`setl3::checksum`] against the index. The hash covers every record
+    /// byte, so a cursor that is handed out decodes trusted bytes.
     ///
     /// # Errors
     /// `InvalidData` for an out-of-range block or a hash mismatch.
@@ -134,7 +136,7 @@ impl ShardedTrace {
             .get(block)
             .ok_or_else(|| setl3::bad("block index out of range"))?;
         let buf = &self.bytes[m.offset..m.offset + m.len];
-        if setl3::fnv1a(setl3::FNV_OFFSET, buf) != m.hash {
+        if setl3::checksum(setl3::CHECKSUM_SEED, buf) != m.hash {
             return Err(setl3::bad("block checksum mismatch"));
         }
         Ok(BlockCursor::new(
@@ -541,9 +543,9 @@ impl Drop for HaltOnUnwind<'_> {
 /// In-place decoder over one block's bytes: borrows the shared buffer and
 /// carries a private clock state seeded from the index snapshot. Its
 /// creators — [`ShardedTrace::cursor`] and the in-order walk in
-/// [`crate::setl3`] — verify the block's 64-bit FNV-1a hash first; that
-/// hash covers every record byte *and* every per-record check byte, so the
-/// cursor consumes check bytes without recomputing them.
+/// [`crate::setl3`] — verify the block's 64-bit [`setl3::checksum`] first.
+/// That hash covers every record byte, so records carry no check bytes and
+/// the cursor decodes them back to back.
 pub struct BlockCursor<'a> {
     buf: &'a [u8],
     strings: &'a [String],
@@ -592,8 +594,6 @@ impl<'a> BlockCursor<'a> {
             self.n_logical,
             &mut self.clocks,
         )?;
-        let mut check = [0u8; 1];
-        self.buf.read_exact(&mut check)?;
         self.remaining -= 1;
         Ok(Some(ev))
     }
