@@ -9,10 +9,10 @@
 //!   `setl3::read_setl3` materializes every event into a `Vec`, then
 //!   `analysis::concurrency` folds it.
 //! * `shard/streaming{1,4}/tlp_250k_events` — `ShardedTrace::from_bytes`
-//!   parses only the block index, then `concurrency_sharded` decodes blocks
-//!   in place and merges per-shard partials. Even at one shard on one core
-//!   this wins: no `Vec<TraceEvent>` is ever built, and the block hash
-//!   (verified once per block) replaces per-record check-byte recompute.
+//!   parses only the block index, then `concurrency_sharded` folds the
+//!   events in order through `fold_events` while blocks decode on a 1- or
+//!   4-worker pool. Only the fold window's blocks are ever alive, never a
+//!   `Vec` of the whole trace.
 //! * `shard/{materialized,seek}/window_tail_250k_events` — an analyzer over
 //!   the trace's last 2%: the materializing reader must decode all 250k
 //!   events to reach the tail, the seek path binary-searches the block

@@ -37,7 +37,7 @@
 //! `critical-path`, `timeline`) accept a global `--analyzer-shards N`
 //! flag that routes them through the sharded streaming path: blocks of a
 //! SETL v3 file decode in parallel on `N` workers (`0` = one per hardware
-//! thread) and fold into byte-identical reports.
+//! thread; at most 256) and fold into byte-identical reports.
 
 use etwtrace::{
     analysis, blame, chrome, critical, etl, export, hb, setl3, verify, EtlTrace, PidSet,
@@ -57,6 +57,11 @@ const MAX_RECORD_SECS: u64 = u64::MAX / 1_000_000_000;
 /// The most `timeline --buckets`: the fold allocates every bucket up front,
 /// 144 bytes each, so this caps it at 144 MiB.
 const MAX_BUCKETS: usize = 1 << 20;
+
+/// The most `--analyzer-shards`: a fold starts up to this many threads and
+/// keeps up to twice as many decoded blocks (about 320 KiB each) alive, so
+/// this caps it at 256 threads and about 160 MiB of blocks.
+const MAX_SHARDS: usize = 256;
 
 fn main() {
     // Arm the flight recorder: a panicking analysis leaves its last spans
@@ -363,18 +368,25 @@ fn main() {
 
 /// Strips a global `--analyzer-shards N` flag from anywhere on the command
 /// line. `Some(n)` routes supporting subcommands through the sharded
-/// streaming path; `0` resolves to one shard per hardware thread.
+/// streaming path; `0` resolves to one shard per hardware thread, at most
+/// [`MAX_SHARDS`].
 fn take_shards(args: &mut Vec<String>) -> Option<usize> {
     let i = args.iter().position(|a| a == "--analyzer-shards")?;
     let n = args
         .get(i + 1)
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or_else(|| usage("--analyzer-shards needs a non-negative integer"));
+    if n > MAX_SHARDS {
+        usage(&format!(
+            "--analyzer-shards {n} is above the maximum of {MAX_SHARDS}"
+        ));
+    }
     args.drain(i..i + 2);
     Some(if n == 0 {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
+            .min(MAX_SHARDS)
     } else {
         n
     })
@@ -594,8 +606,8 @@ fn usage_text() -> String {
         "       tracetool help                               this listing",
         "",
         "global: --analyzer-shards N  decode trace blocks on N workers (0 = all",
-        "        hardware threads) for verify/tlp/latency/bottlenecks/critical-path/",
-        "        timeline; output is identical",
+        "        hardware threads; at most 256) for verify/tlp/latency/bottlenecks/",
+        "        critical-path/timeline; output is identical",
         "",
         "exit codes: 0 clean, 1 findings (verify diagnostics, diff regression),",
         "            2 usage error or corrupt input",

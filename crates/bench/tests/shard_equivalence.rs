@@ -91,6 +91,10 @@ proptest! {
         let runners: [&dyn ShardRunner; 2] = [&SerialShards, &pool];
         for runner in runners {
             prop_assert_eq!(
+                &sharded.pids_by_name(runner, shards, "shard").unwrap(),
+                &filter
+            );
+            prop_assert_eq!(
                 etwtrace::verify::verify_sharded(&sharded, runner, shards).unwrap(),
                 etwtrace::verify::verify_trace(&trace)
             );

@@ -360,7 +360,13 @@ fn diff_exit_codes_pin_the_regression_contract() {
 #[test]
 fn analyzer_shards_match_serial_output_byte_for_byte() {
     let etl = tmp("shards.etl");
-    record("2", &etl);
+    record("15", &etl);
+    // Enough blocks that a fold at 4 shards decodes ahead and crosses
+    // block boundaries.
+    let blocks = etwtrace::ShardedTrace::from_bytes(std::fs::read(&etl).unwrap())
+        .unwrap()
+        .n_blocks();
+    assert!(blocks >= 3, "recorded only {blocks} blocks");
 
     // Every analyzer subcommand must render the same bytes whether it
     // materializes serially or shards the v3 blocks over a pool.
@@ -400,6 +406,36 @@ fn analyzer_shards_match_serial_output_byte_for_byte() {
     ]);
     assert_eq!(bad.status.code(), Some(2), "{bad:?}");
 
+    let _ = std::fs::remove_file(&etl);
+}
+
+#[test]
+fn an_analyzer_shard_count_above_the_maximum_exits_2() {
+    // Refused while parsing, before the (missing) trace is opened.
+    let missing = tmp("missing.etl");
+    let over = tracetool(&[
+        "--analyzer-shards",
+        "257",
+        "verify",
+        missing.to_str().unwrap(),
+    ]);
+    assert_eq!(over.status.code(), Some(2), "{over:?}");
+    let stderr = String::from_utf8_lossy(&over.stderr);
+    assert!(
+        stderr.contains("--analyzer-shards 257 is above the maximum of 256"),
+        "{stderr}"
+    );
+
+    // The maximum itself runs. A one-block trace folds in one task, inline,
+    // so no thread starts at any width.
+    let etl = tmp("max-shards.etl");
+    record("1", &etl);
+    let blocks = etwtrace::ShardedTrace::from_bytes(std::fs::read(&etl).unwrap())
+        .unwrap()
+        .n_blocks();
+    assert_eq!(blocks, 1);
+    let max = tracetool(&["--analyzer-shards", "256", "verify", etl.to_str().unwrap()]);
+    assert_eq!(max.status.code(), Some(0), "{max:?}");
     let _ = std::fs::remove_file(&etl);
 }
 

@@ -70,10 +70,10 @@ pub fn concurrency(trace: &EtlTrace, filter: &PidSet) -> ConcurrencyProfile {
     fold.finish()
 }
 
-/// The Eq. 1 replay behind [`concurrency`], shared by the materialized path
-/// and the wide-machine fallback of [`concurrency_sharded`] (see
+/// The Eq. 1 replay behind [`concurrency`], shared by [`concurrency_sharded`]
+/// and by the critical-path fold, which reads its measured TLP from it (see
 /// [`GpuUtilFold`] for the determinism argument).
-struct ConcurrencyFold<'a> {
+pub(crate) struct ConcurrencyFold<'a> {
     filter: &'a PidSet,
     start: SimTime,
     end: SimTime,
@@ -86,7 +86,7 @@ struct ConcurrencyFold<'a> {
 }
 
 impl<'a> ConcurrencyFold<'a> {
-    fn new(filter: &'a PidSet, n_logical: usize, start: SimTime, end: SimTime) -> Self {
+    pub(crate) fn new(filter: &'a PidSet, n_logical: usize, start: SimTime, end: SimTime) -> Self {
         ConcurrencyFold {
             filter,
             start,
@@ -98,7 +98,7 @@ impl<'a> ConcurrencyFold<'a> {
         }
     }
 
-    fn push(&mut self, ev: &TraceEvent) {
+    pub(crate) fn push(&mut self, ev: &TraceEvent) {
         let TraceEvent::CSwitch {
             at, cpu, old, new, ..
         } = ev
@@ -124,7 +124,7 @@ impl<'a> ConcurrencyFold<'a> {
         }
     }
 
-    fn finish(mut self) -> ConcurrencyProfile {
+    pub(crate) fn finish(mut self) -> ConcurrencyProfile {
         self.hist
             .add(self.running, self.end.saturating_since(self.cursor));
         ConcurrencyProfile {
@@ -802,33 +802,8 @@ pub fn fps_series(trace: &EtlTrace, pid: Option<u64>, bin: SimDuration) -> Serie
 use crate::shard::{ShardRunner, ShardedTrace};
 use std::io;
 
-/// Per-shard partial of the concurrency replay: epoch durations keyed by
-/// (untouched-CPU mask, locally-known running count), plus the boundary
-/// data the merge needs. A CPU is "untouched" until the shard's first
-/// `CSwitch` on it; until then its occupant — and whether it counts toward
-/// the running total — is only known at merge time, when the previous
-/// shards have resolved it.
-struct TlpShard {
-    /// `(mask, known) → accumulated duration`. `mask` has bit `c` set while
-    /// CPU `c` is still untouched; `known` is the filtered-running count
-    /// over touched CPUs. The true running count for every nanosecond in
-    /// the epoch is `known + |{c ∈ mask : boundary occupant filtered}|`.
-    epochs: std::collections::BTreeMap<(u128, usize), SimDuration>,
-    /// Clamped time of the shard's first `CSwitch`, if any.
-    first_at: Option<SimTime>,
-    /// Clamped time of the shard's last `CSwitch`.
-    last_at: SimTime,
-    /// Occupancy after the shard, per CPU: `None` = untouched.
-    per_cpu: Vec<Option<Option<u64>>>,
-}
-
-/// The sharded twin of [`concurrency`]: per-shard partials on `runner`,
-/// merged deterministically in shard order. Output is **bit-identical** to
-/// the serial replay at any shard count: histogram bins are integer
-/// [`SimDuration`] sums, addition is associative, and every interval is
-/// charged to exactly the running count the serial replay would compute —
-/// locally-known occupancy plus the merge-resolved boundary occupancy of
-/// CPUs the shard had not yet touched.
+/// Sharded twin of [`concurrency`]: blocks decode in parallel, the fold
+/// runs in trace order — bit-identical output.
 ///
 /// # Errors
 /// Any block decode or checksum error.
@@ -840,95 +815,9 @@ pub fn concurrency_sharded(
 ) -> io::Result<ConcurrencyProfile> {
     let mut sp = simobs::span::span("analyzer", "tlp");
     sp.add_events(trace.count());
-    let n = trace.n_logical_cpus();
-    let (start, end) = (trace.start(), trace.end());
-
-    if n > 127 {
-        // The merge tracks untouched CPUs in a u128 mask; wider machines
-        // take the ordered streaming fold instead (identical output, blocks
-        // still decode in parallel, no partial merge).
-        let mut fold = ConcurrencyFold::new(filter, n, start, end);
-        trace.fold_events(runner, shards, |ev| fold.push(ev))?;
-        return Ok(fold.finish());
-    }
-
-    // Map: fold each contiguous block range into a TlpShard partial.
-    let partials = trace.map_block_ranges(runner, shards, |_, range| {
-        let mut shard = TlpShard {
-            epochs: std::collections::BTreeMap::new(),
-            first_at: None,
-            last_at: start,
-            per_cpu: vec![None; n],
-        };
-        let mut mask: u128 = if n == 0 { 0 } else { (1u128 << n) - 1 };
-        let mut known = 0usize;
-        for b in range {
-            let mut c = trace.cursor(b)?;
-            while let Some(ev) = c.next_event()? {
-                let TraceEvent::CSwitch { at, cpu, new, .. } = ev else {
-                    continue;
-                };
-                let at = at.max(start).min(end);
-                match shard.first_at {
-                    None => shard.first_at = Some(at),
-                    Some(_) => {
-                        *shard.epochs.entry((mask, known)).or_default() +=
-                            at.saturating_since(shard.last_at);
-                    }
-                }
-                shard.last_at = at;
-                match shard.per_cpu[cpu] {
-                    None => mask &= !(1u128 << cpu),
-                    Some(prev) => {
-                        if prev.is_some_and(|p| filter.contains(p)) {
-                            known -= 1;
-                        }
-                    }
-                }
-                let occupant = new.map(|k| k.pid);
-                shard.per_cpu[cpu] = Some(occupant);
-                if occupant.is_some_and(|p| filter.contains(p)) {
-                    known += 1;
-                }
-            }
-        }
-        Ok(shard)
-    })?;
-
-    // Merge, in shard order: resolve each epoch's unknown CPUs against the
-    // boundary occupancy carried forward from earlier shards, and charge
-    // the inter-shard gap at the boundary running count — exactly the
-    // interval the serial replay charges between the two events.
-    let mut hist = Histogram::new(n);
-    let mut boundary: Vec<Option<u64>> = vec![None; n];
-    let mut running = 0usize;
-    let mut cursor = start;
-    for s in &partials {
-        let Some(first) = s.first_at else { continue };
-        hist.add(running, first.saturating_since(cursor));
-        for (&(mask, known), &dt) in &s.epochs {
-            let unresolved = (0..n)
-                .filter(|&c| mask & (1u128 << c) != 0)
-                .filter(|&c| boundary[c].is_some_and(|p| filter.contains(p)))
-                .count();
-            hist.add(known + unresolved, dt);
-        }
-        for (c, slot) in s.per_cpu.iter().enumerate() {
-            if let Some(occupant) = slot {
-                boundary[c] = *occupant;
-            }
-        }
-        running = boundary
-            .iter()
-            .filter(|p| p.is_some_and(|q| filter.contains(q)))
-            .count();
-        cursor = s.last_at;
-    }
-    hist.add(running, end.saturating_since(cursor));
-    Ok(ConcurrencyProfile {
-        histogram: hist,
-        n_logical: n,
-    })
+    let mut fold = ConcurrencyFold::new(filter, trace.n_logical_cpus(), trace.start(), trace.end());
+    trace.fold_events(runner, shards, |ev| fold.push(ev))?;
+    Ok(fold.finish())
 }
 
 /// Sharded twin of [`gpu_utilization`]: blocks decode in parallel, the fold
@@ -1004,10 +893,9 @@ mod tests {
         ThreadKey { pid, tid }
     }
 
-    /// A multi-block trace with cross-shard CPU occupancy: threads of two
-    /// processes trade `n_cpus` CPUs, with long stretches where some CPUs
-    /// see no switch at all (the "untouched at shard start" case the merge
-    /// must resolve against earlier shards).
+    /// A multi-block trace with CPU occupancy carried across blocks: threads
+    /// of two processes trade `n_cpus` CPUs, with long stretches where some
+    /// CPUs see no switch at all.
     fn busy_trace(n_cpus: usize) -> EtlTrace {
         let n_events = (crate::setl3::BLOCK_RECORDS * 3 + 500) as usize;
         let mut b = TraceBuilder::new(n_cpus);
@@ -1025,7 +913,7 @@ mod tests {
         for i in 0..n_events {
             let at = SimTime::from_nanos(i as u64 * 700 + 1);
             // Skew toward CPUs 0/1 so the rest stay untouched across whole
-            // shards; alternate pids so the filter matters.
+            // blocks; alternate pids so the filter matters.
             let cpu = match i % 11 {
                 0..=4 => 0,
                 5..=8 => 1,
@@ -1054,8 +942,6 @@ mod tests {
 
     #[test]
     fn sharded_concurrency_is_bit_identical_to_serial() {
-        // 200 CPUs is past the merge's 127-CPU mask, so that trace takes
-        // the ordered-fold fallback.
         for n_cpus in [4, 200] {
             let trace = busy_trace(n_cpus);
             let sharded = ShardedTrace::from_bytes(crate::setl3::encode(&trace)).unwrap();

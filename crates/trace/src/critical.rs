@@ -18,13 +18,13 @@
 //! the chain but model work the CPUs never execute, matching the what-if
 //! question "how parallel could the *CPU* side be".
 //!
-//! Construction is a single forward scan; node distances finalize in stream
-//! order, so the result is deterministic and independent of any worker-pool
-//! configuration.
+//! Construction is a single forward scan, which also replays Equation 1 for
+//! the measured TLP; node distances finalize in stream order, so the result
+//! is deterministic and independent of any worker-pool configuration.
 
-use crate::analysis;
+use crate::analysis::ConcurrencyFold;
 use crate::event::{EtlTrace, PidSet, ThreadKey, TraceEvent};
-use simcore::SimDuration;
+use simcore::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -179,21 +179,19 @@ impl Graph {
 pub fn critical_path(trace: &EtlTrace, filter: &PidSet) -> CriticalPath {
     let mut sp = simobs::span::span("analyzer", "critical");
     sp.add_events(trace.events().len() as u64);
-    let mut fold = CriticalFold::new(filter);
+    let mut fold = CriticalFold::new(filter, trace.n_logical_cpus(), trace.start(), trace.end());
     for ev in trace.events() {
         fold.push(ev);
     }
-    let measured_tlp = analysis::concurrency(trace, filter).tlp();
-    fold.finish(trace.end().as_nanos(), measured_tlp)
+    fold.finish()
 }
 
 /// Same graph construction, streamed over a blocked v3 trace without
 /// materializing the event vector.
 ///
-/// The graph fold is shared verbatim with [`critical_path`]; the measured
-/// TLP comes from [`analysis::concurrency_sharded`], whose merge is proven
-/// bit-identical to the serial fold — so the whole report matches byte for
-/// byte at any shard count.
+/// The fold, measured TLP included, is shared verbatim with
+/// [`critical_path`] and sees the same event sequence, so the whole report
+/// matches byte for byte at any shard count.
 pub fn critical_path_sharded(
     trace: &crate::shard::ShardedTrace,
     filter: &PidSet,
@@ -202,25 +200,29 @@ pub fn critical_path_sharded(
 ) -> std::io::Result<CriticalPath> {
     let mut sp = simobs::span::span("analyzer", "critical");
     sp.add_events(trace.count());
-    let mut fold = CriticalFold::new(filter);
+    let mut fold = CriticalFold::new(filter, trace.n_logical_cpus(), trace.start(), trace.end());
     trace.fold_events(runner, shards, |ev| fold.push(ev))?;
-    let measured_tlp = analysis::concurrency_sharded(trace, filter, runner, shards)?.tlp();
-    Ok(fold.finish(trace.end().as_nanos(), measured_tlp))
+    Ok(fold.finish())
 }
 
 /// The forward graph scan as an incremental fold, shared verbatim by the
-/// materialized and sharded entry points.
+/// materialized and sharded entry points. It owns the Equation 1 replay
+/// the report's measured TLP comes from.
 struct CriticalFold<'a> {
     filter: &'a PidSet,
+    tlp: ConcurrencyFold<'a>,
+    end_ns: u64,
     graph: Graph,
     threads: BTreeMap<ThreadKey, ThreadBuild>,
     packets: BTreeMap<(usize, u64), usize>,
 }
 
 impl<'a> CriticalFold<'a> {
-    fn new(filter: &'a PidSet) -> Self {
+    fn new(filter: &'a PidSet, n_logical: usize, start: SimTime, end: SimTime) -> Self {
         CriticalFold {
             filter,
+            tlp: ConcurrencyFold::new(filter, n_logical, start, end),
+            end_ns: end.as_nanos(),
             graph: Graph {
                 nodes: Vec::new(),
                 n_edges: 0,
@@ -231,6 +233,7 @@ impl<'a> CriticalFold<'a> {
     }
 
     fn push(&mut self, ev: &TraceEvent) {
+        self.tlp.push(ev);
         let filter = self.filter;
         let graph = &mut self.graph;
         let threads = &mut self.threads;
@@ -316,7 +319,9 @@ impl<'a> CriticalFold<'a> {
         }
     }
 
-    fn finish(mut self, end_ns: u64, measured_tlp: f64) -> CriticalPath {
+    fn finish(mut self) -> CriticalPath {
+        let measured_tlp = self.tlp.finish().tlp();
+        let end_ns = self.end_ns;
         let graph = &mut self.graph;
         // Threads still alive at the window end: flush their final segments.
         let keys: Vec<ThreadKey> = self.threads.keys().copied().collect();
@@ -504,6 +509,8 @@ mod tests {
         assert_eq!(cp.cpu_busy, SimDuration::from_millis(20));
         assert!((cp.tlp_upper_bound - 2.0).abs() < 1e-9, "{cp:?}");
         assert!(cp.tlp_upper_bound >= cp.measured_tlp);
+        // Both threads run the whole window, so Equation 1 gives 2.
+        assert!((cp.measured_tlp - 2.0).abs() < 1e-9, "{cp:?}");
     }
 
     #[test]

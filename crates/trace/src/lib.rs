@@ -39,8 +39,10 @@
 //!   registries and timeline summaries, with configurable thresholds.
 //! * [`shard`] — the one v3 record decoder, [`BlockCursor`], which decodes
 //!   a block in place; zero-copy sharded access over it (time-window seek
-//!   over the index clock snapshots, and byte-identical sharded twins of
-//!   every analyzer driven through the injected [`ShardRunner`]).
+//!   over the index clock snapshots, and one ordered fold,
+//!   [`ShardedTrace::fold_events`], that decodes blocks on the injected
+//!   [`ShardRunner`] and drives every analyzer's byte-identical sharded
+//!   twin).
 //!
 //! TLP here is **application-level**: analyzers take a [`PidSet`] filter and
 //! only count threads of those processes, exactly as the paper distinguishes

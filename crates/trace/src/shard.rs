@@ -17,9 +17,9 @@
 //!
 //! Determinism rules (see DESIGN.md §14): block decode order is free, but
 //! every fold over events happens **in block order on one thread**
-//! ([`ShardedTrace::fold_events`]), or as per-shard partials merged in shard
-//! order by the analyzer. Either way the bytes an analyzer report renders to
-//! are identical at any shard count.
+//! ([`ShardedTrace::fold_events`], the only way an analyzer uses the
+//! runner), so the bytes an analyzer report renders to are identical at any
+//! shard count.
 //!
 //! Integrity on the sharded path: `meta_hash` covers the header plus the
 //! block index, and each block hash covers its record bytes, so any
@@ -34,7 +34,6 @@ use simcore::SimTime;
 use simobs::span::Span;
 use std::io;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Executes `f(0..shards)` on some set of workers. Implemented by
@@ -205,81 +204,6 @@ impl ShardedTrace {
         start..stop.max(start)
     }
 
-    /// Splits the blocks into at most `shards` contiguous, near-equal
-    /// ranges (empty ranges are dropped) — the map step's work division.
-    pub fn shard_ranges(&self, shards: usize) -> Vec<Range<usize>> {
-        let n = self.index.blocks.len();
-        let shards = shards.max(1).min(n.max(1));
-        let mut out = Vec::with_capacity(shards);
-        let mut lo = 0;
-        for i in 0..shards {
-            let hi = n * (i + 1) / shards;
-            if hi > lo {
-                out.push(lo..hi);
-                lo = hi;
-            }
-        }
-        out
-    }
-
-    /// Maps `f` over contiguous block ranges on `runner`, one call per
-    /// shard, and returns the results **in shard order**. This is the map
-    /// step for analyzers with a true merge (`analysis::concurrency`):
-    /// each call folds its range into a partial, the caller merges partials
-    /// deterministically.
-    ///
-    /// # Errors
-    /// The first shard error in shard order.
-    pub fn map_block_ranges<T, F>(
-        &self,
-        runner: &dyn ShardRunner,
-        shards: usize,
-        f: F,
-    ) -> io::Result<Vec<T>>
-    where
-        T: Send,
-        F: Fn(usize, Range<usize>) -> io::Result<T> + Sync,
-    {
-        let ranges = self.shard_ranges(shards);
-        type Slot<T> = Mutex<Option<io::Result<T>>>;
-        let slots: Vec<Slot<T>> = ranges.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        runner.run_shards(ranges.len().max(1), &|_shard| {
-            let mut worker = simobs::span::span("shard", "worker");
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(range) = ranges.get(i) else { break };
-                worker.add_events(1);
-                let res = {
-                    let mut sp = simobs::span::span("shard", "decode");
-                    let mut events = 0u64;
-                    let mut bytes = 0u64;
-                    for b in range.clone() {
-                        events += self.index.blocks[b].records;
-                        bytes += self.index.blocks[b].len as u64;
-                    }
-                    sp.add_events(events);
-                    sp.add_bytes(bytes);
-                    f(i, range.clone())
-                };
-                // lint:allow(analyzer-panic): a poisoned slot means a worker
-                // already panicked; propagating is the only sound option
-                *slots[i].lock().expect("shard slot poisoned") = Some(res);
-            }
-        });
-        let mut out = Vec::with_capacity(ranges.len());
-        for slot in slots {
-            let res = slot
-                .into_inner()
-                // lint:allow(analyzer-panic): same poisoning argument as above
-                .expect("shard slot poisoned")
-                // lint:allow(analyzer-panic): run_shards covers 0..shards, so every slot is claimed
-                .expect("every shard slot claimed");
-            out.push(res?);
-        }
-        Ok(out)
-    }
-
     /// Streams every event through `f` **in trace order** while blocks
     /// decode in parallel on `runner`, all inside one runner scope of
     /// `min(shards, blocks)` tasks (DESIGN.md §14.2):
@@ -412,8 +336,8 @@ impl ShardedTrace {
     }
 
     /// The pids whose image name starts with `prefix` (case-insensitive) —
-    /// the streaming twin of `EtlTrace::pids_by_name`, computed by a
-    /// parallel sweep for `ProcessStart` records.
+    /// the sharded twin of `EtlTrace::pids_by_name`, folding the
+    /// `ProcessStart` records in trace order.
     ///
     /// # Errors
     /// Any block decode error.
@@ -424,21 +348,15 @@ impl ShardedTrace {
         prefix: &str,
     ) -> io::Result<PidSet> {
         let prefix = prefix.to_ascii_lowercase();
-        let per_shard = self.map_block_ranges(runner, shards, |_, range| {
-            let mut pids: Vec<u64> = Vec::new();
-            for b in range {
-                let mut c = self.cursor(b)?;
-                while let Some(ev) = c.next_event()? {
-                    if let TraceEvent::ProcessStart { pid, name, .. } = &ev {
-                        if name.to_ascii_lowercase().starts_with(&prefix) {
-                            pids.push(*pid);
-                        }
-                    }
+        let mut pids = PidSet::new();
+        self.fold_events(runner, shards, |ev| {
+            if let TraceEvent::ProcessStart { pid, name, .. } = ev {
+                if name.to_ascii_lowercase().starts_with(&prefix) {
+                    pids.insert(*pid);
                 }
             }
-            Ok(pids)
         })?;
-        Ok(per_shard.into_iter().flatten().collect())
+        Ok(pids)
     }
 }
 
@@ -604,6 +522,7 @@ mod tests {
     use super::*;
     use crate::event::{ThreadKey, TraceBuilder};
     use crate::setl3::{encode, BLOCK_RECORDS};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn big_trace(n: usize) -> crate::event::EtlTrace {
         let mut b = TraceBuilder::new(4);
@@ -727,33 +646,42 @@ mod tests {
     }
 
     #[test]
-    fn shard_ranges_cover_all_blocks_contiguously() {
-        let trace = big_trace((BLOCK_RECORDS * 5) as usize);
-        let sharded = ShardedTrace::from_bytes(encode(&trace)).unwrap();
-        for shards in 1..=8 {
-            let ranges = sharded.shard_ranges(shards);
-            let mut next = 0;
-            for r in &ranges {
-                assert_eq!(r.start, next);
-                assert!(r.end > r.start);
-                next = r.end;
-            }
-            assert_eq!(next, sharded.n_blocks());
-        }
-    }
-
-    #[test]
     fn pids_by_name_matches_the_materialized_filter() {
-        let trace = big_trace(100);
+        // A second matching process starts in block 2, past the first block
+        // every schedule decodes.
+        let second = (BLOCK_RECORDS * 2 + 10) as usize;
+        let mut b = TraceBuilder::new(4);
+        for i in 0..(BLOCK_RECORDS * 3) as usize {
+            let at = SimTime::from_nanos(i as u64 * 500);
+            b.push(match i {
+                0 => TraceEvent::ProcessStart {
+                    at,
+                    pid: 1,
+                    name: "app.exe".into(),
+                },
+                i if i == second => TraceEvent::ProcessStart {
+                    at,
+                    pid: 2,
+                    name: "App-helper.exe".into(),
+                },
+                _ => TraceEvent::Frame { at, pid: 1 },
+            });
+        }
+        let trace = b.finish(SimTime::ZERO, SimTime::from_nanos(BLOCK_RECORDS * 1500));
         let sharded = ShardedTrace::from_bytes(encode(&trace)).unwrap();
-        assert_eq!(
-            sharded.pids_by_name(&SerialShards, 2, "APP").unwrap(),
-            trace.pids_by_name("APP")
-        );
-        assert_eq!(
-            sharded.pids_by_name(&SerialShards, 2, "other").unwrap(),
-            trace.pids_by_name("other")
-        );
+        assert_eq!(sharded.n_blocks(), 3);
+        assert_eq!(trace.pids_by_name("APP").len(), 2);
+        for (name, runner) in runners() {
+            for shards in [1usize, 2, 3, 4, 7] {
+                for prefix in ["APP", "app-h", "other"] {
+                    assert_eq!(
+                        sharded.pids_by_name(runner, shards, prefix).unwrap(),
+                        trace.pids_by_name(prefix),
+                        "`{prefix}` on the {name} runner at {shards} shards"
+                    );
+                }
+            }
+        }
     }
 
     /// A trace of `blocks` full blocks plus a partial one, exercising every

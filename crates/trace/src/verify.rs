@@ -379,7 +379,9 @@ impl Verifier {
                     (th.cpu.take(), th.wait.take())
                 };
                 if let Some(cpu) = on_cpu {
-                    self.cpus[cpu] = None;
+                    if let Some(slot) = self.cpus.get_mut(cpu) {
+                        *slot = None;
+                    }
                     self.diag(
                         DiagCode::ExitOnCpu,
                         *at,
@@ -421,7 +423,9 @@ impl Verifier {
                         );
                     }
                 }
-                if *cpu >= self.cpus.len() {
+                // The CPU's occupant as the switch proceeds; written back
+                // to `self.cpus` once the switch is done.
+                let Some(&(mut occupant)) = self.cpus.get(*cpu) else {
                     self.diag(
                         DiagCode::CpuIndex,
                         *at,
@@ -432,10 +436,10 @@ impl Verifier {
                         ),
                     );
                     return;
-                }
+                };
                 if let Some(key) = old {
-                    if self.cpus[*cpu] != Some(*key) {
-                        let occ = match self.cpus[*cpu] {
+                    if occupant != Some(*key) {
+                        let occ = match occupant {
                             Some(o) => format!("pid{}/tid{}", o.pid, o.tid),
                             None => "idle".to_string(),
                         };
@@ -446,13 +450,13 @@ impl Verifier {
                             format!("switch-out from cpu {cpu} which was {occ}"),
                         );
                     }
-                    self.cpus[*cpu] = None;
+                    occupant = None;
                     if let Some(th) = self.live_thread(*key, *at) {
                         th.cpu = None;
                     }
                 }
                 if let Some(key) = new {
-                    if let Some(occ) = self.cpus[*cpu] {
+                    if let Some(occ) = occupant {
                         self.diag(
                             DiagCode::CpuConflict,
                             *at,
@@ -488,8 +492,10 @@ impl Verifier {
                             Some(*key),
                             format!("switched in on cpu {cpu} while still on cpu {prev}"),
                         );
-                        if self.cpus[prev] == Some(*key) {
-                            self.cpus[prev] = None;
+                        if let Some(slot) = self.cpus.get_mut(prev) {
+                            if *slot == Some(*key) {
+                                *slot = None;
+                            }
                         }
                     }
                     if let Some((reason, since)) = blocked {
@@ -504,7 +510,10 @@ impl Verifier {
                             ),
                         );
                     }
-                    self.cpus[*cpu] = Some(*key);
+                    occupant = Some(*key);
+                }
+                if let Some(slot) = self.cpus.get_mut(*cpu) {
+                    *slot = occupant;
                 }
             }
             TraceEvent::WaitBegin { at, key, reason } => {

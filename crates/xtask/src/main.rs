@@ -155,10 +155,11 @@ const SELF_TRACE_MAX_PCT: f64 = 5.0;
 /// Minimum speedups the sharded streaming analyzers must hold over their
 /// reference twins, pinned from same-run pairs of the `shard` bench (immune
 /// to baseline drift across machines). The streaming pair is a
-/// conservative floor that holds even on one core — the win there is
-/// skipping event materialization, not parallelism. The seek pair is the
-/// headline: decoding only the index-selected tail blocks beats decoding
-/// the whole stream by well over 5× (~35× measured single-core). The fold
+/// conservative floor: the ordered fold keeps only its window of decoded
+/// blocks alive, never the whole trace, and decodes them on four workers
+/// while it folds. The seek pair is the headline: decoding only the
+/// index-selected tail blocks beats decoding the whole stream by well
+/// over 5× (~35× measured single-core). The fold
 /// pair holds `fold_events` to a parallel gain: at width 2 one worker
 /// folds while the other decodes ahead, where a fold that overlaps nothing
 /// runs at about 1.0× its width-1 time.
