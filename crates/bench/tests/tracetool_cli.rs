@@ -1,8 +1,8 @@
 //! End-to-end CLI tests for `tracetool`: record → verify round trip, the
 //! usage listing, the timeline golden output, the diff exit-code contract
 //! (0 clean / 1 regression / 2 corrupt-or-usage), the refusal of legacy
-//! flat traces and of revision-2 v3 streams, out-of-range arguments, and
-//! exit codes for help / unknown subcommands.
+//! flat traces, of revision-2 v3 streams and of records out of time order,
+//! out-of-range arguments, and exit codes for help / unknown subcommands.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -528,6 +528,101 @@ fn a_corrupt_block_past_the_first_window_exits_2_from_every_analyzer() {
         }
     }
     let _ = std::fs::remove_file(&path);
+}
+
+/// A hash-valid v3 stream of `records` records: app.exe's thread t10 is
+/// switched in on CPU 0 at 100 ns by the second-to-last record, and the
+/// last, a `WaitBegin` at 50 ns, goes back in time. The two records take
+/// their deltas against different reference clocks (CPU 0's and the
+/// global one), so the writer encodes the disorder cleanly. Records in
+/// between are frames at 10 ns.
+fn out_of_order_stream(records: u64) -> Vec<u8> {
+    use etwtrace::{ThreadKey, TraceEvent, WaitReason};
+    use simcore::SimTime;
+    let key = ThreadKey { pid: 1, tid: 10 };
+    let at = SimTime::from_nanos;
+    let mut events = vec![
+        TraceEvent::ProcessStart {
+            at: at(0),
+            pid: 1,
+            name: "app.exe".into(),
+        },
+        TraceEvent::ThreadStart {
+            at: at(0),
+            key,
+            name: "main".into(),
+        },
+    ];
+    while (events.len() as u64) < records - 2 {
+        events.push(TraceEvent::Frame { at: at(10), pid: 1 });
+    }
+    events.push(TraceEvent::CSwitch {
+        at: at(100),
+        cpu: 0,
+        old: None,
+        new: Some(key),
+        ready_since: None,
+    });
+    events.push(TraceEvent::WaitBegin {
+        at: at(50),
+        key,
+        reason: WaitReason::Event { id: 3 },
+    });
+    let mut w = etwtrace::setl3::V3Writer::new(
+        Vec::new(),
+        2,
+        at(0),
+        at(1000),
+        &["app.exe", "main"],
+        records,
+    )
+    .unwrap();
+    for ev in &events {
+        w.push(ev).unwrap();
+    }
+    w.finish().unwrap()
+}
+
+#[test]
+fn records_out_of_time_order_exit_2_from_every_reader() {
+    use etwtrace::setl3::BLOCK_RECORDS;
+    // The disorder inside the one block, and exactly at the first block
+    // seam: the last record of block 0 and the only record of block 1.
+    for (name, records, blocks) in [("in-block", 5, 1), ("at-seam", BLOCK_RECORDS + 1, 2)] {
+        let bytes = out_of_order_stream(records);
+        let sharded = etwtrace::ShardedTrace::from_bytes(bytes.clone()).unwrap();
+        assert_eq!(sharded.n_blocks(), blocks, "{name}");
+        let path = tmp(&format!("out-of-order-{name}.etl"));
+        parastat::store::atomic_write(&path, &bytes).unwrap();
+        let file = path.to_str().unwrap();
+        for shards in [None, Some("1"), Some("2")] {
+            for (sub, prefix) in [
+                ("info", None),
+                ("verify", None),
+                ("tlp", Some("app")),
+                ("latency", Some("app")),
+                ("bottlenecks", Some("app")),
+                ("critical-path", Some("app")),
+                ("timeline", None),
+            ] {
+                let mut argv = Vec::new();
+                if let Some(n) = shards {
+                    argv.extend(["--analyzer-shards", n]);
+                }
+                argv.extend([sub, file]);
+                argv.extend(prefix);
+                let out = tracetool(&argv);
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert_eq!(out.status.code(), Some(2), "{name} {argv:?}: {out:?}");
+                assert!(
+                    stderr.contains("trace records out of time order"),
+                    "{name} {argv:?}: {stderr}"
+                );
+                assert!(!stderr.contains("panicked"), "{name} {argv:?}: {stderr}");
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 #[test]

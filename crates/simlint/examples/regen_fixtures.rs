@@ -10,7 +10,6 @@
 //! after changing a rule's message, severity, or detection logic, then
 //! review the golden diff like any other code change.
 
-use simlint::baseline::Baseline;
 use simlint::{lint_files, FileInput};
 use std::path::Path;
 
@@ -28,7 +27,7 @@ fn main() {
     for dir in dirs {
         let code = dir.file_name().unwrap().to_string_lossy().to_string();
         let bad = load_fixture(&dir.join("bad.rs"));
-        let report = lint_files(&[bad], &Baseline::default());
+        let report = lint_files(&[bad]);
         let out = golden.join(format!("{code}.json"));
         // lint:allow(fs-write): goldens are whole-file dev artifacts,
         // rewritten by this explicit maintenance command and reviewed as a

@@ -42,8 +42,8 @@ pub struct Diagnostic {
     pub message: String,
     /// How to fix it (or how to sanction it with an annotation).
     pub suggestion: String,
-    /// The trimmed source line the finding sits on; baseline entries match
-    /// on this text so they survive unrelated line drift.
+    /// The trimmed source line the finding sits on, printed beside the
+    /// location so a report reads without the source at hand.
     pub context: String,
 }
 

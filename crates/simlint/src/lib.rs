@@ -9,26 +9,20 @@
 //! severity, exact `file:line:col`, message and suggestion; [`diag`] also
 //! renders the machine-readable `--json` report.
 //!
-//! Suppression has two layers:
-//!
-//! * **inline allows** — `// lint:allow(rule): reason` on the finding's
-//!   line or in the comment block directly above it. The rule may be named
-//!   by code (`L-CLOCK`) or name (`wall-clock`); an allow **without a
-//!   stated reason does not suppress** — the reason is the documentation
-//!   the annotation exists to carry.
-//! * **the committed baseline** — `lint.baseline.json` grandfathers
-//!   historical debt by `(rule, file, context-line)` so new code is gated
-//!   strictly while old findings don't block CI. See [`baseline`].
+//! Suppression has one tier: an inline allow, `// lint:allow(rule):
+//! reason`, on the finding's line or in the comment block directly above
+//! it. The rule may be named by code (`L-CLOCK`) or name (`wall-clock`);
+//! an allow **without a stated reason does not suppress** — the reason is
+//! the documentation the annotation exists to carry. Every other finding
+//! gates.
 //!
 //! `cargo run -p xtask -- lint` is the CLI; this crate is the engine.
 
-pub mod baseline;
 pub mod diag;
 pub mod lexer;
 pub mod rules;
 pub mod scope;
 
-use baseline::Baseline;
 use diag::Diagnostic;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -44,15 +38,11 @@ pub struct FileInput {
 
 /// The outcome of linting a file set.
 pub struct Report {
-    /// Gating findings: not allowed inline, not in the baseline. Sorted by
-    /// `(file, line, col, rule)`.
+    /// Gating findings: every finding no reasoned inline allow suppresses.
+    /// Sorted by `(file, line, col, rule)`.
     pub findings: Vec<Diagnostic>,
-    /// Findings absorbed by the committed baseline.
-    pub grandfathered: Vec<Diagnostic>,
     /// Findings suppressed by a reasoned inline `lint:allow`.
     pub allowed: usize,
-    /// Baseline entries that matched nothing (fixed debt worth pruning).
-    pub stale_baseline: usize,
     /// Number of files linted.
     pub files: usize,
 }
@@ -71,17 +61,13 @@ impl Report {
                 ("files", self.files),
                 ("gating", self.findings.len()),
                 ("allowed", self.allowed),
-                ("grandfathered", self.grandfathered.len()),
-                ("stale_baseline", self.stale_baseline),
             ],
         )
     }
 }
 
-/// Lints a file set against the full rule catalog and a baseline.
-///
-/// Pass [`Baseline::default`] for strict mode (nothing grandfathered).
-pub fn lint_files(files: &[FileInput], baseline: &Baseline) -> Report {
+/// Lints a file set against the full rule catalog.
+pub fn lint_files(files: &[FileInput]) -> Report {
     let mut rules = rules::catalog();
     let mut raw: Vec<Diagnostic> = Vec::new();
     // file → list of (code-line, rule-name-or-code) suppressions derived
@@ -131,12 +117,9 @@ pub fn lint_files(files: &[FileInput], baseline: &Baseline) -> Report {
         }
     }
     diag::sort(&mut kept);
-    let part = baseline.partition(kept);
     Report {
-        findings: part.new,
-        grandfathered: part.grandfathered,
+        findings: kept,
         allowed,
-        stale_baseline: part.stale,
         files: files.len(),
     }
 }
@@ -187,19 +170,10 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Lints the whole workspace rooted at `root`, loading `lint.baseline.json`
-/// from the root when present.
+/// Lints the whole workspace rooted at `root`.
 pub fn lint_workspace(root: &Path) -> Result<Report, String> {
-    let baseline_path = root.join("lint.baseline.json");
-    let baseline = if baseline_path.is_file() {
-        let text = std::fs::read_to_string(&baseline_path)
-            .map_err(|e| format!("reading {}: {e}", baseline_path.display()))?;
-        Baseline::parse(&text).map_err(|e| format!("parsing {}: {e}", baseline_path.display()))?
-    } else {
-        Baseline::default()
-    };
     let files = collect_workspace_files(root).map_err(|e| format!("walking workspace: {e}"))?;
-    Ok(lint_files(&files, &baseline))
+    Ok(lint_files(&files))
 }
 
 #[cfg(test)]
@@ -219,7 +193,7 @@ mod tests {
             "crates/x/src/lib.rs",
             "fn f() { let t = Instant::now(); }\n",
         );
-        let r = lint_files(&[bad], &Baseline::default());
+        let r = lint_files(&[bad]);
         assert_eq!(r.findings.len(), 1);
         assert_eq!(r.findings[0].rule, "L-CLOCK");
         assert!(!r.is_clean());
@@ -228,7 +202,7 @@ mod tests {
             "crates/x/src/lib.rs",
             "fn f() { let t = Instant::now(); } // lint:allow(wall-clock): profiling probe\n",
         );
-        let r = lint_files(&[allowed], &Baseline::default());
+        let r = lint_files(&[allowed]);
         assert!(r.is_clean(), "{:?}", r.findings);
         assert_eq!(r.allowed, 1);
     }
@@ -239,7 +213,7 @@ mod tests {
 // The export path writes whole files on purpose.
 // lint:allow(L-FSWRITE): final artifact export
 fn export() { std::fs::write(p, b); }\n";
-        let r = lint_files(&[input("crates/x/src/lib.rs", src)], &Baseline::default());
+        let r = lint_files(&[input("crates/x/src/lib.rs", src)]);
         assert!(r.is_clean(), "{:?}", r.findings);
         assert_eq!(r.allowed, 1);
     }
@@ -247,7 +221,7 @@ fn export() { std::fs::write(p, b); }\n";
     #[test]
     fn an_allow_without_a_reason_does_not_suppress() {
         let src = "fn f() { let t = Instant::now(); } // lint:allow(wall-clock)\n";
-        let r = lint_files(&[input("crates/x/src/lib.rs", src)], &Baseline::default());
+        let r = lint_files(&[input("crates/x/src/lib.rs", src)]);
         assert_eq!(r.findings.len(), 1);
         assert_eq!(r.allowed, 0);
     }
@@ -255,25 +229,8 @@ fn export() { std::fs::write(p, b); }\n";
     #[test]
     fn an_allow_for_a_different_rule_does_not_suppress() {
         let src = "fn f() { let t = Instant::now(); } // lint:allow(env-read): wrong rule\n";
-        let r = lint_files(&[input("crates/x/src/lib.rs", src)], &Baseline::default());
+        let r = lint_files(&[input("crates/x/src/lib.rs", src)]);
         assert_eq!(r.findings.len(), 1);
-    }
-
-    #[test]
-    fn the_baseline_grandfathers_matching_context() {
-        let src = "fn f() { let t = Instant::now(); }\n";
-        let first = lint_files(&[input("crates/x/src/lib.rs", src)], &Baseline::default());
-        let baseline = Baseline::parse(&Baseline::render(&first.findings)).unwrap();
-        // Same hazard shifted two lines down: still grandfathered.
-        let drifted = format!("\n\n{src}");
-        let r = lint_files(&[input("crates/x/src/lib.rs", &drifted)], &baseline);
-        assert!(r.is_clean(), "{:?}", r.findings);
-        assert_eq!(r.grandfathered.len(), 1);
-        assert_eq!(r.stale_baseline, 0);
-        // A clean file leaves the entry stale.
-        let r = lint_files(&[input("crates/x/src/lib.rs", "fn f() {}\n")], &baseline);
-        assert!(r.is_clean());
-        assert_eq!(r.stale_baseline, 1);
     }
 
     #[test]
@@ -286,7 +243,7 @@ fn export() { std::fs::write(p, b); }\n";
             "crates/a/src/lib.rs",
             "fn f() { std::thread::sleep(d); let t = SystemTime::now(); }\n",
         );
-        let r = lint_files(&[a, b], &Baseline::default());
+        let r = lint_files(&[a, b]);
         assert_eq!(r.findings.len(), 3);
         assert!(r.findings[0].file <= r.findings[1].file);
         assert!(r.findings[1].file <= r.findings[2].file);
@@ -310,7 +267,7 @@ fn export() { std::fs::write(p, b); }\n";
              static B: Mutex<u32> = Mutex::new(0);\n\
              fn ba() { let y = B.lock().unwrap(); let x = A.lock().unwrap(); }\n",
         );
-        let r = lint_files(&[a, b], &Baseline::default());
+        let r = lint_files(&[a, b]);
         // The annotated edge is suppressed; the opposite edge still gates.
         assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
         assert_eq!(r.findings[0].file, "crates/x/src/b.rs");

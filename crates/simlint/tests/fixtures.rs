@@ -11,7 +11,6 @@
 //! goldens with `cargo run -p simlint --example regen_fixtures` and review
 //! the diff.
 
-use simlint::baseline::Baseline;
 use simlint::{lint_files, rules, FileInput};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -75,7 +74,7 @@ fn every_rule_has_a_fixture_pair() {
 fn bad_fixtures_reproduce_their_golden_reports() {
     for dir in fixture_dirs() {
         let code = dir.file_name().unwrap().to_string_lossy().to_string();
-        let report = lint_files(&[load_fixture(&dir.join("bad.rs"))], &Baseline::default());
+        let report = lint_files(&[load_fixture(&dir.join("bad.rs"))]);
         assert!(
             !report.findings.is_empty(),
             "{code}/bad.rs produced no findings"
@@ -105,7 +104,7 @@ fn bad_fixtures_reproduce_their_golden_reports() {
 fn good_fixtures_are_completely_clean() {
     for dir in fixture_dirs() {
         let code = dir.file_name().unwrap().to_string_lossy().to_string();
-        let report = lint_files(&[load_fixture(&dir.join("good.rs"))], &Baseline::default());
+        let report = lint_files(&[load_fixture(&dir.join("good.rs"))]);
         assert!(
             report.is_clean(),
             "{code}/good.rs must lint clean, got: {:#?}",

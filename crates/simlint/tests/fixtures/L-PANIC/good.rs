@@ -11,6 +11,19 @@ fn step(slots: &[u64], cursor: Option<usize>) -> u64 {
     val.max(same)
 }
 
+// A keyword before `[` opens a pattern, a type or an array expression,
+// never an index.
+fn shapes(w: [u64; 4], xs: &mut [u8]) -> [u64; 2] {
+    let [a, b, ..] = w;
+    for x in [a, b] {
+        xs.fill(x as u8);
+    }
+    return [a, b];
+}
+
+trait Width {}
+impl Width for [u8] {}
+
 #[cfg(test)]
 mod tests {
     #[test]

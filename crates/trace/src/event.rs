@@ -324,17 +324,17 @@ impl TraceBuilder {
     }
 
     /// Appends an event read from a trace file. A file is untrusted input,
-    /// so where [`TraceBuilder::push`] panics this returns `InvalidData`,
-    /// and so does a context switch on a CPU past the builder's count
-    /// (analyzers size their per-CPU state from it).
+    /// so a context switch on a CPU past the builder's count (analyzers
+    /// size their per-CPU state from it) is `InvalidData`. Time order is
+    /// not checked here: the record decoder has already refused a record
+    /// that precedes the one before it.
     pub(crate) fn push_decoded(&mut self, event: TraceEvent) -> std::io::Result<()> {
-        let bad = |msg| Err(std::io::Error::new(std::io::ErrorKind::InvalidData, msg));
-        if event.at() < self.last_at {
-            return bad("trace records out of time order");
-        }
         if let TraceEvent::CSwitch { cpu, .. } = event {
             if cpu >= self.n_logical_cpus {
-                return bad("context switch on a CPU past the header's count");
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "context switch on a CPU past the header's count",
+                ));
             }
         }
         self.last_at = event.at();

@@ -104,15 +104,17 @@ fn clock_join(into: &mut Clock, other: &Clock) {
     if into.len() < other.len() {
         into.resize(other.len(), 0);
     }
-    for (i, &v) in other.iter().enumerate() {
-        into[i] = into[i].max(v);
+    for (mine, &v) in into.iter_mut().zip(other) {
+        *mine = (*mine).max(v);
     }
 }
 
 /// Per-thread analysis state.
 #[derive(Debug, Default)]
 struct Th {
+    /// Dense index: this thread's component in every vector clock.
     idx: usize,
+    clock: Clock,
     exited: bool,
     /// Open blocking wait, if any.
     wait: Option<(WaitReason, SimTime)>,
@@ -122,10 +124,30 @@ struct Th {
     storm_reported: bool,
 }
 
+/// `key`'s state, given the next dense index on first sight.
+fn thread(threads: &mut BTreeMap<ThreadKey, Th>, key: ThreadKey) -> &mut Th {
+    let next = threads.len();
+    threads.entry(key).or_insert_with(|| Th {
+        idx: next,
+        ..Th::default()
+    })
+}
+
+/// Ticks `key`'s own clock component (it performed an observable step).
+fn tick(threads: &mut BTreeMap<ThreadKey, Th>, key: ThreadKey) -> &mut Th {
+    let th = thread(threads, key);
+    if th.clock.len() <= th.idx {
+        th.clock.resize(th.idx + 1, 0);
+    }
+    if let Some(own) = th.clock.get_mut(th.idx) {
+        *own += 1;
+    }
+    th
+}
+
 struct Analyzer {
     opts: HbOptions,
     threads: BTreeMap<ThreadKey, Th>,
-    clocks: Vec<Clock>,
     /// Clock snapshot taken at each packet's submission.
     packet_clocks: BTreeMap<(u64, u64), Clock>,
     /// Packet lifecycle progress (`submitted or started`, `ended`).
@@ -138,35 +160,10 @@ struct Analyzer {
 }
 
 impl Analyzer {
-    /// The dense index of `key`, allocating its clock on first sight.
-    fn idx(&mut self, key: ThreadKey) -> usize {
-        let next = self.threads.len();
-        let th = self.threads.entry(key).or_insert_with(|| Th {
-            idx: next,
-            ..Th::default()
-        });
-        let idx = th.idx;
-        if idx == next {
-            self.clocks.push(Clock::new());
-        }
-        idx
-    }
-
-    /// Ticks `key`'s own clock component (it performed an observable step).
-    fn tick(&mut self, key: ThreadKey) -> usize {
-        let idx = self.idx(key);
-        if self.clocks[idx].len() <= idx {
-            self.clocks[idx].resize(idx + 1, 0);
-        }
-        self.clocks[idx][idx] += 1;
-        idx
-    }
-
     fn new(opts: &HbOptions) -> Analyzer {
         Analyzer {
             opts: *opts,
             threads: BTreeMap::new(),
-            clocks: Vec::new(),
             packet_clocks: BTreeMap::new(),
             packets: BTreeMap::new(),
             parked: BTreeMap::new(),
@@ -181,45 +178,36 @@ impl Analyzer {
         let a = self;
         match ev {
             TraceEvent::ThreadStart { key, .. } => {
-                a.tick(*key);
+                tick(&mut a.threads, *key);
             }
             TraceEvent::ThreadEnd { key, .. } => {
-                a.tick(*key);
-                // lint:allow(analyzer-panic): tick() above inserts the entry
-                let th = a.threads.get_mut(key).expect("ticked");
+                let th = tick(&mut a.threads, *key);
                 th.exited = true;
                 th.wait = None;
             }
             TraceEvent::CSwitch { new, .. } => {
                 if let Some(key) = new {
-                    a.tick(*key);
-                    // lint:allow(analyzer-panic): tick() above inserts the entry
-                    let th = a.threads.get_mut(key).expect("ticked");
                     // Dispatch closes a runnable wait; a blocking wait here
                     // is a stream defect verify reports — recover silently.
-                    th.wait = None;
+                    tick(&mut a.threads, *key).wait = None;
                 }
             }
             TraceEvent::WaitBegin { at, key, reason } => {
-                let idx = a.tick(*key);
+                let th = tick(&mut a.threads, *key);
                 if !reason.is_runnable() {
-                    // lint:allow(analyzer-panic): tick() above inserts the entry
-                    a.threads.get_mut(key).expect("ticked").wait = Some((*reason, *at));
+                    th.wait = Some((*reason, *at));
                 }
                 if let Some(id) = reason.event_id() {
-                    let snapshot = a.clocks[idx].clone();
                     a.parked
                         .entry(id)
                         .or_default()
-                        .insert(*key, (*at, snapshot));
+                        .insert(*key, (*at, th.clock.clone()));
                 }
                 match *reason {
                     WaitReason::Yield => {
-                        let gap_ok = a.threads[key]
+                        let gap_ok = th
                             .last_yield
                             .is_some_and(|t| *at - t <= a.opts.yield_storm_gap);
-                        // lint:allow(analyzer-panic): tick() above inserts the entry
-                        let th = a.threads.get_mut(key).expect("ticked");
                         th.yields = if gap_ok { th.yields + 1 } else { 1 };
                         th.last_yield = Some(*at);
                         let storm = th.yields >= a.opts.yield_storm_min && !th.storm_reported;
@@ -241,8 +229,6 @@ impl Analyzer {
                     }
                     WaitReason::Sleep | WaitReason::Event { .. } | WaitReason::Gpu { .. } => {
                         // A genuine block ends the spin run.
-                        // lint:allow(analyzer-panic): tick() above inserts the entry
-                        let th = a.threads.get_mut(key).expect("ticked");
                         th.yields = 0;
                         th.last_yield = None;
                         th.storm_reported = false;
@@ -256,26 +242,28 @@ impl Analyzer {
                 reason,
                 waker,
             } => {
-                let idx = a.tick(*key);
-                // lint:allow(analyzer-panic): tick() above inserts the entry
-                a.threads.get_mut(key).expect("ticked").wait = None;
+                let th = tick(&mut a.threads, *key);
+                th.wait = None;
+                if let Some((gpu, packet)) = reason.gpu_packet() {
+                    if let Some(pc) = a.packet_clocks.get(&(gpu as u64, packet)) {
+                        clock_join(&mut th.clock, pc);
+                        a.n_gpu_edges += 1;
+                    }
+                }
                 if let Some(id) = reason.event_id() {
                     // FIFO overtake check: someone parked strictly earlier
                     // on the same event is still parked while we wake.
                     let my_park = a.parked.get(&id).and_then(|m| m.get(key)).map(|p| p.0);
-                    let overtaken: Option<(ThreadKey, SimTime, Clock)> = my_park.and_then(|mine| {
-                        a.parked.get(&id).and_then(|m| {
-                            m.iter()
-                                .filter(|(k, (t, _))| **k != *key && *t < mine)
-                                .map(|(k, (t, c))| (*k, *t, c.clone()))
-                                .next()
-                        })
+                    let overtaken = my_park.and_then(|mine| {
+                        a.parked
+                            .get(&id)?
+                            .iter()
+                            .find(|(k, (t, _))| **k != *key && *t < mine)
                     });
-                    if let Some((other, since, park_clock)) = overtaken {
+                    if let Some((other, (since, park_clock))) = overtaken {
                         let (severity, grade) = match waker {
                             Some(w) => {
-                                let widx = a.idx(*w);
-                                if clock_le(&park_clock, &a.clocks[widx]) {
+                                if clock_le(park_clock, &thread(&mut a.threads, *w).clock) {
                                     (
                                         Severity::Error,
                                         "the park happens-before the signal (lost wakeup)",
@@ -290,7 +278,7 @@ impl Analyzer {
                             code: DiagCode::LostWakeup,
                             severity,
                             at: *at,
-                            thread: Some(other),
+                            thread: Some(*other),
                             message: format!(
                                 "signal on event {id} woke pid{}/tid{} past pid{}/tid{} \
                                  parked since {}ns; {grade}",
@@ -306,25 +294,17 @@ impl Analyzer {
                         m.remove(key);
                     }
                     if let Some(w) = waker {
-                        let widx = a.idx(*w);
-                        let wclock = a.clocks[widx].clone();
-                        clock_join(&mut a.clocks[idx], &wclock);
+                        let wclock = thread(&mut a.threads, *w).clock.clone();
+                        clock_join(&mut thread(&mut a.threads, *key).clock, &wclock);
                         a.n_wake_edges += 1;
-                    }
-                }
-                if let Some((gpu, packet)) = reason.gpu_packet() {
-                    if let Some(pc) = a.packet_clocks.get(&(gpu as u64, packet)).cloned() {
-                        clock_join(&mut a.clocks[idx], &pc);
-                        a.n_gpu_edges += 1;
                     }
                 }
             }
             TraceEvent::GpuSubmit {
                 key, gpu, packet, ..
             } => {
-                let idx = a.tick(*key);
-                a.packet_clocks
-                    .insert((*gpu as u64, *packet), a.clocks[idx].clone());
+                let clock = tick(&mut a.threads, *key).clock.clone();
+                a.packet_clocks.insert((*gpu as u64, *packet), clock);
                 a.packets.entry((*gpu as u64, *packet)).or_default().0 = true;
             }
             TraceEvent::GpuStart { gpu, packet, .. } => {
@@ -441,7 +421,11 @@ mod tests {
         SimTime::from_nanos(t * 1_000_000)
     }
 
-    fn header(b: &mut TraceBuilder, tids: &[u64]) {
+    const EVENT3: WaitReason = WaitReason::Event { id: 3 };
+
+    /// A builder holding one process with threads `tids`, all started at 0.
+    fn threads(tids: &[u64]) -> TraceBuilder {
+        let mut b = TraceBuilder::new(2);
         b.push(TraceEvent::ProcessStart {
             at: ms(0),
             pid: 1,
@@ -454,154 +438,142 @@ mod tests {
                 name: format!("t{tid}"),
             });
         }
+        b
+    }
+
+    fn park(b: &mut TraceBuilder, at: SimTime, tid: u64, reason: WaitReason) {
+        b.push(TraceEvent::WaitBegin {
+            at,
+            key: key(tid),
+            reason,
+        });
+    }
+
+    fn wake(b: &mut TraceBuilder, at: SimTime, tid: u64, reason: WaitReason, waker: Option<u64>) {
+        b.push(TraceEvent::WaitEnd {
+            at,
+            key: key(tid),
+            reason,
+            waker: waker.map(key),
+        });
+    }
+
+    /// Analyzes `b` over a 0–10 ms window.
+    fn run(b: TraceBuilder) -> HbReport {
+        analyze(&b.finish(ms(0), ms(10)), &HbOptions::default())
+    }
+
+    /// The report's one finding with `code`.
+    fn only(r: &HbReport, code: DiagCode) -> &Diagnostic {
+        let hits: Vec<_> = r.findings.iter().filter(|d| d.code == code).collect();
+        assert_eq!(hits.len(), 1, "{}", r.render());
+        hits[0]
     }
 
     #[test]
     fn signal_chain_is_clean() {
-        let mut b = TraceBuilder::new(2);
-        header(&mut b, &[0, 1]);
-        b.push(TraceEvent::WaitBegin {
-            at: ms(0),
-            key: key(1),
-            reason: WaitReason::Event { id: 3 },
-        });
-        b.push(TraceEvent::WaitEnd {
-            at: ms(5),
-            key: key(1),
-            reason: WaitReason::Event { id: 3 },
-            waker: Some(key(0)),
-        });
-        b.push(TraceEvent::ThreadEnd {
-            at: ms(9),
-            key: key(0),
-        });
-        b.push(TraceEvent::ThreadEnd {
-            at: ms(9),
-            key: key(1),
-        });
-        let r = analyze(&b.finish(ms(0), ms(10)), &HbOptions::default());
+        let mut b = threads(&[0, 1]);
+        park(&mut b, ms(0), 1, EVENT3);
+        wake(&mut b, ms(5), 1, EVENT3, Some(0));
+        for tid in [0, 1] {
+            b.push(TraceEvent::ThreadEnd {
+                at: ms(9),
+                key: key(tid),
+            });
+        }
+        let r = run(b);
         assert!(r.is_clean(), "{}", r.render());
         assert_eq!(r.n_wake_edges, 1);
     }
 
     #[test]
     fn all_blocked_on_unsignalled_event_is_deadlock() {
-        let mut b = TraceBuilder::new(2);
-        header(&mut b, &[0, 1]);
-        b.push(TraceEvent::WaitBegin {
-            at: ms(1),
-            key: key(0),
-            reason: WaitReason::Event { id: 3 },
-        });
-        b.push(TraceEvent::WaitBegin {
-            at: ms(2),
-            key: key(1),
-            reason: WaitReason::Event { id: 4 },
-        });
-        let r = analyze(&b.finish(ms(0), ms(10)), &HbOptions::default());
-        let deadlocks: Vec<_> = r
-            .findings
-            .iter()
-            .filter(|d| d.code == DiagCode::Deadlock)
-            .collect();
-        assert_eq!(deadlocks.len(), 2, "{}", r.render());
+        let mut b = threads(&[0, 1]);
+        park(&mut b, ms(1), 0, EVENT3);
+        park(&mut b, ms(2), 1, WaitReason::Event { id: 4 });
+        let r = run(b);
+        let deadlocks = r.findings.iter().filter(|d| d.code == DiagCode::Deadlock);
+        assert_eq!(deadlocks.count(), 2, "{}", r.render());
     }
 
     #[test]
     fn sleeper_suppresses_deadlock() {
         // One thread asleep: its timer will fire, so the event waiter might
         // still be signalled — no finding.
-        let mut b = TraceBuilder::new(2);
-        header(&mut b, &[0, 1]);
-        b.push(TraceEvent::WaitBegin {
-            at: ms(1),
-            key: key(0),
-            reason: WaitReason::Event { id: 3 },
-        });
-        b.push(TraceEvent::WaitBegin {
-            at: ms(2),
-            key: key(1),
-            reason: WaitReason::Sleep,
-        });
-        let r = analyze(&b.finish(ms(0), ms(10)), &HbOptions::default());
+        let mut b = threads(&[0, 1]);
+        park(&mut b, ms(1), 0, EVENT3);
+        park(&mut b, ms(2), 1, WaitReason::Sleep);
+        let r = run(b);
         assert!(r.is_clean(), "{}", r.render());
+    }
+
+    /// t1 parks on event 3 at 1 ms, t2 parks at 2 ms; the signal from
+    /// `waker` wakes t2 while t1 is still parked — an overtake the
+    /// machine's FIFO semaphores can never produce.
+    fn overtake(waker: Option<u64>) -> HbReport {
+        let mut b = threads(&[0, 1, 2]);
+        park(&mut b, ms(1), 1, EVENT3);
+        park(&mut b, ms(2), 2, EVENT3);
+        wake(&mut b, ms(5), 2, EVENT3, waker);
+        run(b)
     }
 
     #[test]
     fn fifo_overtake_is_lost_wakeup() {
-        // t1 parks on event 3 at 1 ms, t2 parks at 2 ms; the signal wakes
-        // t2 while t1 is still parked — an overtake the machine's FIFO
-        // semaphores can never produce.
-        let mut b = TraceBuilder::new(2);
-        header(&mut b, &[0, 1, 2]);
-        b.push(TraceEvent::WaitBegin {
-            at: ms(1),
-            key: key(1),
-            reason: WaitReason::Event { id: 3 },
-        });
-        b.push(TraceEvent::WaitBegin {
-            at: ms(2),
-            key: key(2),
-            reason: WaitReason::Event { id: 3 },
-        });
-        b.push(TraceEvent::WaitEnd {
-            at: ms(5),
-            key: key(2),
-            reason: WaitReason::Event { id: 3 },
-            waker: Some(key(0)),
-        });
-        let r = analyze(&b.finish(ms(0), ms(10)), &HbOptions::default());
-        let lost: Vec<_> = r
-            .findings
-            .iter()
-            .filter(|d| d.code == DiagCode::LostWakeup)
-            .collect();
-        assert_eq!(lost.len(), 1, "{}", r.render());
-        assert_eq!(lost[0].thread, Some(key(1)));
+        let r = overtake(Some(0));
+        let lost = only(&r, DiagCode::LostWakeup);
+        assert_eq!(lost.thread, Some(key(1)));
+        // t0 never observed t1's park: the park and the signal are
+        // concurrent.
+        assert_eq!(lost.severity, Severity::Warning, "{}", r.render());
+        assert!(lost.message.contains("concurrent"), "{}", r.render());
+    }
+
+    #[test]
+    fn an_overtake_signalled_from_outside_the_trace_is_a_warning() {
+        let r = overtake(None);
+        let lost = only(&r, DiagCode::LostWakeup);
+        assert_eq!(lost.thread, Some(key(1)));
+        assert_eq!(lost.severity, Severity::Warning, "{}", r.render());
+        assert!(lost.message.contains("outside the trace"), "{}", r.render());
     }
 
     #[test]
     fn ordered_overtake_grades_as_error() {
         // The waker observes t1's park through a wake edge before
         // signalling past it: the park happens-before the signal.
-        let mut b = TraceBuilder::new(2);
-        header(&mut b, &[0, 1, 2]);
-        b.push(TraceEvent::WaitBegin {
-            at: ms(1),
-            key: key(1),
-            reason: WaitReason::Event { id: 3 },
-        });
+        let mut b = threads(&[0, 1, 2]);
+        park(&mut b, ms(1), 1, EVENT3);
         // t1's (post-park) clock flows to t0 via an unrelated event wake.
-        b.push(TraceEvent::WaitBegin {
+        park(&mut b, ms(2), 0, WaitReason::Event { id: 9 });
+        wake(&mut b, ms(3), 0, WaitReason::Event { id: 9 }, Some(1));
+        park(&mut b, ms(4), 2, EVENT3);
+        wake(&mut b, ms(5), 2, EVENT3, Some(0));
+        let r = run(b);
+        assert_eq!(only(&r, DiagCode::LostWakeup).severity, Severity::Error);
+    }
+
+    #[test]
+    fn a_gpu_completion_carries_the_submitters_clock() {
+        // t1 parks on event 3, then submits packet 7. t0 learns of t1's
+        // park only through that packet's completion wake, so its later
+        // signal past t1 is ordered after the park.
+        let packet7 = WaitReason::Gpu { gpu: 0, packet: 7 };
+        let mut b = threads(&[0, 1, 2]);
+        park(&mut b, ms(1), 1, EVENT3);
+        b.push(TraceEvent::GpuSubmit {
             at: ms(2),
-            key: key(0),
-            reason: WaitReason::Event { id: 9 },
+            key: key(1),
+            gpu: 0,
+            packet: 7,
         });
-        b.push(TraceEvent::WaitEnd {
-            at: ms(3),
-            key: key(0),
-            reason: WaitReason::Event { id: 9 },
-            waker: Some(key(1)),
-        });
-        b.push(TraceEvent::WaitBegin {
-            at: ms(4),
-            key: key(2),
-            reason: WaitReason::Event { id: 3 },
-        });
-        b.push(TraceEvent::WaitEnd {
-            at: ms(5),
-            key: key(2),
-            reason: WaitReason::Event { id: 3 },
-            waker: Some(key(0)),
-        });
-        let r = analyze(&b.finish(ms(0), ms(10)), &HbOptions::default());
-        let lost: Vec<_> = r
-            .findings
-            .iter()
-            .filter(|d| d.code == DiagCode::LostWakeup)
-            .collect();
-        assert_eq!(lost.len(), 1, "{}", r.render());
-        assert_eq!(lost[0].severity, Severity::Error, "{}", r.render());
+        park(&mut b, ms(2), 0, packet7);
+        wake(&mut b, ms(3), 0, packet7, None);
+        park(&mut b, ms(4), 2, EVENT3);
+        wake(&mut b, ms(5), 2, EVENT3, Some(0));
+        let r = run(b);
+        assert_eq!(r.n_gpu_edges, 1, "{}", r.render());
+        assert_eq!(only(&r, DiagCode::LostWakeup).severity, Severity::Error);
     }
 
     #[test]
@@ -610,37 +582,26 @@ mod tests {
             yield_storm_min: 4,
             yield_storm_gap: SimDuration::from_millis(1),
         };
-        let mut b = TraceBuilder::new(1);
-        header(&mut b, &[0]);
+        let mut b = threads(&[0]);
         for i in 0..8u64 {
-            b.push(TraceEvent::WaitBegin {
-                at: SimTime::from_nanos(i * 100_000),
-                key: key(0),
-                reason: WaitReason::Yield,
-            });
-            b.push(TraceEvent::CSwitch {
-                at: SimTime::from_nanos(i * 100_000 + 1),
-                cpu: 0,
-                old: None,
-                new: Some(key(0)),
-                ready_since: None,
-            });
-            b.push(TraceEvent::CSwitch {
-                at: SimTime::from_nanos(i * 100_000 + 2),
-                cpu: 0,
-                old: Some(key(0)),
-                new: None,
-                ready_since: None,
-            });
+            park(
+                &mut b,
+                SimTime::from_nanos(i * 100_000),
+                0,
+                WaitReason::Yield,
+            );
+            for (dt, old, new) in [(1, None, Some(key(0))), (2, Some(key(0)), None)] {
+                b.push(TraceEvent::CSwitch {
+                    at: SimTime::from_nanos(i * 100_000 + dt),
+                    cpu: 0,
+                    old,
+                    new,
+                    ready_since: None,
+                });
+            }
         }
         let r = analyze(&b.finish(ms(0), ms(10)), &opts);
-        let storms: Vec<_> = r
-            .findings
-            .iter()
-            .filter(|d| d.code == DiagCode::YieldStorm)
-            .collect();
-        assert_eq!(storms.len(), 1, "{}", r.render());
-        assert_eq!(storms[0].severity, Severity::Warning);
+        assert_eq!(only(&r, DiagCode::YieldStorm).severity, Severity::Warning);
     }
 
     #[test]
@@ -649,14 +610,9 @@ mod tests {
             yield_storm_min: 4,
             yield_storm_gap: SimDuration::from_millis(1),
         };
-        let mut b = TraceBuilder::new(1);
-        header(&mut b, &[0]);
+        let mut b = threads(&[0]);
         for i in 0..16u64 {
-            b.push(TraceEvent::WaitBegin {
-                at: ms(i * 5),
-                key: key(0),
-                reason: WaitReason::Yield,
-            });
+            park(&mut b, ms(i * 5), 0, WaitReason::Yield);
         }
         let r = analyze(&b.finish(ms(0), ms(100)), &opts);
         assert!(r.is_clean(), "{}", r.render());

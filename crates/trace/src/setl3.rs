@@ -594,6 +594,7 @@ where
     F: FnMut(TraceEvent) -> io::Result<()>,
 {
     let mut file_hash = index.header_hash;
+    let mut last_at = 0;
     for m in &index.blocks {
         let block = bytes
             .get(m.offset..m.offset + m.len)
@@ -608,10 +609,12 @@ where
             index.n_logical,
             m.clocks.clone(),
             m.records,
+            last_at,
         );
         while let Some(ev) = cursor.next_event()? {
             f(ev)?;
         }
+        last_at = cursor.last_at();
     }
     let trailer_at = bytes.len().saturating_sub(8);
     let tail = bytes
@@ -691,11 +694,23 @@ fn encode_at(out: &mut Vec<u8>, at: SimTime, cpu: Option<usize>, clocks: &mut Cl
     put_uv(out, delta);
 }
 
-fn decode_at<R: Read>(r: &mut R, cpu: Option<usize>, clocks: &mut Clocks) -> io::Result<SimTime> {
+/// Decodes a record's time against its reference clock. Records use
+/// different reference clocks, so a well-formed delta can still land
+/// before `last_at`, the time of the record before it: that is refused.
+fn decode_at<R: Read>(
+    r: &mut R,
+    cpu: Option<usize>,
+    clocks: &mut Clocks,
+    last_at: &mut u64,
+) -> io::Result<SimTime> {
     let delta = get_uv(r)?;
     let clock = clocks.reference(cpu);
     let at = clock.checked_add(delta).ok_or_else(overflow)?;
+    if at < *last_at {
+        return Err(bad(OUT_OF_ORDER));
+    }
     *clock = at;
+    *last_at = at;
     Ok(SimTime::from_nanos(at))
 }
 
@@ -809,16 +824,19 @@ fn encode_event(out: &mut Vec<u8>, ev: &TraceEvent, strings: &StringIds, clocks:
 }
 
 /// Decodes one record. A context switch must name a CPU below
-/// `n_logical`: analyzers size their per-CPU state from the header.
+/// `n_logical`: analyzers size their per-CPU state from the header. The
+/// record's time may not precede `last_at`, the time of the record before
+/// it, and becomes the new `last_at`.
 pub(crate) fn decode_event<R: Read>(
     r: &mut R,
     strings: &[String],
     n_logical: usize,
     clocks: &mut Clocks,
+    last_at: &mut u64,
 ) -> io::Result<TraceEvent> {
     Ok(match get_u8(r)? {
         0 => {
-            let at = decode_at(r, None, clocks)?;
+            let at = decode_at(r, None, clocks, last_at)?;
             TraceEvent::ProcessStart {
                 at,
                 pid: get_uv(r)?,
@@ -826,7 +844,7 @@ pub(crate) fn decode_event<R: Read>(
             }
         }
         1 => {
-            let at = decode_at(r, None, clocks)?;
+            let at = decode_at(r, None, clocks, last_at)?;
             TraceEvent::ThreadStart {
                 at,
                 key: get_key(r)?,
@@ -834,7 +852,7 @@ pub(crate) fn decode_event<R: Read>(
             }
         }
         2 => {
-            let at = decode_at(r, None, clocks)?;
+            let at = decode_at(r, None, clocks, last_at)?;
             TraceEvent::ThreadEnd {
                 at,
                 key: get_key(r)?,
@@ -845,7 +863,7 @@ pub(crate) fn decode_event<R: Read>(
                 .ok()
                 .filter(|&cpu| cpu < n_logical)
                 .ok_or_else(|| bad("context switch on a CPU past the header's count"))?;
-            let at = decode_at(r, Some(cpu), clocks)?;
+            let at = decode_at(r, Some(cpu), clocks, last_at)?;
             let old = get_opt_key(r)?;
             let new = get_opt_key(r)?;
             let ready = get_uv(r)?;
@@ -867,7 +885,7 @@ pub(crate) fn decode_event<R: Read>(
             }
         }
         4 => {
-            let at = decode_at(r, None, clocks)?;
+            let at = decode_at(r, None, clocks, last_at)?;
             TraceEvent::GpuStart {
                 at,
                 gpu: get_uv(r)? as usize,
@@ -877,7 +895,7 @@ pub(crate) fn decode_event<R: Read>(
             }
         }
         5 => {
-            let at = decode_at(r, None, clocks)?;
+            let at = decode_at(r, None, clocks, last_at)?;
             TraceEvent::GpuEnd {
                 at,
                 gpu: get_uv(r)? as usize,
@@ -887,21 +905,21 @@ pub(crate) fn decode_event<R: Read>(
             }
         }
         6 => {
-            let at = decode_at(r, None, clocks)?;
+            let at = decode_at(r, None, clocks, last_at)?;
             TraceEvent::Frame {
                 at,
                 pid: get_uv(r)?,
             }
         }
         7 => {
-            let at = decode_at(r, None, clocks)?;
+            let at = decode_at(r, None, clocks, last_at)?;
             TraceEvent::Marker {
                 at,
                 label: get_interned(r, strings)?,
             }
         }
         8 => {
-            let at = decode_at(r, None, clocks)?;
+            let at = decode_at(r, None, clocks, last_at)?;
             TraceEvent::WaitBegin {
                 at,
                 key: get_key(r)?,
@@ -909,7 +927,7 @@ pub(crate) fn decode_event<R: Read>(
             }
         }
         9 => {
-            let at = decode_at(r, None, clocks)?;
+            let at = decode_at(r, None, clocks, last_at)?;
             TraceEvent::WaitEnd {
                 at,
                 key: get_key(r)?,
@@ -918,7 +936,7 @@ pub(crate) fn decode_event<R: Read>(
             }
         }
         10 => {
-            let at = decode_at(r, None, clocks)?;
+            let at = decode_at(r, None, clocks, last_at)?;
             TraceEvent::GpuSubmit {
                 at,
                 key: get_key(r)?,
@@ -1046,6 +1064,10 @@ fn get_u8<R: Read>(r: &mut R) -> io::Result<u8> {
 fn get_u32v<R: Read>(r: &mut R) -> io::Result<u32> {
     u32::try_from(get_uv(r)?).map_err(|_| bad("value exceeds u32"))
 }
+
+/// The error every reader returns for a record that precedes the one
+/// before it.
+pub(crate) const OUT_OF_ORDER: &str = "trace records out of time order";
 
 pub(crate) fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)

@@ -32,6 +32,7 @@ use crate::event::{PidSet, TraceEvent};
 use crate::setl3::{self, Clocks, Index};
 use simcore::SimTime;
 use simobs::span::Span;
+use std::collections::BTreeMap;
 use std::io;
 use std::ops::Range;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -112,11 +113,6 @@ impl ShardedTrace {
         self.index.blocks.len()
     }
 
-    /// Records in block `i`.
-    pub fn block_records(&self, i: usize) -> u64 {
-        self.index.blocks[i].records
-    }
-
     /// Size of the underlying byte buffer.
     pub fn len_bytes(&self) -> usize {
         self.bytes.len()
@@ -134,16 +130,22 @@ impl ShardedTrace {
             .blocks
             .get(block)
             .ok_or_else(|| setl3::bad("block index out of range"))?;
-        let buf = &self.bytes[m.offset..m.offset + m.len];
+        let buf = self
+            .bytes
+            .get(m.offset..m.offset + m.len)
+            .ok_or_else(|| setl3::bad("block extent past the record area"))?;
         if setl3::checksum(setl3::CHECKSUM_SEED, buf) != m.hash {
             return Err(setl3::bad("block checksum mismatch"));
         }
+        // The block decodes on its own, so its order check starts afresh;
+        // `fold_events` checks the seam to the block before.
         Ok(BlockCursor::new(
             buf,
             &self.index.strings,
             self.index.n_logical,
             m.clocks.clone(),
             m.records,
+            0,
         ))
     }
 
@@ -154,8 +156,7 @@ impl ShardedTrace {
     pub fn decode_block(&self, block: usize) -> io::Result<Vec<TraceEvent>> {
         let mut c = self.cursor(block)?;
         // The record count is untrusted; a record takes at least 2 bytes.
-        let m = &self.index.blocks[block];
-        let mut out = Vec::with_capacity((m.records as usize).min(m.len / 2));
+        let mut out = Vec::with_capacity((c.remaining as usize).min(c.buf.len() / 2));
         while let Some(ev) = c.next_event()? {
             out.push(ev);
         }
@@ -175,17 +176,14 @@ impl ShardedTrace {
     /// reader has to decode the whole stream to reach the same window.
     pub fn blocks_in_window(&self, lo: SimTime, hi: SimTime) -> Range<usize> {
         let n = self.index.blocks.len();
+        // Block `i`'s lower bound; past the last block, the window end.
         let first_at = |i: usize| -> u64 {
-            let c = &self.index.blocks[i].clocks;
-            c.per_cpu.iter().copied().fold(c.global, u64::max)
+            self.index.blocks.get(i).map_or(self.end().as_nanos(), |m| {
+                let c = &m.clocks;
+                c.per_cpu.iter().copied().fold(c.global, u64::max)
+            })
         };
-        let last_at = |i: usize| -> u64 {
-            if i + 1 < n {
-                first_at(i + 1)
-            } else {
-                self.end().as_nanos()
-            }
-        };
+        let last_at = |i: usize| first_at(i + 1);
         // Index of the first i in 0..n with !pred(i); pred is monotone.
         let lower_bound = |pred: &dyn Fn(usize) -> bool| -> usize {
             let (mut a, mut b) = (0, n);
@@ -211,8 +209,8 @@ impl ShardedTrace {
     /// * the first task to start takes `f` and folds blocks `0..n` in
     ///   order;
     /// * every other task claims the next undecoded block and decodes it,
-    ///   block hash first, into a ready slot, never more than `2 × shards`
-    ///   blocks ahead of the fold;
+    ///   block hash first, and parks it for the fold, never more than
+    ///   `2 × shards` blocks ahead of the fold;
     /// * when the folder's next block is still being decoded, the folder
     ///   claims and decodes the next unclaimed block itself instead of
     ///   waiting, so a cheap fold still keeps every worker decoding.
@@ -225,8 +223,9 @@ impl ShardedTrace {
     /// first.
     ///
     /// # Errors
-    /// The first decode error in block order. `f` has then seen exactly
-    /// the events of the blocks before it.
+    /// The first decode error in block order, where a block whose first
+    /// record precedes the last record of the block before it fails too.
+    /// `f` has then seen exactly the events of the blocks before it.
     ///
     /// # Panics
     /// A panic in `f` or in a decode halts every other task at its next
@@ -236,7 +235,7 @@ impl ShardedTrace {
         F: FnMut(&TraceEvent) + Send,
     {
         let blocks = self.index.blocks.len();
-        // A window wider than the trace would only add empty slots.
+        // A window wider than the trace would admit no more claims.
         let window = shards.max(1).saturating_mul(2).min(blocks.max(1));
         let pipe = Pipeline::new(blocks, window);
         let fold = Mutex::new(Some(f));
@@ -269,10 +268,11 @@ impl ShardedTrace {
     where
         F: FnMut(&TraceEvent),
     {
+        let mut last_at = SimTime::ZERO;
         for block in 0..pipe.blocks {
             let events = loop {
                 let mut claims = pipe.lock();
-                if let Some(decoded) = claims.ready[block % pipe.window].take() {
+                if let Some(decoded) = claims.ready.remove(&block) {
                     break decoded?;
                 }
                 if claims.halted {
@@ -292,8 +292,16 @@ impl ShardedTrace {
                     None => drop(pipe.wait(claims)),
                 }
             };
+            // Each block's decoder checks time order inside the block;
+            // the seam to the block before is checked here.
+            if events.first().is_some_and(|ev| ev.at() < last_at) {
+                return Err(setl3::bad(setl3::OUT_OF_ORDER));
+            }
             for ev in &events {
                 f(ev);
+            }
+            if let Some(ev) = events.last() {
+                last_at = ev.at();
             }
             pipe.advance();
         }
@@ -328,10 +336,11 @@ impl ShardedTrace {
     /// on the task's `shard/worker` span.
     fn decode_claimed(&self, worker: &mut Span, block: usize) -> Decoded {
         worker.add_events(1);
-        let m = &self.index.blocks[block];
         let mut sp = simobs::span::span("shard", "decode");
-        sp.add_events(m.records);
-        sp.add_bytes(m.len as u64);
+        if let Some(m) = self.index.blocks.get(block) {
+            sp.add_events(m.records);
+            sp.add_bytes(m.len as u64);
+        }
         self.decode_block(block)
     }
 
@@ -382,9 +391,9 @@ struct Claims {
     /// Blocks folded so far; block `b` may be claimed once
     /// `b < folded + window`.
     folded: usize,
-    /// Decoded blocks waiting for the fold; block `b` lands in slot
-    /// `b % window`, which the fold emptied when it took block `b - window`.
-    ready: Vec<Option<Decoded>>,
+    /// Decoded blocks waiting for the fold, by block: never more than
+    /// `window` of them.
+    ready: BTreeMap<usize, Decoded>,
     /// The fold is over or a task unwound: no task claims or waits again.
     halted: bool,
 }
@@ -397,7 +406,7 @@ impl Pipeline {
             claims: Mutex::new(Claims {
                 next: 0,
                 folded: 0,
-                ready: (0..window).map(|_| None).collect(),
+                ready: BTreeMap::new(),
                 halted: false,
             }),
             changed: Condvar::new(),
@@ -428,9 +437,9 @@ impl Pipeline {
         })
     }
 
-    /// Parks a decoded block in its slot for the folder.
+    /// Parks a decoded block for the folder.
     fn land(&self, block: usize, decoded: Decoded) {
-        self.lock().ready[block % self.window] = Some(decoded);
+        self.lock().ready.insert(block, decoded);
         self.changed.notify_all();
     }
 
@@ -464,41 +473,56 @@ impl Drop for HaltOnUnwind<'_> {
 /// [`crate::setl3`] — verify the block's 64-bit [`setl3::checksum`] first.
 /// That hash covers every record byte, so records carry no check bytes and
 /// the cursor decodes them back to back.
+///
+/// The cursor also carries the time of the record before the next one, and
+/// refuses a record that goes back in time. The in-order walk seeds it with
+/// the previous block's last time; a cursor from [`ShardedTrace::cursor`]
+/// starts at 0, and [`ShardedTrace::fold_events`] checks the seam.
 pub struct BlockCursor<'a> {
     buf: &'a [u8],
     strings: &'a [String],
     /// The header's logical CPU count; a `CSwitch` must name a CPU below it.
     n_logical: usize,
     clocks: Clocks,
+    /// Time of the last record decoded (ns); the next may not precede it.
+    last_at: u64,
     remaining: u64,
 }
 
 impl<'a> BlockCursor<'a> {
     /// A cursor over `records` records in `buf`, whose hash the caller has
-    /// verified.
+    /// verified, whose first record may not precede `last_at` (ns).
     pub(crate) fn new(
         buf: &'a [u8],
         strings: &'a [String],
         n_logical: usize,
         clocks: Clocks,
         records: u64,
+        last_at: u64,
     ) -> BlockCursor<'a> {
         BlockCursor {
             buf,
             strings,
             n_logical,
             clocks,
+            last_at,
             remaining: records,
         }
+    }
+
+    /// Time of the last record decoded, or the seed before the first (ns).
+    pub(crate) fn last_at(&self) -> u64 {
+        self.last_at
     }
 
     /// The next event in the block, or `None` after the last record.
     ///
     /// # Errors
     /// `InvalidData` for malformed records, a context switch on a CPU past
-    /// the header's count, or trailing bytes after the declared record
-    /// count. Bit rot never reaches this point: the block hash check at
-    /// cursor creation rejects it wholesale.
+    /// the header's count, a record that precedes the one before it, or
+    /// trailing bytes after the declared record count. Bit rot never
+    /// reaches this point: the block hash check at cursor creation rejects
+    /// it wholesale.
     pub fn next_event(&mut self) -> io::Result<Option<TraceEvent>> {
         if self.remaining == 0 {
             if !self.buf.is_empty() {
@@ -511,6 +535,7 @@ impl<'a> BlockCursor<'a> {
             self.strings,
             self.n_logical,
             &mut self.clocks,
+            &mut self.last_at,
         )?;
         self.remaining -= 1;
         Ok(Some(ev))
@@ -921,7 +946,10 @@ mod tests {
         let mut bytes = clean;
         bytes[m.offset + m.len / 2] ^= 0x40;
         let sharded = ShardedTrace::from_bytes(bytes).unwrap();
-        let before: usize = (0..k).map(|b| sharded.block_records(b) as usize).sum();
+        let before: usize = sharded.index.blocks[..k]
+            .iter()
+            .map(|m| m.records as usize)
+            .sum();
         for (name, runner) in runners() {
             for shards in [1usize, 2, 3, 4, 7] {
                 let mut seen = Vec::new();

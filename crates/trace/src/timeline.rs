@@ -82,12 +82,12 @@ impl Accum {
         if st.running > 0 {
             self.nonidle_ns += dt;
         }
-        for (cpu, occ) in st.cpu_occupant.iter().enumerate() {
+        if self.per_cpu_busy_ns.len() < st.cpu_occupant.len() {
+            self.per_cpu_busy_ns.resize(st.cpu_occupant.len(), 0);
+        }
+        for (busy, occ) in self.per_cpu_busy_ns.iter_mut().zip(&st.cpu_occupant) {
             if occ.is_some() {
-                if cpu >= self.per_cpu_busy_ns.len() {
-                    self.per_cpu_busy_ns.resize(cpu + 1, 0);
-                }
-                self.per_cpu_busy_ns[cpu] += dt;
+                *busy += dt;
             }
         }
         for (slot, &n) in self.wait_ns.iter_mut().zip(&st.wait_counts) {
@@ -193,13 +193,13 @@ impl Bucket {
     /// The wait reason holding the most blocked time, if any wait time was
     /// recorded. Ties break toward the first label in [`WAIT_LABELS`].
     pub fn dominant_wait(&self) -> Option<(&'static str, u64)> {
-        let (i, &ns) = self
-            .acc
-            .wait_ns
+        // `max_by_key` keeps the last maximum, so scan the labels backwards.
+        let (&label, &ns) = WAIT_LABELS
             .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))?;
-        (ns > 0).then(|| (WAIT_LABELS[i], ns))
+            .zip(&self.acc.wait_ns)
+            .rev()
+            .max_by_key(|(_, &ns)| ns)?;
+        (ns > 0).then_some((label, ns))
     }
 }
 
@@ -237,7 +237,16 @@ impl Counters {
     /// Runnable-but-not-running: woken threads awaiting a CPU plus
     /// preempted/yielded threads (their wait reasons are runnable).
     fn ready_depth(&self) -> u32 {
-        self.ready_plain + self.wait_counts[0] + self.wait_counts[1]
+        let [preempted, yielded, ..] = self.wait_counts;
+        self.ready_plain + preempted + yielded
+    }
+
+    /// The counter a thread in `state` is counted in.
+    fn count_of(&mut self, state: TState) -> Option<&mut u32> {
+        match state {
+            TState::Ready => Some(&mut self.ready_plain),
+            TState::Waiting(i) => self.wait_counts.get_mut(i),
+        }
     }
 }
 
@@ -304,7 +313,7 @@ impl Folder {
         }
         self.totals.add(to - self.cursor, &self.st);
         while self.cursor < to {
-            while self.idx < self.buckets.len() && self.buckets[self.idx].end_ns <= self.cursor {
+            while matches!(self.buckets.get(self.idx), Some(b) if b.end_ns <= self.cursor) {
                 self.idx += 1;
             }
             let Some(b) = self.buckets.get_mut(self.idx) else {
@@ -323,15 +332,13 @@ impl Folder {
     }
 
     fn set_tstate(&mut self, key: ThreadKey, next: Option<TState>) {
-        match self.thread_state.remove(&key) {
-            Some(TState::Ready) => self.st.ready_plain -= 1,
-            Some(TState::Waiting(i)) => self.st.wait_counts[i] -= 1,
-            None => {}
+        let prev = self.thread_state.remove(&key);
+        if let Some(n) = prev.and_then(|s| self.st.count_of(s)) {
+            *n -= 1;
         }
         if let Some(state) = next {
-            match state {
-                TState::Ready => self.st.ready_plain += 1,
-                TState::Waiting(i) => self.st.wait_counts[i] += 1,
+            if let Some(n) = self.st.count_of(state) {
+                *n += 1;
             }
             self.thread_state.insert(key, state);
         }
@@ -340,7 +347,7 @@ impl Folder {
     /// The bucket a point event at the cursor belongs to (half-open
     /// intervals; the window end belongs to the last bucket).
     fn point_bucket(&mut self) -> Option<&mut Bucket> {
-        while self.idx < self.buckets.len() && self.buckets[self.idx].end_ns <= self.cursor {
+        while matches!(self.buckets.get(self.idx), Some(b) if b.end_ns <= self.cursor) {
             self.idx += 1;
         }
         let i = self.idx.min(self.buckets.len().checked_sub(1)?);
@@ -352,11 +359,12 @@ impl Folder {
         self.advance(ev.at().as_nanos());
         match ev {
             TraceEvent::CSwitch { cpu, new, .. } => {
-                let cpu = *cpu;
-                if cpu >= self.st.cpu_occupant.len() {
-                    self.st.cpu_occupant.resize(cpu + 1, None);
+                let occupants = &mut self.st.cpu_occupant;
+                if *cpu >= occupants.len() {
+                    occupants.resize(cpu + 1, None);
                 }
-                if let Some(prev) = self.st.cpu_occupant[cpu].take() {
+                let slot = occupants.get_mut(*cpu);
+                if let Some(prev) = slot.and_then(|slot| std::mem::replace(slot, *new)) {
                     self.st.running -= 1;
                     // A switched-out thread stays runnable until a
                     // WaitBegin says otherwise; one that already fired
@@ -367,7 +375,6 @@ impl Folder {
                 }
                 if let Some(key) = new {
                     self.set_tstate(*key, None);
-                    self.st.cpu_occupant[cpu] = Some(*key);
                     self.st.running += 1;
                 }
             }
@@ -636,9 +643,10 @@ impl Timeline {
              wait_event_ns,wait_gpu_ns\n",
         );
         for (i, b) in self.buckets.iter().enumerate() {
+            let [preempted, yielded, sleep, event, gpu] = b.acc.wait_ns;
             let _ = writeln!(
                 out,
-                "{i},{},{},{},{},{:.4},{},{},{},{},{},{},{},{},{},{}",
+                "{i},{},{},{},{},{:.4},{},{},{},{},{},{preempted},{yielded},{sleep},{event},{gpu}",
                 b.start_ns,
                 b.end_ns,
                 b.running_min,
@@ -649,11 +657,6 @@ impl Timeline {
                 b.acc.ready_ns,
                 b.acc.gpu_busy_total_ns(),
                 b.acc.frames,
-                b.acc.wait_ns[0],
-                b.acc.wait_ns[1],
-                b.acc.wait_ns[2],
-                b.acc.wait_ns[3],
-                b.acc.wait_ns[4],
             );
         }
         out

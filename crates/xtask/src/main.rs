@@ -1,7 +1,7 @@
 //! `xtask` — workspace automation, in the cargo-xtask pattern.
 //!
 //! ```text
-//! cargo run -p xtask -- lint [--json] [--update-baseline]
+//! cargo run -p xtask -- lint [--json]
 //! cargo run -p xtask -- bench-gate [--update] [--runs N] [--threshold PCT]
 //!                                  [--sample-size N] [--bench NAME]...
 //! ```
@@ -24,15 +24,10 @@
 //! scope-aware ten-rule catalog (wall-clock, env-read, unordered-iter,
 //! fs-write, thread-sleep, raw-spawn, lock-order, float-merge,
 //! narrowing-cast, analyzer-panic — see `simlint::rules` for the table).
-//! Findings are suppressed either by a reasoned inline annotation
-//! (`// lint:allow(rule): why`) or by the committed `lint.baseline.json`
-//! at the workspace root, which grandfathers historical debt while gating
-//! new code strictly.
-//!
-//! * `--json` prints the machine-readable report to stdout instead of the
-//!   human rendering (CI uploads it as an artifact);
-//! * `--update-baseline` rewrites `lint.baseline.json` from the current
-//!   unsuppressed findings instead of gating.
+//! The only suppression is a reasoned inline annotation
+//! (`// lint:allow(rule): why`); every other finding gates. `--json`
+//! prints the machine-readable report to stdout instead of the human
+//! rendering (CI uploads it as an artifact).
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage — shared with `bench-gate`.
 
@@ -51,7 +46,7 @@ fn main() {
 
 fn usage(msg: &str) -> ! {
     eprintln!("xtask: {msg}");
-    eprintln!("usage: cargo run -p xtask -- lint [--json] [--update-baseline]");
+    eprintln!("usage: cargo run -p xtask -- lint [--json]");
     eprintln!("       cargo run -p xtask -- bench-gate [--update] [--runs N] [--threshold PCT]");
     eprintln!("                                        [--sample-size N] [--bench NAME]...");
     std::process::exit(2);
@@ -59,41 +54,13 @@ fn usage(msg: &str) -> ! {
 
 fn lint(args: &[String]) {
     let mut json = false;
-    let mut update_baseline = false;
     for arg in args {
         match arg.as_str() {
             "--json" => json = true,
-            "--update-baseline" => update_baseline = true,
             other => usage(&format!("unknown lint flag `{other}`")),
         }
     }
-    let root = workspace_root();
-
-    if update_baseline {
-        // Re-lint against an *empty* baseline so every unsuppressed finding
-        // (old and new) lands in the rewritten file.
-        let files = simlint::collect_workspace_files(&root).unwrap_or_else(|e| {
-            eprintln!("xtask lint: {e}");
-            std::process::exit(1);
-        });
-        let report = simlint::lint_files(&files, &simlint::baseline::Baseline::default());
-        let path = root.join("lint.baseline.json");
-        let rendered = simlint::baseline::Baseline::render(&report.findings);
-        // lint:allow(fs-write): the baseline is a whole-file dev artifact,
-        // rewritten atomically enough for a human-invoked maintenance step.
-        std::fs::write(&path, rendered).unwrap_or_else(|e| {
-            eprintln!("xtask lint: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        eprintln!(
-            "xtask lint: wrote {} grandfathered finding(s) to {}",
-            report.findings.len(),
-            path.display()
-        );
-        return;
-    }
-
-    let report = simlint::lint_workspace(&root).unwrap_or_else(|e| {
+    let report = simlint::lint_workspace(&workspace_root()).unwrap_or_else(|e| {
         eprintln!("xtask lint: {e}");
         std::process::exit(1);
     });
@@ -106,27 +73,17 @@ fn lint(args: &[String]) {
             println!("    help: {}", d.suggestion);
         }
     }
-    if report.stale_baseline > 0 {
-        eprintln!(
-            "xtask lint: note: {} stale baseline entr{} (fixed debt — prune with --update-baseline)",
-            report.stale_baseline,
-            if report.stale_baseline == 1 { "y" } else { "ies" }
-        );
-    }
     if report.is_clean() {
         eprintln!(
-            "xtask lint: clean — {} files, {} allowed, {} grandfathered",
-            report.files,
-            report.allowed,
-            report.grandfathered.len()
+            "xtask lint: clean — {} files, {} allowed",
+            report.files, report.allowed
         );
     } else {
         eprintln!(
-            "xtask lint: {} finding(s) across {} files ({} allowed, {} grandfathered)",
+            "xtask lint: {} finding(s) across {} files ({} allowed)",
             report.findings.len(),
             report.files,
-            report.allowed,
-            report.grandfathered.len()
+            report.allowed
         );
         std::process::exit(1);
     }
