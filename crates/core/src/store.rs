@@ -220,7 +220,7 @@ impl SimStore {
         let registry = run.metrics.registry.to_bytes();
         put_uv(&mut out, registry.len() as u64);
         out.extend_from_slice(&registry);
-        out.extend_from_slice(&setl3::encode(&run.trace));
+        setl3::write_setl3(&run.trace, &mut out).expect("Vec write cannot fail");
         let hash = setl3::checksum(setl3::CHECKSUM_SEED, &out);
         out.extend_from_slice(&hash.to_le_bytes());
         out

@@ -135,19 +135,13 @@ fn le_word(word: &[u8]) -> u64 {
     u64::from_le_bytes(word.try_into().unwrap_or([0; 8]))
 }
 
-/// Encodes `trace` as a SETL v3 stream.
+/// Encodes `trace` as a SETL v3 stream into `w`, through [`V3Writer`]:
+/// each block goes to the writer as it fills, so nothing proportional to
+/// the trace is buffered on the way.
 ///
 /// # Errors
 /// Propagates I/O errors from the writer.
-pub fn write_setl3<W: Write>(trace: &EtlTrace, mut w: W) -> io::Result<()> {
-    let buf = encode(trace);
-    w.write_all(&buf)
-}
-
-/// Encodes `trace` into an in-memory SETL v3 stream. The block index sits
-/// at the tail, so a container embedding the stream must let the reader
-/// find its end (the run store puts it last).
-pub fn encode(trace: &EtlTrace) -> Vec<u8> {
+pub fn write_setl3<W: Write>(trace: &EtlTrace, w: W) -> io::Result<()> {
     let mut sp = simobs::span::span("codec", "encode_setl3");
     sp.add_events(trace.events().len() as u64);
 
@@ -161,29 +155,55 @@ pub fn encode(trace: &EtlTrace) -> Vec<u8> {
         }
     }
 
-    let out = Vec::with_capacity(trace.events().len() * 10 + 64);
     let mut w = V3Writer::new(
-        out,
+        Counted { w, bytes: 0 },
         trace.n_logical_cpus(),
         trace.start(),
         trace.end(),
         &strings,
         trace.events().len() as u64,
-    )
-    // lint:allow(analyzer-panic): writing into a Vec cannot fail
-    .expect("Vec write cannot fail");
+    )?;
     for ev in trace.events() {
-        // lint:allow(analyzer-panic): writing into a Vec cannot fail
-        w.push(ev).expect("Vec write cannot fail");
+        w.push(ev)?;
     }
-    // lint:allow(analyzer-panic): the declared count matches the loop above
-    let out = w.finish().expect("Vec write cannot fail");
-    sp.add_bytes(out.len() as u64);
+    sp.add_bytes(w.finish()?.bytes);
+    Ok(())
+}
+
+/// Encodes `trace` into an in-memory SETL v3 stream whose buffer is
+/// exactly the stream's length. The block index sits at the tail, so a
+/// container embedding the stream must let the reader find its end (the
+/// run store puts it last).
+pub fn encode(trace: &EtlTrace) -> Vec<u8> {
+    // Records average about 8.2 bytes, so the reservation usually holds
+    // the whole stream; the trim hands back what it did not use.
+    let mut out = Vec::with_capacity(trace.events().len() * 10 + 64);
+    // lint:allow(analyzer-panic): writing into a Vec cannot fail
+    write_setl3(trace, &mut out).expect("Vec write cannot fail");
+    out.shrink_to_fit();
     out
 }
 
-/// Interned-string lookup table shared by the in-memory encoder and the
-/// streaming [`V3Writer`]: index by first-appearance order, O(log n) lookup.
+/// A writer that counts the bytes it passes on, for the encode span.
+struct Counted<W> {
+    w: W,
+    bytes: u64,
+}
+
+impl<W: Write> Write for Counted<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.w.write(buf)?;
+        self.bytes += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.w.flush()
+    }
+}
+
+/// The interned-string lookup table of a [`V3Writer`]: index by
+/// first-appearance order, O(log n) lookup.
 struct StringIds {
     ordered: Vec<String>,
     ids: std::collections::BTreeMap<String, u64>,
@@ -399,14 +419,25 @@ pub fn read_setl3<R: Read>(mut r: R) -> io::Result<EtlTrace> {
 /// Decodes a SETL v3 stream held in memory; `bytes` must be exactly one
 /// stream, magic to trailer.
 ///
+/// The decoded trace holds exactly its events: its vector is sized from
+/// the block index's record count before the first record decodes, and
+/// never grows. The count is untrusted, so the reservation is clamped to
+/// what the stream's bytes can hold; a stream whose blocks hold fewer
+/// records than the index claims fails in the walk.
+///
 /// # Errors
 /// Same conditions as [`read_setl3`], plus `InvalidData` for records out
 /// of time order.
 pub fn decode(bytes: &[u8]) -> io::Result<EtlTrace> {
     let mut sp = simobs::span::span("codec", "read_setl3");
     let index = Index::parse(bytes)?;
-    let mut builder = TraceBuilder::new(index.n_logical);
-    walk(bytes, &index, |ev| builder.push_decoded(ev))?;
+    // A record takes at least 2 bytes.
+    let capacity = (bytes.len() / 2).min(usize::try_from(index.count).unwrap_or(usize::MAX));
+    let mut builder = TraceBuilder::with_capacity(index.n_logical, capacity);
+    walk(bytes, &index, |ev| {
+        builder.push_decoded(ev);
+        Ok(())
+    })?;
     sp.add_events(index.count);
     sp.add_bytes(bytes.len() as u64);
     Ok(builder.finish(index.start, index.end))
@@ -1333,6 +1364,76 @@ pub(crate) mod tests {
             let err = result.expect_err("crafted header must not decode");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "reader {i}: {err}");
         }
+    }
+
+    /// A hash-valid stream of one block, on one CPU, holding a single
+    /// `Frame` record, whose header and block index both claim `count`
+    /// records.
+    fn inflated_count_stream(count: u64) -> Vec<u8> {
+        let mut header = MAGIC.to_vec();
+        header.push(VERSION);
+        // CPUs, start, window, string count, record count.
+        for v in [1, 0, 10, 0, count] {
+            put_uv(&mut header, v);
+        }
+        let block = [6, 0, 1]; // Frame at +0 ns, pid 1
+        let mut index = Vec::new();
+        // One block: records, bytes, hash, then the global and CPU 0 clocks.
+        put_uv(&mut index, 1);
+        put_uv(&mut index, count);
+        put_uv(&mut index, block.len() as u64);
+        index.extend_from_slice(&checksum(CHECKSUM_SEED, &block).to_le_bytes());
+        put_uv(&mut index, 0);
+        put_uv(&mut index, 0);
+        let header_hash = checksum(CHECKSUM_SEED, &header);
+        index.extend_from_slice(&checksum(header_hash, &index).to_le_bytes());
+        let index_len = index.len() as u64;
+        index.extend_from_slice(&index_len.to_le_bytes());
+        let trailer = checksum(checksum(header_hash, &block), &index);
+        let mut buf = header;
+        buf.extend_from_slice(&block);
+        buf.extend_from_slice(&index);
+        buf.extend_from_slice(&trailer.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn an_inflated_record_count_is_invalid_data_not_an_abort() {
+        // Told the truth, the crafted stream decodes.
+        let honest = decode(&inflated_count_stream(1)).unwrap();
+        assert_eq!(honest.events().len(), 1);
+        // 2^40 records would ask `decode` for 80 TiB of events; the
+        // reservation is clamped to what the bytes can hold.
+        let buf = inflated_count_stream(1 << 40);
+        let sharded = crate::shard::ShardedTrace::from_bytes(buf.clone()).unwrap();
+        let results = [
+            ("decode", decode(&buf).map(drop)),
+            ("read_setl3", read_setl3(buf.as_slice()).map(drop)),
+            ("read_etl", crate::etl::read_etl(buf.as_slice()).map(drop)),
+            (
+                "trace_info",
+                crate::etl::trace_info(buf.as_slice()).map(drop),
+            ),
+            (
+                "read_timeline",
+                crate::timeline::read_timeline(buf.as_slice(), 4).map(drop),
+            ),
+            ("decode_block", sharded.decode_block(0).map(drop)),
+        ];
+        for (reader, result) in results {
+            let err = result.expect_err(reader);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{reader}: {err}");
+        }
+    }
+
+    #[test]
+    fn encoded_and_decoded_buffers_are_exactly_their_size() {
+        let trace = cswitch_trace(BLOCK_RECORDS as usize + 37);
+        let buf = encode(&trace);
+        assert_eq!(buf.capacity(), buf.len());
+        let back = decode(&buf).unwrap();
+        assert_eq!(back.events().len(), BLOCK_RECORDS as usize + 37);
+        assert_eq!(back.capacity(), back.events().len());
     }
 
     #[test]

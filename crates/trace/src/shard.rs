@@ -520,9 +520,9 @@ impl<'a> BlockCursor<'a> {
     /// # Errors
     /// `InvalidData` for malformed records, a context switch on a CPU past
     /// the header's count, a record that precedes the one before it, or
-    /// trailing bytes after the declared record count. Bit rot never
-    /// reaches this point: the block hash check at cursor creation rejects
-    /// it wholesale.
+    /// block bytes that end before or run on after the declared record
+    /// count. Bit rot never reaches this point: the block hash check at
+    /// cursor creation rejects it wholesale.
     pub fn next_event(&mut self) -> io::Result<Option<TraceEvent>> {
         if self.remaining == 0 {
             if !self.buf.is_empty() {
@@ -536,7 +536,11 @@ impl<'a> BlockCursor<'a> {
             self.n_logical,
             &mut self.clocks,
             &mut self.last_at,
-        )?;
+        )
+        .map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => setl3::bad("block bytes end before its records"),
+            _ => e,
+        })?;
         self.remaining -= 1;
         Ok(Some(ev))
     }
