@@ -1,11 +1,10 @@
 #![allow(missing_docs)] // criterion_group! generates undocumented glue
 
-//! Criterion benches over the real proof-of-work kernels — the genuinely
-//! executed compute behind the mining workload models.
+//! Criterion benches over the real SHA-256 kernel — the genuinely executed
+//! compute behind the SHA-256d mining workload models.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use cryptomine::{double_sha256, hashimoto_lite, keccak::keccak256, EthashCache};
-use cryptomine::{scan_nonces, BlockHeader, Sha256};
+use cryptomine::{double_sha256, scan_nonces, BlockHeader, Sha256};
 
 fn bench_sha256(c: &mut Criterion) {
     let mut g = c.benchmark_group("sha256");
@@ -27,37 +26,9 @@ fn bench_sha256(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_keccak(c: &mut Criterion) {
-    let mut g = c.benchmark_group("keccak");
-    g.throughput(Throughput::Bytes(32));
-    g.bench_function("keccak256_32B", |b| {
-        let data = [0x5au8; 32];
-        b.iter(|| keccak256(black_box(&data)))
-    });
-    g.finish();
-}
-
-fn bench_ethash(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ethash_lite");
-    let cache = EthashCache::generate(1, 256);
-    let header = [0x11u8; 32];
-    g.throughput(Throughput::Elements(1));
-    g.bench_function("hashimoto_64_rounds", |b| {
-        let mut nonce = 0u64;
-        b.iter(|| {
-            nonce = nonce.wrapping_add(1);
-            hashimoto_lite(black_box(&header), nonce, &cache, 64)
-        })
-    });
-    g.bench_function("cache_generate_64KiB", |b| {
-        b.iter(|| EthashCache::generate(black_box(9), 64))
-    });
-    g.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_sha256, bench_keccak, bench_ethash
+    targets = bench_sha256
 }
 criterion_main!(benches);

@@ -105,8 +105,7 @@ fn main() {
                 usage("info <trace.etl>");
             }
             let path = &args[1];
-            let file = File::open(path).unwrap_or_else(|e| usage(&format!("{path}: {e}")));
-            let info = etl::trace_info(std::io::BufReader::new(file))
+            let info = etl::trace_info(&read_bytes(path))
                 .unwrap_or_else(|e| usage(&format!("{path}: {e}")));
             print!("{}", info.render());
         }
@@ -293,8 +292,7 @@ fn main() {
                 etwtrace::timeline::timeline_sharded(&trace, buckets, &runner, shards)
                     .unwrap_or_else(|e| usage(&format!("{path}: {e}")))
             } else {
-                let file = File::open(&path).unwrap_or_else(|e| usage(&format!("{path}: {e}")));
-                etwtrace::timeline::read_timeline(std::io::BufReader::new(file), buckets)
+                etwtrace::timeline::read_timeline(&read_bytes(&path), buckets)
                     .unwrap_or_else(|e| usage(&format!("{path}: {e}")))
             };
             match format {
@@ -394,8 +392,7 @@ fn take_shards(args: &mut Vec<String>) -> Option<usize> {
 
 /// Opens a trace file for sharded analysis.
 fn read_sharded(path: &str) -> ShardedTrace {
-    let bytes = std::fs::read(path).unwrap_or_else(|e| usage(&format!("{path}: {e}")));
-    ShardedTrace::from_bytes(bytes).unwrap_or_else(|e| usage(&format!("{path}: {e}")))
+    ShardedTrace::from_bytes(read_bytes(path)).unwrap_or_else(|e| usage(&format!("{path}: {e}")))
 }
 
 /// Resolves a process-prefix filter through the parallel sweep.
@@ -550,7 +547,7 @@ fn load(args: &[String], arity: usize) -> EtlTrace {
 /// text exposition. That makes `diff` work uniformly over
 /// `.etl` files and `repro --metrics` registry snapshots.
 fn load_metric_set(path: &str) -> std::collections::BTreeMap<String, f64> {
-    let bytes = std::fs::read(path).unwrap_or_else(|e| usage(&format!("{path}: {e}")));
+    let bytes = read_bytes(path);
     if bytes.starts_with(b"SETL") {
         let tl = etwtrace::timeline::read_timeline(&bytes[..], 16)
             .unwrap_or_else(|e| usage(&format!("{path}: {e}")));
@@ -568,8 +565,13 @@ fn load_metric_set(path: &str) -> std::collections::BTreeMap<String, f64> {
 }
 
 fn read(path: &str) -> EtlTrace {
-    let file = File::open(path).unwrap_or_else(|e| usage(&format!("{path}: {e}")));
-    etl::read_etl(std::io::BufReader::new(file)).unwrap_or_else(|e| usage(&format!("{path}: {e}")))
+    etl::read_etl(&read_bytes(path)).unwrap_or_else(|e| usage(&format!("{path}: {e}")))
+}
+
+/// The whole file at `path`: every trace reader takes the stream as one
+/// slice.
+fn read_bytes(path: &str) -> Vec<u8> {
+    std::fs::read(path).unwrap_or_else(|e| usage(&format!("{path}: {e}")))
 }
 
 fn resolve_app(wanted: &str) -> AppId {

@@ -1,8 +1,9 @@
 //! End-to-end CLI tests for `tracetool`: record → verify round trip, the
 //! usage listing, the timeline golden output, the diff exit-code contract
 //! (0 clean / 1 regression / 2 corrupt-or-usage), the refusal of legacy
-//! flat traces, of revision-2 v3 streams and of records out of time order,
-//! out-of-range arguments, and exit codes for help / unknown subcommands.
+//! flat traces, of revision-2 v3 streams, of streams cut inside their
+//! header and of records out of time order, out-of-range arguments, and
+//! exit codes for help / unknown subcommands.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -161,6 +162,32 @@ fn info_summarizes_a_recording_of_at_most_9_bytes_per_event() {
     let bad = tracetool(&["info", etl.to_str().unwrap()]);
     assert_eq!(bad.status.code(), Some(2), "corrupt trace must be rejected");
 
+    let _ = std::fs::remove_file(&etl);
+}
+
+#[test]
+fn a_trace_cut_inside_its_header_exits_2_with_a_setl_message() {
+    let etl = tmp("cut.etl");
+    record("2", &etl);
+    let bytes = std::fs::read(&etl).unwrap();
+    let file = etl.to_str().unwrap();
+    // 7 bytes stop before the window start, 9 inside the window length.
+    for len in [7, 9] {
+        parastat::store::atomic_write(&etl, &bytes[..len]).unwrap();
+        for argv in [
+            vec!["info", file],
+            vec!["verify", file],
+            vec!["--analyzer-shards", "2", "tlp", file, "vlc"],
+        ] {
+            let out = tracetool(&argv);
+            assert_eq!(out.status.code(), Some(2), "{len} {argv:?}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains("truncated SETL3 stream"),
+                "{len} {argv:?}: {stderr}"
+            );
+        }
+    }
     let _ = std::fs::remove_file(&etl);
 }
 

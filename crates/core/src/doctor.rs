@@ -15,7 +15,7 @@
 //! output next to, not inside, the tables.
 
 use crate::runner::RunContext;
-use simobs::span::{self, FlightRecord, SpanStat};
+use simobs::span::{FlightRecord, SpanStat};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -318,16 +318,12 @@ pub fn doctor_report_with_timelines(
     out
 }
 
-/// Convenience wrapper: snapshot the live tracer and report on it.
-pub fn doctor_report_now(ctx: &RunContext) -> String {
-    doctor_report(ctx, &span::snapshot())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiment::{Budget, Experiment};
     use simcore::SimDuration;
+    use simobs::span;
     use workloads::AppId;
 
     #[test]
@@ -349,7 +345,7 @@ mod tests {
         assert!(report.contains("\ntimelines\n"), "{report}");
         assert!(report.contains("vlc: 8 buckets"), "{report}");
         // The plain report stays timeline-free.
-        assert!(!doctor_report_now(&ctx).contains("\ntimelines\n"));
+        assert!(!doctor_report(&ctx, &span::snapshot()).contains("\ntimelines\n"));
     }
 
     #[test]

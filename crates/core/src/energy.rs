@@ -46,13 +46,6 @@ pub struct EnergyEstimate {
     pub mean_watts: f64,
 }
 
-impl EnergyEstimate {
-    /// Total marginal energy in joules.
-    pub fn total_joules(&self) -> f64 {
-        self.cpu_joules + self.gpu_joules
-    }
-}
-
 /// Estimates the application's marginal energy from its concurrency profile
 /// and GPU busy time.
 pub fn estimate(trace: &EtlTrace, filter: &PidSet, model: EnergyModel) -> EnergyEstimate {

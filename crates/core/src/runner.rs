@@ -281,11 +281,6 @@ impl RunContext {
         self.store = Some(store);
     }
 
-    /// Detaches the persistent store.
-    pub fn clear_store(&mut self) {
-        self.store = None;
-    }
-
     /// The attached persistent store, if any.
     pub fn store(&self) -> Option<&SimStore> {
         self.store.as_ref()

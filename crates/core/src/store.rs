@@ -281,7 +281,7 @@ impl SimStore {
         let registry = simobs::Registry::from_bytes(reg_bytes)?;
         // The trace runs to the end of the payload; its index is anchored
         // there, so trailing bytes fail the decode.
-        let trace = setl3::decode(r).map_err(|e| format!("trace: {e}"))?;
+        let trace = setl3::read_setl3(r).map_err(|e| format!("trace: {e}"))?;
         let run = SingleRun {
             trace,
             filter,

@@ -167,6 +167,24 @@ mod tests {
     }
 
     #[test]
+    fn hash_rate_ratios_match_fig10() {
+        let hi = presets::gtx_1080_ti();
+        let mid = presets::gtx_680();
+        // The paper: "the hash rate of GTX 680 is at least 2× lower".
+        let sha =
+            hi.effective_gflops(PacketKind::Sha256) / mid.effective_gflops(PacketKind::Sha256);
+        assert!(sha >= 2.0, "SHA-256 ratio {sha}");
+        // Kepler cannot keep Ethash fed: with its dispatch gaps, the 1080
+        // Ti's lead grows far past the raw 3.4× FLOPS gap.
+        let ethash = |gpu: &GpuSpec| {
+            gpu.effective_gflops(PacketKind::Ethash)
+                / (1.0 + gpu.dispatch_gap_frac(PacketKind::Ethash))
+        };
+        let eth = ethash(&hi) / ethash(&mid);
+        assert!(eth > 8.0, "Ethash ratio {eth}");
+    }
+
+    #[test]
     fn efficiency_bounded() {
         for spec in [
             presets::gtx_1080_ti(),

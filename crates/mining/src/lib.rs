@@ -1,24 +1,16 @@
-//! # cryptomine — proof-of-work kernels for the mining workloads
+//! # cryptomine — the SHA-256 kernel of the mining workloads
 //!
 //! The paper benchmarks four miners: **Bitcoin Miner** and **EasyMiner**
 //! (SHA-256d Bitcoin-style) and **PhoenixMiner** and **Windows Ethereum
-//! Miner** (Ethash). This crate implements the actual kernels so the CPU
-//! side of those workload models executes real hashing, and so the criterion
-//! benches measure a genuine compute loop:
+//! Miner** (Ethash). The simulator sees Ethash only as GPU work
+//! (`simgpu::PacketKind::Ethash`), so this crate holds just the kernel
+//! that runs for real:
 //!
 //! * [`sha256`] — FIPS 180-4 SHA-256 and Bitcoin's double-SHA-256, plus
-//!   block-header nonce scanning ([`sha256::scan_nonces`]).
-//! * [`keccak`] — Keccak-f\[1600\] and the Ethereum-style Keccak-256.
-//! * [`ethash`] — "ethash-lite": a scaled-down Hashimoto (keccak-seeded
-//!   pseudo-random cache, data-dependent reads, keccak finalization) that
-//!   preserves the memory-hard access pattern without the multi-gigabyte DAG.
-//! * [`rates`] — hash-rate models tying kernel costs to the simulated CPU
-//!   and GPU throughput (GTX 680 vs 1080 Ti ratios drive Fig. 10).
+//!   block-header nonce scanning ([`sha256::scan_nonces`]). The SHA-256d
+//!   miners' CPU threads scan nonces with it when a run sets
+//!   `real_kernels`, and the run store addresses its entries with it.
 
-pub mod ethash;
-pub mod keccak;
-pub mod rates;
 pub mod sha256;
 
-pub use ethash::{hashimoto_lite, EthashCache};
 pub use sha256::{double_sha256, scan_nonces, BlockHeader, Sha256};

@@ -438,49 +438,6 @@ pub fn reset() {
     lock_tolerant(&COUNTERS).clear();
 }
 
-/// Builds a [`crate::Registry`] of throughput gauges from a flight record:
-/// per-span-family event/byte rates, span counts and wall totals, plus the
-/// diagnostic counters.
-///
-/// The values are wall-clock derived and therefore **not deterministic** —
-/// this registry is rendered only in diagnostic output (`--doctor`,
-/// `--self-trace`), never merged into a run's metrics snapshot.
-pub fn throughput_registry(record: &FlightRecord) -> crate::Registry {
-    let mut reg = crate::Registry::new();
-    for ((cat, name), s) in &record.stats {
-        let labels = [("cat", *cat), ("name", *name)];
-        reg.counter("parastat_span_count_total", &labels, s.count);
-        reg.counter("parastat_span_wall_ns_total", &labels, s.total_ns);
-        if s.bytes > 0 {
-            reg.counter("parastat_span_bytes_total", &labels, s.bytes);
-        }
-        if s.events > 0 {
-            reg.counter("parastat_span_events_total", &labels, s.events);
-        }
-        if s.total_ns > 0 {
-            let secs = s.total_ns as f64 / 1e9;
-            if s.events > 0 {
-                reg.gauge(
-                    "parastat_span_events_per_sec",
-                    &labels,
-                    (s.events as f64 / secs) as i64,
-                );
-            }
-            if s.bytes > 0 {
-                reg.gauge(
-                    "parastat_span_bytes_per_sec",
-                    &labels,
-                    (s.bytes as f64 / secs) as i64,
-                );
-            }
-        }
-    }
-    for (name, v) in &record.counters {
-        reg.counter("parastat_selftrace_events_total", &[("name", name)], *v);
-    }
-    reg
-}
-
 /// Renders a [`FlightRecord`] to the bytes the crash dump file will hold.
 type DumpRender = fn(&FlightRecord) -> String;
 
@@ -672,19 +629,6 @@ mod tests {
         assert_eq!(stat.bytes, 128);
         assert_eq!(stat.events, 7);
         assert_eq!(rec.counters["test_counter"], 5);
-        let reg = throughput_registry(&rec);
-        let labels = [("cat", "test"), ("name", "payload")];
-        assert_eq!(
-            reg.counter_value("parastat_span_bytes_total", &labels),
-            Some(128)
-        );
-        assert_eq!(
-            reg.counter_value(
-                "parastat_selftrace_events_total",
-                &[("name", "test_counter")]
-            ),
-            Some(5)
-        );
     }
 
     #[test]

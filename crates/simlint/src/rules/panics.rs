@@ -4,12 +4,12 @@
 //! The analyzers `verify.rs`, `hb.rs` and `timeline.rs`, and the decode
 //! path under them — `setl3.rs` (container and record codec), `shard.rs`
 //! (`BlockCursor` and the fold pipeline), `etl.rs` (`trace_info`) and
-//! `event.rs` (the `TraceBuilder` that `setl3::decode` fills and seals) —
-//! promise *Diagnostic-and-continue* recovery: a malformed trace must
-//! produce a machine-readable finding or a decode error, never kill the
-//! pass mid-trace — the run store re-verifies every loaded artifact
-//! through these paths, so a panic there turns one corrupt byte into a
-//! crashed pipeline. This rule flags `unwrap`/`expect` calls, panicking
+//! `event.rs` (the `TraceBuilder` that `setl3::read_setl3` fills and
+//! seals) — promise *Diagnostic-and-continue* recovery: a malformed
+//! trace must produce a machine-readable finding or a decode error, never
+//! kill the pass mid-trace — the run store re-verifies every loaded
+//! artifact through these paths, so a panic there turns one corrupt byte
+//! into a crashed pipeline. This rule flags `unwrap`/`expect` calls, panicking
 //! macros, and `[]` indexing (which panics out of range) in those
 //! modules' production code, and every finding gates. A site whose
 //! invariant is locally guaranteed carries

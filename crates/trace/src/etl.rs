@@ -6,24 +6,24 @@
 //! reader every consumer calls; [`trace_info`] summarizes a file without
 //! materializing its events.
 //!
-//! Generic functions take `R: Read` by value; pass `&mut r` for a reader
-//! you want to keep using.
+//! Both take the file's bytes as one slice: the block index sits at the
+//! stream's tail, so no reader can start before the whole file is read.
 
 use crate::event::{EtlTrace, TraceEvent};
 use crate::setl3::{self, bad};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io::{self, Read};
+use std::io;
 
-/// Reads a trace file: one SETL v3 stream, read to the end of `r`.
+/// Reads a trace file: `bytes` is one SETL v3 stream, magic to trailer.
 ///
 /// # Errors
 /// Returns `InvalidData` for a bad magic or revision (a legacy flat v1/v2
-/// file gets a message of its own), an implausible CPU count, malformed or
-/// out-of-order records, a context switch on a CPU past the header's count
-/// or a checksum mismatch, and propagates I/O errors from the reader.
-pub fn read_etl<R: Read>(r: R) -> io::Result<EtlTrace> {
-    setl3::read_setl3(r)
+/// file gets a message of its own), a stream cut short, an implausible CPU
+/// count, malformed or out-of-order records, a context switch on a CPU
+/// past the header's count or a checksum mismatch.
+pub fn read_etl(bytes: &[u8]) -> io::Result<EtlTrace> {
+    setl3::read_setl3(bytes)
 }
 
 /// Stream-level facts about a trace file, computed from a v3 stream without
@@ -111,12 +111,10 @@ impl TraceInfo {
 ///
 /// # Errors
 /// Same conditions as [`read_etl`].
-pub fn trace_info<R: Read>(mut r: R) -> io::Result<TraceInfo> {
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
+pub fn trace_info(bytes: &[u8]) -> io::Result<TraceInfo> {
     let mut sp = simobs::span::span("codec", "trace_info");
     sp.add_bytes(bytes.len() as u64);
-    let index = setl3::Index::parse(&bytes)?;
+    let index = setl3::Index::parse(bytes)?;
     let string_bytes = index.strings.iter().map(|s| s.len() as u64).sum();
     let mut info = TraceInfo {
         container: format!("SETL3 r{} (compact, blocked)", setl3::VERSION),
@@ -128,7 +126,7 @@ pub fn trace_info<R: Read>(mut r: R) -> io::Result<TraceInfo> {
         cswitch_per_cpu: vec![0; index.n_logical],
         ..TraceInfo::default()
     };
-    setl3::walk(&bytes, &index, |ev| info.fold(&ev))?;
+    setl3::walk(bytes, &index, |ev| info.fold(&ev))?;
     sp.add_events(info.events);
     Ok(info)
 }

@@ -36,10 +36,12 @@
 //! header, string table and block index over the slice holding the whole
 //! stream, with every bound a crafted file could abuse;
 //! [`crate::shard::BlockCursor`] decodes one block's records in place.
-//! Readers that want every event — [`decode`], [`read_setl3`],
+//! Readers that want every event — [`read_setl3`],
 //! [`crate::etl::read_etl`], [`crate::timeline::read_timeline`],
 //! [`crate::etl::trace_info`] — [`walk`] the blocks in order;
-//! [`crate::shard::ShardedTrace`] hands blocks to workers instead.
+//! [`crate::shard::ShardedTrace`] hands blocks to workers instead. Every
+//! reader takes the whole stream as a slice, since the block index sits at
+//! its tail, and a stream cut short anywhere is `InvalidData`.
 //!
 //! The stream starts with the 5-byte magic `SETL3` and a revision byte;
 //! only revision 3 (the blocked layout with word-at-a-time checksums and
@@ -52,7 +54,7 @@
 use crate::event::{EtlTrace, ThreadKey, TraceBuilder, TraceEvent, WaitReason};
 use crate::shard::BlockCursor;
 use simcore::SimTime;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 /// The 5-byte stream magic.
 pub const MAGIC: &[u8; 5] = b"SETL3";
@@ -404,20 +406,8 @@ impl<W: Write> V3Writer<W> {
     }
 }
 
-/// Decodes a SETL v3 stream, including the 5-byte magic. The reader is
-/// drained: the stream must run to its end.
-///
-/// # Errors
-/// Returns `InvalidData` for a bad magic/revision, malformed records or any
-/// checksum mismatch, and propagates I/O errors from the reader.
-pub fn read_setl3<R: Read>(mut r: R) -> io::Result<EtlTrace> {
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
-    decode(&bytes)
-}
-
-/// Decodes a SETL v3 stream held in memory; `bytes` must be exactly one
-/// stream, magic to trailer.
+/// Decodes a SETL v3 stream; `bytes` must be exactly one stream, magic to
+/// trailer.
 ///
 /// The decoded trace holds exactly its events: its vector is sized from
 /// the block index's record count before the first record decodes, and
@@ -426,9 +416,9 @@ pub fn read_setl3<R: Read>(mut r: R) -> io::Result<EtlTrace> {
 /// records than the index claims fails in the walk.
 ///
 /// # Errors
-/// Same conditions as [`read_setl3`], plus `InvalidData` for records out
-/// of time order.
-pub fn decode(bytes: &[u8]) -> io::Result<EtlTrace> {
+/// Returns `InvalidData` for a bad magic/revision, a stream cut short,
+/// malformed or out-of-order records, or any checksum mismatch.
+pub fn read_setl3(bytes: &[u8]) -> io::Result<EtlTrace> {
     let mut sp = simobs::span::span("codec", "read_setl3");
     let index = Index::parse(bytes)?;
     // A record takes at least 2 bytes.
@@ -495,9 +485,7 @@ impl Index {
                 bad("not a SETL3 trace stream")
             });
         };
-        let (&revision, mut r) = rest
-            .split_first()
-            .ok_or_else(|| bad("truncated SETL3 stream"))?;
+        let (&revision, mut r) = rest.split_first().ok_or_else(truncated)?;
         if revision == 2 {
             return Err(bad(
                 "SETL3 revision 2 is no longer read; re-record the trace",
@@ -537,7 +525,7 @@ impl Index {
             .len()
             .checked_sub(24)
             .filter(|&at| at >= record_start)
-            .ok_or_else(|| bad("truncated SETL3 stream"))?;
+            .ok_or_else(truncated)?;
         let meta_hash = le_u64(bytes, meta_at)?;
         let index_start = usize::try_from(le_u64(bytes, meta_at + 8)?)
             .ok()
@@ -650,7 +638,7 @@ where
     let trailer_at = bytes.len().saturating_sub(8);
     let tail = bytes
         .get(index.index_start..trailer_at)
-        .ok_or_else(|| bad("truncated SETL3 stream"))?;
+        .ok_or_else(truncated)?;
     if checksum(file_hash, tail) != le_u64(bytes, trailer_at)? {
         return Err(bad("file checksum mismatch"));
     }
@@ -660,7 +648,7 @@ where
 /// Splits the first `n` bytes off `r`.
 fn take<'a>(r: &mut &'a [u8], n: usize) -> io::Result<&'a [u8]> {
     if n > r.len() {
-        return Err(bad("truncated SETL3 stream"));
+        return Err(truncated());
     }
     let (head, rest) = r.split_at(n);
     *r = rest;
@@ -668,9 +656,7 @@ fn take<'a>(r: &mut &'a [u8], n: usize) -> io::Result<&'a [u8]> {
 }
 
 fn take_array<const N: usize>(r: &mut &[u8]) -> io::Result<[u8; N]> {
-    take(r, N)?
-        .try_into()
-        .map_err(|_| bad("truncated SETL3 stream"))
+    take(r, N)?.try_into().map_err(|_| truncated())
 }
 
 /// The little-endian `u64` at byte `at`.
@@ -728,8 +714,8 @@ fn encode_at(out: &mut Vec<u8>, at: SimTime, cpu: Option<usize>, clocks: &mut Cl
 /// Decodes a record's time against its reference clock. Records use
 /// different reference clocks, so a well-formed delta can still land
 /// before `last_at`, the time of the record before it: that is refused.
-fn decode_at<R: Read>(
-    r: &mut R,
+fn decode_at(
+    r: &mut &[u8],
     cpu: Option<usize>,
     clocks: &mut Clocks,
     last_at: &mut u64,
@@ -858,8 +844,8 @@ fn encode_event(out: &mut Vec<u8>, ev: &TraceEvent, strings: &StringIds, clocks:
 /// `n_logical`: analyzers size their per-CPU state from the header. The
 /// record's time may not precede `last_at`, the time of the record before
 /// it, and becomes the new `last_at`.
-pub(crate) fn decode_event<R: Read>(
-    r: &mut R,
+pub(crate) fn decode_event(
+    r: &mut &[u8],
     strings: &[String],
     n_logical: usize,
     clocks: &mut Clocks,
@@ -996,7 +982,7 @@ fn put_reason(out: &mut Vec<u8>, reason: WaitReason) {
     }
 }
 
-fn get_reason<R: Read>(r: &mut R) -> io::Result<WaitReason> {
+fn get_reason(r: &mut &[u8]) -> io::Result<WaitReason> {
     Ok(match get_u8(r)? {
         0 => WaitReason::Preempted,
         1 => WaitReason::Yield,
@@ -1010,7 +996,7 @@ fn get_reason<R: Read>(r: &mut R) -> io::Result<WaitReason> {
     })
 }
 
-fn get_interned<R: Read>(r: &mut R, strings: &[String]) -> io::Result<String> {
+fn get_interned(r: &mut &[u8], strings: &[String]) -> io::Result<String> {
     let idx = get_uv(r)? as usize;
     strings
         .get(idx)
@@ -1023,7 +1009,7 @@ fn put_key(out: &mut Vec<u8>, key: ThreadKey) {
     put_uv(out, key.tid);
 }
 
-fn get_key<R: Read>(r: &mut R) -> io::Result<ThreadKey> {
+fn get_key(r: &mut &[u8]) -> io::Result<ThreadKey> {
     Ok(ThreadKey {
         pid: get_uv(r)?,
         tid: get_uv(r)?,
@@ -1042,7 +1028,7 @@ fn put_opt_key(out: &mut Vec<u8>, key: Option<ThreadKey>) {
     }
 }
 
-fn get_opt_key<R: Read>(r: &mut R) -> io::Result<Option<ThreadKey>> {
+fn get_opt_key(r: &mut &[u8]) -> io::Result<Option<ThreadKey>> {
     let tag = get_uv(r)?;
     if tag == 0 {
         return Ok(None);
@@ -1067,7 +1053,7 @@ fn put_uv(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// LEB128 unsigned varint decode (at most 10 bytes).
-fn get_uv<R: Read>(r: &mut R) -> io::Result<u64> {
+fn get_uv(r: &mut &[u8]) -> io::Result<u64> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
@@ -1086,13 +1072,13 @@ fn get_uv<R: Read>(r: &mut R) -> io::Result<u64> {
     }
 }
 
-fn get_u8<R: Read>(r: &mut R) -> io::Result<u8> {
-    let mut byte = 0u8;
-    r.read_exact(std::slice::from_mut(&mut byte))?;
+fn get_u8(r: &mut &[u8]) -> io::Result<u8> {
+    let (&byte, rest) = r.split_first().ok_or_else(truncated)?;
+    *r = rest;
     Ok(byte)
 }
 
-fn get_u32v<R: Read>(r: &mut R) -> io::Result<u32> {
+fn get_u32v(r: &mut &[u8]) -> io::Result<u32> {
     u32::try_from(get_uv(r)?).map_err(|_| bad("value exceeds u32"))
 }
 
@@ -1102,6 +1088,24 @@ pub(crate) const OUT_OF_ORDER: &str = "trace records out of time order";
 
 pub(crate) fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// What the error of a read past the end of the bytes carries. Its type
+/// tells it apart, so a block cursor can say which bytes ran out.
+#[derive(Debug)]
+pub(crate) struct Truncated;
+
+impl std::fmt::Display for Truncated {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("truncated SETL3 stream")
+    }
+}
+
+impl std::error::Error for Truncated {}
+
+/// The `InvalidData` error of every read past the end of the bytes.
+fn truncated() -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, Truncated)
 }
 
 fn overflow() -> io::Error {
@@ -1268,7 +1272,7 @@ pub(crate) mod tests {
             for b in mutated.iter_mut().skip(at).take(8) {
                 *b = !*b;
             }
-            assert!(decode(&mutated).is_err(), "word at byte {at}: decode");
+            assert!(read_setl3(&mutated).is_err(), "word at byte {at}: decode");
             if at >= trailer_at {
                 // Only the in-order walk folds the trailer.
                 continue;
@@ -1307,13 +1311,42 @@ pub(crate) mod tests {
 
     #[test]
     fn every_truncation_is_detected() {
-        let trace = demo_trace();
-        let buf = encode(&trace);
-        for len in 0..buf.len() {
-            assert!(
-                read_setl3(&buf[..len]).is_err(),
-                "truncation to {len} bytes went undetected"
-            );
+        // A one-block stream with a string table, and a two-block one.
+        let streams = [
+            encode(&demo_trace()),
+            encode(&cswitch_trace(BLOCK_RECORDS as usize + 1)),
+        ];
+        for buf in &streams {
+            for len in 0..buf.len() {
+                let cut = &buf[..len];
+                let results = [
+                    ("read_setl3", read_setl3(cut).map(drop)),
+                    ("read_etl", crate::etl::read_etl(cut).map(drop)),
+                    ("trace_info", crate::etl::trace_info(cut).map(drop)),
+                    (
+                        "read_timeline",
+                        crate::timeline::read_timeline(cut, 4).map(drop),
+                    ),
+                    (
+                        "ShardedTrace",
+                        crate::shard::ShardedTrace::from_bytes(cut.to_vec()).map(drop),
+                    ),
+                ];
+                for (reader, result) in results {
+                    let err = result.expect_err(reader);
+                    assert_eq!(
+                        err.kind(),
+                        io::ErrorKind::InvalidData,
+                        "{reader} at {len}: {err}"
+                    );
+                    // The codec's own message, never std's I/O one.
+                    let msg = err.to_string();
+                    assert!(
+                        msg.contains("SETL") || msg.contains("block index"),
+                        "{reader} at {len}: {msg}"
+                    );
+                }
+            }
         }
     }
 
@@ -1400,14 +1433,13 @@ pub(crate) mod tests {
     #[test]
     fn an_inflated_record_count_is_invalid_data_not_an_abort() {
         // Told the truth, the crafted stream decodes.
-        let honest = decode(&inflated_count_stream(1)).unwrap();
+        let honest = read_setl3(&inflated_count_stream(1)).unwrap();
         assert_eq!(honest.events().len(), 1);
-        // 2^40 records would ask `decode` for 80 TiB of events; the
+        // 2^40 records would ask `read_setl3` for 80 TiB of events; the
         // reservation is clamped to what the bytes can hold.
         let buf = inflated_count_stream(1 << 40);
         let sharded = crate::shard::ShardedTrace::from_bytes(buf.clone()).unwrap();
         let results = [
-            ("decode", decode(&buf).map(drop)),
             ("read_setl3", read_setl3(buf.as_slice()).map(drop)),
             ("read_etl", crate::etl::read_etl(buf.as_slice()).map(drop)),
             (
@@ -1423,6 +1455,11 @@ pub(crate) mod tests {
         for (reader, result) in results {
             let err = result.expect_err(reader);
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{reader}: {err}");
+            assert_eq!(
+                err.to_string(),
+                "block bytes end before its records",
+                "{reader}"
+            );
         }
     }
 
@@ -1431,7 +1468,7 @@ pub(crate) mod tests {
         let trace = cswitch_trace(BLOCK_RECORDS as usize + 37);
         let buf = encode(&trace);
         assert_eq!(buf.capacity(), buf.len());
-        let back = decode(&buf).unwrap();
+        let back = read_setl3(&buf).unwrap();
         assert_eq!(back.events().len(), BLOCK_RECORDS as usize + 37);
         assert_eq!(back.capacity(), back.events().len());
     }

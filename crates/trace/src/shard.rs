@@ -537,8 +537,10 @@ impl<'a> BlockCursor<'a> {
             &mut self.clocks,
             &mut self.last_at,
         )
-        .map_err(|e| match e.kind() {
-            io::ErrorKind::UnexpectedEof => setl3::bad("block bytes end before its records"),
+        .map_err(|e| match e.get_ref() {
+            Some(inner) if inner.is::<setl3::Truncated>() => {
+                setl3::bad("block bytes end before its records")
+            }
             _ => e,
         })?;
         self.remaining -= 1;

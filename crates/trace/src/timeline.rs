@@ -29,7 +29,7 @@ use crate::event::{EtlTrace, ThreadKey, TraceEvent, WaitReason};
 use crate::setl3;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io::{self, Read};
+use std::io;
 
 /// Wait-reason labels in [`WaitReason`] tag order; the `wait_ns` arrays in
 /// [`Accum`] are indexed by this table.
@@ -485,20 +485,18 @@ pub fn timeline_sharded(
 /// checksum verification and no `Vec<TraceEvent>` is built.
 ///
 /// # Errors
-/// Same conditions as [`crate::etl::read_etl`]: bad magic/revision,
-/// malformed records, checksum mismatches, reader I/O errors.
-pub fn read_timeline<R: Read>(mut r: R, n_buckets: usize) -> io::Result<Timeline> {
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
+/// Same conditions as [`crate::etl::read_etl`]: bad magic/revision, a
+/// stream cut short, malformed records, checksum mismatches.
+pub fn read_timeline(bytes: &[u8], n_buckets: usize) -> io::Result<Timeline> {
     let mut sp = simobs::span::span("analyzer", "timeline");
-    let index = setl3::Index::parse(&bytes)?;
+    let index = setl3::Index::parse(bytes)?;
     let mut f = Folder::new(
         index.n_logical,
         index.start.as_nanos(),
         index.end.as_nanos(),
         n_buckets,
     );
-    setl3::walk(&bytes, &index, |ev| {
+    setl3::walk(bytes, &index, |ev| {
         f.fold(&ev);
         Ok(())
     })?;

@@ -6,7 +6,6 @@
 //! cargo run --release --example mining_rig
 //! ```
 
-use desktop_parallelism::cryptomine::rates;
 use desktop_parallelism::etwtrace::TraceEvent;
 use desktop_parallelism::parastat::{Budget, Experiment};
 use desktop_parallelism::simcore::SimDuration;
@@ -18,16 +17,6 @@ fn main() {
         duration: SimDuration::from_secs(15),
         iterations: 1,
     };
-    println!("GPU hash-rate models:");
-    for gpu in [presets::gtx_680(), presets::gtx_1080_ti()] {
-        println!(
-            "  {:<20} SHA-256d {:>7.2} GH/s   Ethash {:>6.1} MH/s",
-            gpu.name,
-            rates::gpu_sha256d_rate(&gpu) / 1e9,
-            rates::gpu_ethash_rate(&gpu) / 1e6,
-        );
-    }
-    println!();
     println!(
         "{:<30} {:>12} {:>12}",
         "miner", "GTX 680 (%)", "1080 Ti (%)"
