@@ -1,88 +1,18 @@
 #![allow(missing_docs)] // criterion_group! generates undocumented glue
 
 //! Criterion bench for the bottleneck profiler itself: blocked-time blame
-//! and wait-for-graph critical-path extraction over a large synthetic
-//! trace (a signal chain threaded through 24 threads with periodic GPU
-//! submissions — every event family the profiler walks). The trace is
+//! and wait-for-graph critical-path extraction over the synthetic
+//! `Handoff::BENCH` trace (a signal chain threaded through 24 threads with
+//! periodic GPU submissions — every event family the profiler walks). The trace is
 //! built once outside the timing loop, so the figures isolate the two
 //! analyses from trace construction.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use etwtrace::{
-    blame, critical, EtlTrace, PidSet, ThreadKey, TraceBuilder, TraceEvent, WaitReason,
-};
-use simcore::SimTime;
-
-const THREADS: u64 = 24;
-const ROUNDS: u64 = 50_000;
-
-fn key(tid: u64) -> ThreadKey {
-    ThreadKey { pid: 1, tid }
-}
-
-fn ms(t: u64) -> SimTime {
-    SimTime::from_nanos(t * 1_000_000)
-}
-
-/// A ~250k-event trace: each 1 ms round one thread runs and hands off to
-/// the next through an event wait; every 16th round also submits a GPU
-/// packet, so the critical-path builder exercises packet nodes too.
-fn synthetic_trace() -> EtlTrace {
-    let mut b = TraceBuilder::new(12);
-    b.push(TraceEvent::ProcessStart {
-        at: ms(0),
-        pid: 1,
-        name: "app.exe".into(),
-    });
-    for tid in 0..THREADS {
-        b.push(TraceEvent::ThreadStart {
-            at: ms(0),
-            key: key(tid),
-            name: format!("t{tid}"),
-        });
-    }
-    for r in 0..ROUNDS {
-        let runner = r % THREADS;
-        let next = (r + 1) % THREADS;
-        b.push(TraceEvent::CSwitch {
-            at: ms(r),
-            cpu: (runner % 12) as usize,
-            old: None,
-            new: Some(key(runner)),
-            ready_since: Some(ms(r)),
-        });
-        b.push(TraceEvent::WaitBegin {
-            at: ms(r),
-            key: key(next),
-            reason: WaitReason::Event { id: next },
-        });
-        if r % 16 == 0 {
-            b.push(TraceEvent::GpuSubmit {
-                at: ms(r),
-                key: key(runner),
-                gpu: 0,
-                packet: r,
-            });
-        }
-        b.push(TraceEvent::WaitEnd {
-            at: ms(r + 1),
-            key: key(next),
-            reason: WaitReason::Event { id: next },
-            waker: Some(key(runner)),
-        });
-        b.push(TraceEvent::CSwitch {
-            at: ms(r + 1),
-            cpu: (runner % 12) as usize,
-            old: Some(key(runner)),
-            new: None,
-            ready_since: None,
-        });
-    }
-    b.finish(ms(0), ms(ROUNDS + 1))
-}
+use etwtrace::{blame, critical, PidSet};
+use repro_bench::Handoff;
 
 fn bench_profiler(c: &mut Criterion) {
-    let trace = synthetic_trace();
+    let trace = Handoff::BENCH.trace();
     let filter: PidSet = [1u64].into_iter().collect();
     c.bench_function("profiler_blame_250k_events", |b| {
         b.iter(|| blame::blame(&trace, &filter))

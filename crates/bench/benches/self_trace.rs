@@ -1,86 +1,16 @@
 #![allow(missing_docs)] // criterion_group! generates undocumented glue
 
 //! Self-trace overhead bench: the full analyzer battery (blame, critical
-//! path, invariant verifier, happens-before, TLP) over a ~250k-event
-//! synthetic trace, measured twice in the same process — once with the
+//! path, invariant verifier, happens-before, TLP) over the ~250k-event
+//! synthetic `Handoff::BENCH` trace, measured twice in the same process — once with the
 //! span tracer disabled, once enabled. The two figures are emitted as a
 //! `self_trace/off/…` + `self_trace/on/…` pair so `xtask bench-gate` can
 //! pin the enabled-tracer overhead (< 5%) from one invocation, immune to
 //! cross-machine noise. The trace is built outside the timing loop.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use etwtrace::{
-    analysis, blame, critical, hb, verify, EtlTrace, PidSet, ThreadKey, TraceBuilder, TraceEvent,
-    WaitReason,
-};
-use simcore::SimTime;
-
-const THREADS: u64 = 24;
-const ROUNDS: u64 = 50_000;
-
-fn key(tid: u64) -> ThreadKey {
-    ThreadKey { pid: 1, tid }
-}
-
-fn ms(t: u64) -> SimTime {
-    SimTime::from_nanos(t * 1_000_000)
-}
-
-/// The profiler bench's ~250k-event signal chain: one thread runs per 1 ms
-/// round and hands off through an event wait, with periodic GPU submits.
-fn synthetic_trace() -> EtlTrace {
-    let mut b = TraceBuilder::new(12);
-    b.push(TraceEvent::ProcessStart {
-        at: ms(0),
-        pid: 1,
-        name: "app.exe".into(),
-    });
-    for tid in 0..THREADS {
-        b.push(TraceEvent::ThreadStart {
-            at: ms(0),
-            key: key(tid),
-            name: format!("t{tid}"),
-        });
-    }
-    for r in 0..ROUNDS {
-        let runner = r % THREADS;
-        let next = (r + 1) % THREADS;
-        b.push(TraceEvent::CSwitch {
-            at: ms(r),
-            cpu: (runner % 12) as usize,
-            old: None,
-            new: Some(key(runner)),
-            ready_since: Some(ms(r)),
-        });
-        b.push(TraceEvent::WaitBegin {
-            at: ms(r),
-            key: key(next),
-            reason: WaitReason::Event { id: next },
-        });
-        if r % 16 == 0 {
-            b.push(TraceEvent::GpuSubmit {
-                at: ms(r),
-                key: key(runner),
-                gpu: 0,
-                packet: r,
-            });
-        }
-        b.push(TraceEvent::WaitEnd {
-            at: ms(r + 1),
-            key: key(next),
-            reason: WaitReason::Event { id: next },
-            waker: Some(key(runner)),
-        });
-        b.push(TraceEvent::CSwitch {
-            at: ms(r + 1),
-            cpu: (runner % 12) as usize,
-            old: Some(key(runner)),
-            new: None,
-            ready_since: None,
-        });
-    }
-    b.finish(ms(0), ms(ROUNDS + 1))
-}
+use etwtrace::{analysis, blame, critical, hb, verify, EtlTrace, PidSet};
+use repro_bench::Handoff;
 
 /// Every span-instrumented analyzer pass, back to back. Returns a value
 /// derived from each result so none of the passes can be optimized away.
@@ -98,7 +28,7 @@ fn analyzer_battery(trace: &EtlTrace, filter: &PidSet) -> usize {
 }
 
 fn bench_self_trace(c: &mut Criterion) {
-    let trace = synthetic_trace();
+    let trace = Handoff::BENCH.trace();
     let filter: PidSet = [1u64].into_iter().collect();
     simobs::span::set_enabled(false);
     c.bench_function("self_trace/off/analyzers_250k_events", |b| {

@@ -1,7 +1,7 @@
 #![allow(missing_docs)] // criterion_group! generates undocumented glue
 
 //! Sharded streaming analyzers against the materialize-then-fold pipeline,
-//! over the same ~250k-event synthetic trace as the timeline bench. Four
+//! over the ~250k-event synthetic `Handoff::BENCH` trace. Four
 //! comparisons, three of them pinned by `xtask bench-gate` as same-run
 //! pairs (immune to baseline drift across machines):
 //!
@@ -27,80 +27,10 @@
 //! report figure — index parse and buffer hand-off included.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use etwtrace::{
-    analysis, hb, setl3, verify, EtlTrace, HbOptions, ShardedTrace, ThreadKey, TraceBuilder,
-    TraceEvent, WaitReason,
-};
+use etwtrace::{analysis, hb, setl3, verify, HbOptions, ShardedTrace, TraceEvent};
 use parastat::ThreadPoolRunner;
+use repro_bench::Handoff;
 use simcore::SimTime;
-
-const THREADS: u64 = 24;
-const ROUNDS: u64 = 50_000;
-
-fn key(tid: u64) -> ThreadKey {
-    ThreadKey { pid: 1, tid }
-}
-
-fn ms(t: u64) -> SimTime {
-    SimTime::from_nanos(t * 1_000_000)
-}
-
-/// One thread runs per 1 ms round and hands off through an event wait,
-/// with periodic GPU submits — ~5 events per round (the timeline bench's
-/// generator, so the two benches stay comparable).
-fn synthetic_trace() -> EtlTrace {
-    let mut b = TraceBuilder::new(12);
-    b.push(TraceEvent::ProcessStart {
-        at: ms(0),
-        pid: 1,
-        name: "app.exe".into(),
-    });
-    for tid in 0..THREADS {
-        b.push(TraceEvent::ThreadStart {
-            at: ms(0),
-            key: key(tid),
-            name: format!("t{tid}"),
-        });
-    }
-    for r in 0..ROUNDS {
-        let runner = r % THREADS;
-        let next = (r + 1) % THREADS;
-        b.push(TraceEvent::CSwitch {
-            at: ms(r),
-            cpu: (runner % 12) as usize,
-            old: None,
-            new: Some(key(runner)),
-            ready_since: Some(ms(r)),
-        });
-        b.push(TraceEvent::WaitBegin {
-            at: ms(r),
-            key: key(next),
-            reason: WaitReason::Event { id: next },
-        });
-        if r % 16 == 0 {
-            b.push(TraceEvent::GpuSubmit {
-                at: ms(r),
-                key: key(runner),
-                gpu: 0,
-                packet: r,
-            });
-        }
-        b.push(TraceEvent::WaitEnd {
-            at: ms(r + 1),
-            key: key(next),
-            reason: WaitReason::Event { id: next },
-            waker: Some(key(runner)),
-        });
-        b.push(TraceEvent::CSwitch {
-            at: ms(r + 1),
-            cpu: (runner % 12) as usize,
-            old: Some(key(runner)),
-            new: None,
-            ready_since: None,
-        });
-    }
-    b.finish(ms(0), ms(ROUNDS + 1))
-}
 
 /// Total ready-to-running latency of dispatches at or after `lo` — the
 /// "tail scheduling latency" figure both window benches must agree on.
@@ -113,13 +43,14 @@ fn tail_latency_fold(at: SimTime, ready_since: Option<SimTime>, lo: SimTime, tot
 }
 
 fn bench_shard(c: &mut Criterion) {
-    let trace = synthetic_trace();
+    let trace = Handoff::BENCH.trace();
     let encoded = setl3::encode(&trace);
     let filter = trace.pids_by_name("app");
     let pool1 = ThreadPoolRunner::new(1);
     let pool2 = ThreadPoolRunner::new(2);
     let pool4 = ThreadPoolRunner::new(4);
-    let tail_lo = ms(ROUNDS - ROUNDS / 50);
+    let rounds = Handoff::BENCH.rounds;
+    let tail_lo = Handoff::round_start(rounds - rounds / 50);
 
     c.bench_function("shard/materialized/tlp_250k_events", |b| {
         b.iter(|| {

@@ -1,86 +1,20 @@
 #![allow(missing_docs)] // criterion_group! generates undocumented glue
 
-//! Timeline fold throughput over a ~250k-event synthetic trace (the same
-//! signal chain as the profiler and self-trace benches): once over the
-//! in-memory event log (`fold_trace`) and once through the streaming SETL
-//! v3 decoder (`read_timeline`), which adds varint decode + checksum
-//! verification on top of the fold. Encoding happens outside the timing
+//! Timeline fold throughput over the ~250k-event synthetic
+//! `Handoff::BENCH` trace (the profiler and self-trace benches' signal
+//! chain): once over the in-memory event log (`fold_trace`) and once
+//! through the streaming SETL v3 decoder (`read_timeline`), which adds
+//! varint decode + checksum verification on top of the fold. Encoding happens outside the timing
 //! loop. `xtask bench-gate` pins both figures.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use etwtrace::{setl3, timeline, EtlTrace, ThreadKey, TraceBuilder, TraceEvent, WaitReason};
-use simcore::SimTime;
+use etwtrace::{setl3, timeline};
+use repro_bench::Handoff;
 
-const THREADS: u64 = 24;
-const ROUNDS: u64 = 50_000;
 const BUCKETS: usize = 64;
 
-fn key(tid: u64) -> ThreadKey {
-    ThreadKey { pid: 1, tid }
-}
-
-fn ms(t: u64) -> SimTime {
-    SimTime::from_nanos(t * 1_000_000)
-}
-
-/// One thread runs per 1 ms round and hands off through an event wait,
-/// with periodic GPU submits — ~5 events per round.
-fn synthetic_trace() -> EtlTrace {
-    let mut b = TraceBuilder::new(12);
-    b.push(TraceEvent::ProcessStart {
-        at: ms(0),
-        pid: 1,
-        name: "app.exe".into(),
-    });
-    for tid in 0..THREADS {
-        b.push(TraceEvent::ThreadStart {
-            at: ms(0),
-            key: key(tid),
-            name: format!("t{tid}"),
-        });
-    }
-    for r in 0..ROUNDS {
-        let runner = r % THREADS;
-        let next = (r + 1) % THREADS;
-        b.push(TraceEvent::CSwitch {
-            at: ms(r),
-            cpu: (runner % 12) as usize,
-            old: None,
-            new: Some(key(runner)),
-            ready_since: Some(ms(r)),
-        });
-        b.push(TraceEvent::WaitBegin {
-            at: ms(r),
-            key: key(next),
-            reason: WaitReason::Event { id: next },
-        });
-        if r % 16 == 0 {
-            b.push(TraceEvent::GpuSubmit {
-                at: ms(r),
-                key: key(runner),
-                gpu: 0,
-                packet: r,
-            });
-        }
-        b.push(TraceEvent::WaitEnd {
-            at: ms(r + 1),
-            key: key(next),
-            reason: WaitReason::Event { id: next },
-            waker: Some(key(runner)),
-        });
-        b.push(TraceEvent::CSwitch {
-            at: ms(r + 1),
-            cpu: (runner % 12) as usize,
-            old: Some(key(runner)),
-            new: None,
-            ready_since: None,
-        });
-    }
-    b.finish(ms(0), ms(ROUNDS + 1))
-}
-
 fn bench_timeline(c: &mut Criterion) {
-    let trace = synthetic_trace();
+    let trace = Handoff::BENCH.trace();
     let encoded = setl3::encode(&trace);
     c.bench_function("timeline/fold_250k_events", |b| {
         b.iter(|| timeline::fold_trace(&trace, BUCKETS).totals.busy_cpu_ns)

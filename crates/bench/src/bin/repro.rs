@@ -5,6 +5,7 @@
 //! repro all          [--budget …]
 //! repro --blame      [--budget …]
 //! repro --metrics-out metrics.prom [--metrics-app handbrake] [--budget …]
+//! repro --help
 //! ```
 //!
 //! Each artefact prints its report to stdout and writes it (plus CSV for the
@@ -137,11 +138,20 @@ fn main() {
             }
             "--blame" => want_blame = true,
             "--verify" => want_verify = true,
+            "help" | "--help" | "-h" => {
+                print!("{}", usage_text());
+                return;
+            }
             "all" => artefacts.extend(ARTEFACTS.iter().map(|s| s.to_string())),
             other if ARTEFACTS.contains(&other) => artefacts.push(other.to_string()),
             other => usage(&format!("unknown artefact `{other}`")),
         }
     }
+    let b = budget(&budget_name).unwrap_or_else(|| {
+        usage(&format!(
+            "unknown budget `{budget_name}`: use quick, standard or paper"
+        ))
+    });
     if artefacts.is_empty()
         && metrics_out.is_none()
         && !want_blame
@@ -163,7 +173,6 @@ fn main() {
     if self_trace.is_some() || want_doctor {
         simobs::span::set_enabled(true);
     }
-    let b = budget(&budget_name);
     // One context for the whole invocation: artefacts that share a
     // configuration (table2/fig2/fig3, the browser figures, …) reuse each
     // other's simulations through the memo cache.
@@ -475,19 +484,26 @@ fn emit(out_dir: &Path, name: &str, report: &str, csv: Option<String>) {
     }
 }
 
+fn usage_text() -> String {
+    [
+        "usage: repro <artefact>...|all [--blame] [--verify] [--budget quick|standard|paper] [--jobs N] [--out DIR]",
+        "       repro <artefact> --store [--store-stats]   # persistent run store (see PARASTAT_STORE)",
+        "       repro --blame [--budget …]",
+        "       repro <artefact> --verify   # exit 1 if any trace fails verification",
+        "       repro --metrics-out <path> [--metrics-app SUBSTR] [--budget …]",
+        "       repro <artefact> --self-trace <path>   # Perfetto-loadable span trace of the run itself",
+        "       repro --doctor [<artefact>...]   # one-shot pipeline health report",
+        "       repro --timeline [--budget …]   # per-app bucketed TLP/wait/GPU series",
+        "       repro --baseline <dir> [--update]   # diff against <dir>/baseline.prom; exit 1 on drift",
+        "       repro help   # this listing",
+        &format!("artefacts: {}", ARTEFACTS.join(" ")),
+        "",
+    ]
+    .join("\n")
+}
+
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!(
-        "usage: repro <artefact>...|all [--blame] [--verify] [--budget quick|standard|paper] [--jobs N] [--out DIR]"
-    );
-    eprintln!("       repro <artefact> --store [--store-stats]   # persistent run store (see PARASTAT_STORE)");
-    eprintln!("       repro --blame [--budget …]");
-    eprintln!("       repro <artefact> --verify   # exit 1 if any trace fails verification");
-    eprintln!("       repro --metrics-out <path> [--metrics-app SUBSTR] [--budget …]");
-    eprintln!("       repro <artefact> --self-trace <path>   # Perfetto-loadable span trace of the run itself");
-    eprintln!("       repro --doctor [<artefact>...]   # one-shot pipeline health report");
-    eprintln!("       repro --timeline [--budget …]   # per-app bucketed TLP/wait/GPU series");
-    eprintln!("       repro --baseline <dir> [--update]   # diff against <dir>/baseline.prom; exit 1 on drift");
-    eprintln!("artefacts: {}", ARTEFACTS.join(" "));
+    eprint!("{}", usage_text());
     std::process::exit(2);
 }

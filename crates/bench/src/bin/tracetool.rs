@@ -25,13 +25,15 @@
 //!
 //! A trace file is one SETL v3 stream, the format `record` writes. Every
 //! reader refuses a legacy flat v1/v2 file with exit 2 and a message
-//! naming the converter, `tracetool pack` from an older build.
+//! naming the converter, `tracetool pack` from an older build, and any
+//! corrupt byte, the file trailer's included, with exit 2 on every path.
 //!
 //! `info` summarizes a trace file without materializing it: container
 //! format, event/record counts, string-table size, window duration,
 //! the per-CPU context-switch histogram and the per-wait-reason census —
-//! all through the checksum-enforcing v3 walk. `timeline` folds the same
-//! walk into the bucketed series without materializing the event vector.
+//! all through the checksum-enforcing v3 block walk. `timeline` folds the
+//! same walk into the bucketed series without materializing the event
+//! vector.
 //!
 //! The analysis subcommands (`verify`, `tlp`, `latency`, `bottlenecks`,
 //! `critical-path`, `timeline`) accept a global `--analyzer-shards N`
@@ -45,6 +47,7 @@ use etwtrace::{
 };
 use machine::{Machine, MachineConfig};
 use parastat::ThreadPoolRunner;
+use repro_bench::Handoff;
 use simcore::{SimDuration, SimTime};
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -391,7 +394,7 @@ fn take_shards(args: &mut Vec<String>) -> Option<usize> {
 }
 
 /// Opens a trace file for sharded analysis.
-fn read_sharded(path: &str) -> ShardedTrace {
+fn read_sharded(path: &str) -> ShardedTrace<'static> {
     ShardedTrace::from_bytes(read_bytes(path)).unwrap_or_else(|e| usage(&format!("{path}: {e}")))
 }
 
@@ -416,7 +419,7 @@ fn load_sharded_filtered(
     args: &[String],
     cmd: &str,
     shards: usize,
-) -> (ShardedTrace, PidSet, ThreadPoolRunner) {
+) -> (ShardedTrace<'static>, PidSet, ThreadPoolRunner) {
     let [_, path, prefix] = args else {
         usage(&format!("{cmd} <trace.etl> <process-prefix>"));
     };
@@ -426,92 +429,31 @@ fn load_sharded_filtered(
     (trace, filter, runner)
 }
 
-/// Writes a deterministic synthetic workload of exactly `n` events through
-/// the streaming v3 writer — memory stays flat however large `n` is, so CI
-/// can smoke-test the sharded analyzers on multi-million-event traces.
-///
-/// The signal chain is the bench suite's: 24 threads handing off through
-/// event waits at 1 ms rounds with periodic GPU submits, which keeps the
-/// trace verify-clean (exit 0 end to end).
+/// Writes the bench suite's synthetic workload ([`Handoff`]), rounded up
+/// to whole rounds of at least `n` events, through the streaming v3 writer
+/// — memory stays flat however large `n` is, so CI can smoke-test the
+/// sharded analyzers on multi-million-event traces. The trace is
+/// verify-clean (exit 0 end to end).
 fn synth(n: u64, out: &str) {
-    const THREADS: u64 = 24;
-    let header = 1 + THREADS; // ProcessStart + ThreadStarts
-    let rounds = if n > header {
-        (n - header).div_ceil(4)
-    } else {
-        1
-    };
-    let gpu_submits = rounds.div_ceil(16);
-    let count = header + rounds * 4 + gpu_submits;
-    let key = |tid: u64| etwtrace::ThreadKey { pid: 1, tid };
-    let ms = |t: u64| SimTime::from_nanos(t * 1_000_000);
-    let names: Vec<String> = (0..THREADS).map(|t| format!("t{t}")).collect();
-    let mut strings: Vec<&str> = vec!["app.exe"];
-    strings.extend(names.iter().map(String::as_str));
+    let gen = Handoff::at_least(n);
+    let count = gen.event_count();
+    let strings = gen.strings();
+    let strings: Vec<&str> = strings.iter().map(String::as_str).collect();
     // lint:allow(fs-write): streamed whole-file trace export to a
     // user-chosen path; never consumed by the persistent store.
     let file = File::create(out).unwrap_or_else(|e| usage(&format!("{out}: {e}")));
     let mut w = setl3::V3Writer::new(
         BufWriter::new(file),
-        12,
-        ms(0),
-        ms(rounds + 1),
+        Handoff::CPUS,
+        SimTime::ZERO,
+        gen.end(),
         &strings,
         count,
     )
     .unwrap_or_else(|e| usage(&format!("{out}: {e}")));
-    let mut push = |ev: etwtrace::TraceEvent| {
+    for ev in gen.events() {
         w.push(&ev)
             .unwrap_or_else(|e| usage(&format!("{out}: {e}")));
-    };
-    push(etwtrace::TraceEvent::ProcessStart {
-        at: ms(0),
-        pid: 1,
-        name: "app.exe".into(),
-    });
-    for tid in 0..THREADS {
-        push(etwtrace::TraceEvent::ThreadStart {
-            at: ms(0),
-            key: key(tid),
-            name: names[tid as usize].clone(),
-        });
-    }
-    for r in 0..rounds {
-        let runner = r % THREADS;
-        let next = (r + 1) % THREADS;
-        push(etwtrace::TraceEvent::CSwitch {
-            at: ms(r),
-            cpu: (runner % 12) as usize,
-            old: None,
-            new: Some(key(runner)),
-            ready_since: Some(ms(r)),
-        });
-        push(etwtrace::TraceEvent::WaitBegin {
-            at: ms(r),
-            key: key(next),
-            reason: etwtrace::WaitReason::Event { id: next },
-        });
-        if r % 16 == 0 {
-            push(etwtrace::TraceEvent::GpuSubmit {
-                at: ms(r),
-                key: key(runner),
-                gpu: 0,
-                packet: r,
-            });
-        }
-        push(etwtrace::TraceEvent::WaitEnd {
-            at: ms(r + 1),
-            key: key(next),
-            reason: etwtrace::WaitReason::Event { id: next },
-            waker: Some(key(runner)),
-        });
-        push(etwtrace::TraceEvent::CSwitch {
-            at: ms(r + 1),
-            cpu: (runner % 12) as usize,
-            old: Some(key(runner)),
-            new: None,
-            ready_since: None,
-        });
     }
     w.finish()
         .and_then(|mut w| w.flush())

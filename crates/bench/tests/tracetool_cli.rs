@@ -2,8 +2,9 @@
 //! usage listing, the timeline golden output, the diff exit-code contract
 //! (0 clean / 1 regression / 2 corrupt-or-usage), the refusal of legacy
 //! flat traces, of revision-2 v3 streams, of streams cut inside their
-//! header and of records out of time order, out-of-range arguments, and
-//! exit codes for help / unknown subcommands.
+//! header, of a flipped file trailer and of records out of time order,
+//! out-of-range arguments, the `synth` generator, and exit codes for
+//! help / unknown subcommands.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -171,8 +172,9 @@ fn a_trace_cut_inside_its_header_exits_2_with_a_setl_message() {
     record("2", &etl);
     let bytes = std::fs::read(&etl).unwrap();
     let file = etl.to_str().unwrap();
-    // 7 bytes stop before the window start, 9 inside the window length.
-    for len in [7, 9] {
+    // 4 bytes stop inside the magic (`SETL`, not a legacy flat file), 7
+    // before the window start, 9 inside the window length.
+    for len in [4, 7, 9] {
         parastat::store::atomic_write(&etl, &bytes[..len]).unwrap();
         for argv in [
             vec!["info", file],
@@ -187,6 +189,34 @@ fn a_trace_cut_inside_its_header_exits_2_with_a_setl_message() {
                 "{len} {argv:?}: {stderr}"
             );
         }
+    }
+    let _ = std::fs::remove_file(&etl);
+}
+
+#[test]
+fn a_flipped_file_trailer_exits_2_on_the_default_and_the_sharded_path() {
+    let etl = tmp("trailer.etl");
+    record("2", &etl);
+    let mut bytes = std::fs::read(&etl).unwrap();
+    // The last byte belongs to the whole-file checksum, which no block
+    // hash covers.
+    *bytes.last_mut().unwrap() ^= 0x40;
+    parastat::store::atomic_write(&etl, &bytes).unwrap();
+    let file = etl.to_str().unwrap();
+    for argv in [
+        vec!["info", file],
+        vec!["verify", file],
+        vec!["--analyzer-shards", "2", "verify", file],
+        vec!["--analyzer-shards", "2", "tlp", file, "vlc"],
+        vec!["--analyzer-shards", "2", "timeline", file],
+    ] {
+        let out = tracetool(&argv);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("file checksum mismatch"),
+            "{argv:?}: {stderr}"
+        );
     }
     let _ = std::fs::remove_file(&etl);
 }
@@ -503,6 +533,21 @@ fn synth_writes_a_verify_clean_v3_stream_of_the_exact_size() {
     let zero = tracetool(&["synth", "0", out.to_str().unwrap()]);
     assert_eq!(zero.status.code(), Some(2), "{zero:?}");
 
+    let _ = std::fs::remove_file(&out);
+}
+
+#[test]
+fn synth_streams_the_encoded_handoff_trace() {
+    let out = tmp("synth-handoff.etl");
+    let gen = tracetool(&["synth", "10000", out.to_str().unwrap()]);
+    assert!(gen.status.success(), "synth failed: {gen:?}");
+    let handoff = repro_bench::Handoff::at_least(10_000);
+    assert!(handoff.rounds > 1);
+    let encoded = etwtrace::setl3::encode(&handoff.trace());
+    assert!(
+        std::fs::read(&out).unwrap() == encoded,
+        "synth wrote other bytes than `setl3::encode` of {handoff:?}"
+    );
     let _ = std::fs::remove_file(&out);
 }
 

@@ -816,7 +816,7 @@ pub fn concurrency_sharded(
     let mut sp = simobs::span::span("analyzer", "tlp");
     sp.add_events(trace.count());
     let mut fold = ConcurrencyFold::new(filter, trace.n_logical_cpus(), trace.start(), trace.end());
-    trace.fold_events(runner, shards, |ev| fold.push(ev))?;
+    trace.fold_events(runner, shards, |ev| fold.push(&ev))?;
     Ok(fold.finish())
 }
 
@@ -833,7 +833,7 @@ pub fn gpu_utilization_sharded(
     shards: usize,
 ) -> io::Result<GpuUtil> {
     let mut fold = GpuUtilFold::new(filter, gpu, trace.start(), trace.end());
-    trace.fold_events(runner, shards, |ev| fold.push(ev))?;
+    trace.fold_events(runner, shards, |ev| fold.push(&ev))?;
     Ok(fold.finish())
 }
 
@@ -848,7 +848,7 @@ pub fn schedule_stats_sharded(
     shards: usize,
 ) -> io::Result<ScheduleStats> {
     let mut fold = ScheduleStatsFold::new(filter);
-    trace.fold_events(runner, shards, |ev| fold.push(ev))?;
+    trace.fold_events(runner, shards, |ev| fold.push(&ev))?;
     Ok(fold.finish())
 }
 
@@ -864,7 +864,7 @@ pub fn gpu_engine_breakdown_sharded(
     shards: usize,
 ) -> io::Result<Vec<(u32, f64)>> {
     let mut fold = EngineFold::new(filter, gpu, trace.start(), trace.end());
-    trace.fold_events(runner, shards, |ev| fold.push(ev))?;
+    trace.fold_events(runner, shards, |ev| fold.push(&ev))?;
     Ok(fold.finish())
 }
 
@@ -879,7 +879,7 @@ pub fn scheduling_latency_sharded(
     shards: usize,
 ) -> io::Result<LatencyStats> {
     let mut fold = LatencyFold::new(filter);
-    trace.fold_events(runner, shards, |ev| fold.push(ev))?;
+    trace.fold_events(runner, shards, |ev| fold.push(&ev))?;
     Ok(fold.finish())
 }
 

@@ -230,8 +230,8 @@ pub fn blame_sharded(
     let mut sp = simobs::span::span("analyzer", "blame");
     sp.add_events(trace.count() * 2);
     let mut fold = BlameFold::new(trace.n_logical_cpus(), trace.start().as_nanos(), filter);
-    trace.fold_events(runner, shards, |ev| fold.prepass(ev))?;
-    trace.fold_events(runner, shards, |ev| fold.replay(ev))?;
+    trace.fold_events(runner, shards, |ev| fold.prepass(&ev))?;
+    trace.fold_events(runner, shards, |ev| fold.replay(&ev))?;
     Ok(fold.finish(trace.end().as_nanos(), trace.window().as_nanos()))
 }
 

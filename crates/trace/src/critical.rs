@@ -201,7 +201,7 @@ pub fn critical_path_sharded(
     let mut sp = simobs::span::span("analyzer", "critical");
     sp.add_events(trace.count());
     let mut fold = CriticalFold::new(filter, trace.n_logical_cpus(), trace.start(), trace.end());
-    trace.fold_events(runner, shards, |ev| fold.push(ev))?;
+    trace.fold_events(runner, shards, |ev| fold.push(&ev))?;
     Ok(fold.finish())
 }
 

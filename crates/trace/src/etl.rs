@@ -8,9 +8,13 @@
 //!
 //! Both take the file's bytes as one slice: the block index sits at the
 //! stream's tail, so no reader can start before the whole file is read.
+//! Both fold it in place through the one block walk,
+//! [`crate::ShardedTrace::fold_events`] at width 1, which checks every
+//! block hash and the file trailer.
 
 use crate::event::{EtlTrace, TraceEvent};
-use crate::setl3::{self, bad};
+use crate::setl3;
+use crate::shard::{SerialShards, ShardedTrace};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
@@ -52,19 +56,18 @@ pub struct TraceInfo {
 
 impl TraceInfo {
     /// Counts one record. `cswitch_per_cpu` is sized from the header's
-    /// (bounded) CPU count, and a record's own `cpu` field is untrusted.
-    fn fold(&mut self, ev: &TraceEvent) -> io::Result<()> {
+    /// (bounded) CPU count, and the decoder refuses a context switch on a
+    /// CPU past it.
+    fn fold(&mut self, ev: &TraceEvent) {
         *self.records_by_kind.entry(ev.kind_name()).or_insert(0) += 1;
         if let TraceEvent::CSwitch { cpu, .. } = ev {
-            *self
-                .cswitch_per_cpu
-                .get_mut(*cpu)
-                .ok_or_else(|| bad("context switch on a CPU past the header's count"))? += 1;
+            if let Some(n) = self.cswitch_per_cpu.get_mut(*cpu) {
+                *n += 1;
+            }
         }
         if let TraceEvent::WaitBegin { reason, .. } = ev {
             *self.waits_by_reason.entry(reason.label()).or_insert(0) += 1;
         }
-        Ok(())
     }
 
     /// Trace window length in nanoseconds.
@@ -114,19 +117,20 @@ impl TraceInfo {
 pub fn trace_info(bytes: &[u8]) -> io::Result<TraceInfo> {
     let mut sp = simobs::span::span("codec", "trace_info");
     sp.add_bytes(bytes.len() as u64);
-    let index = setl3::Index::parse(bytes)?;
-    let string_bytes = index.strings.iter().map(|s| s.len() as u64).sum();
+    let trace = ShardedTrace::from_slice(bytes)?;
+    let strings = trace.strings();
+    let string_bytes = strings.iter().map(|s| s.len() as u64).sum();
     let mut info = TraceInfo {
         container: format!("SETL3 r{} (compact, blocked)", setl3::VERSION),
-        n_logical: index.n_logical,
-        start_ns: index.start.as_nanos(),
-        end_ns: index.end.as_nanos(),
-        events: index.count,
-        string_table: (index.strings.len() as u64, string_bytes),
-        cswitch_per_cpu: vec![0; index.n_logical],
+        n_logical: trace.n_logical_cpus(),
+        start_ns: trace.start().as_nanos(),
+        end_ns: trace.end().as_nanos(),
+        events: trace.count(),
+        string_table: (strings.len() as u64, string_bytes),
+        cswitch_per_cpu: vec![0; trace.n_logical_cpus()],
         ..TraceInfo::default()
     };
-    setl3::walk(bytes, &index, |ev| info.fold(&ev))?;
+    trace.fold_events(&SerialShards, 1, |ev| info.fold(&ev))?;
     sp.add_events(info.events);
     Ok(info)
 }

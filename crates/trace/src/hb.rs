@@ -404,7 +404,7 @@ pub fn analyze_sharded(
     let mut sp = simobs::span::span("analyzer", "hb");
     sp.add_events(trace.count());
     let mut a = Analyzer::new(opts);
-    trace.fold_events(runner, shards, |ev| a.push(ev))?;
+    trace.fold_events(runner, shards, |ev| a.push(&ev))?;
     Ok(a.finish(trace.end()))
 }
 

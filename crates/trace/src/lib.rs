@@ -42,7 +42,8 @@
 //!   over the index clock snapshots, and one ordered fold,
 //!   [`ShardedTrace::fold_events`], that decodes blocks on the injected
 //!   [`ShardRunner`] and drives every analyzer's byte-identical sharded
-//!   twin).
+//!   twin). The fold is the one block walk: every reader of a whole trace
+//!   file is that fold at width 1.
 //!
 //! TLP here is **application-level**: analyzers take a [`PidSet`] filter and
 //! only count threads of those processes, exactly as the paper distinguishes

@@ -32,27 +32,29 @@
 //!   therefore decode on its own — no seek-from-start — and verify without
 //!   touching the rest of the file.
 //!
-//! There is one parser and one record decoder. [`Index::parse`] checks the
-//! header, string table and block index over the slice holding the whole
-//! stream, with every bound a crafted file could abuse;
-//! [`crate::shard::BlockCursor`] decodes one block's records in place.
-//! Readers that want every event — [`read_setl3`],
+//! There is one parser, one record decoder and one block walk.
+//! [`Index::parse`] checks the header, string table and block index over
+//! the slice holding the whole stream, with every bound a crafted file
+//! could abuse; [`crate::shard::BlockCursor`] decodes one block's records
+//! in place; [`crate::shard::ShardedTrace::fold_events`] walks the blocks
+//! in order. Readers that want every event — [`read_setl3`],
 //! [`crate::etl::read_etl`], [`crate::timeline::read_timeline`],
-//! [`crate::etl::trace_info`] — [`walk`] the blocks in order;
-//! [`crate::shard::ShardedTrace`] hands blocks to workers instead. Every
-//! reader takes the whole stream as a slice, since the block index sits at
-//! its tail, and a stream cut short anywhere is `InvalidData`.
+//! [`crate::etl::trace_info`] — fold the caller's slice through it at
+//! width 1, and the sharded analyzers at any width, so every reader
+//! checks every hash, the file trailer included. Every reader takes the
+//! whole stream as a slice, since the block index sits at its tail, and a
+//! stream cut short anywhere is `InvalidData`.
 //!
 //! The stream starts with the 5-byte magic `SETL3` and a revision byte;
 //! only revision 3 (the blocked layout with word-at-a-time checksums and
 //! no per-record check byte) is read. [`Index::parse`] alone decides which
 //! streams are read, so every reader refuses a revision-2 stream with a
 //! message of its own (re-record the trace), and a legacy flat SETL v1/v2
-//! file (magic `SETL` + a binary version) with another: `tracetool pack`
-//! from an older build converts one to v3.
+//! file (magic `SETL` + version byte 1 or 2) with another: `tracetool
+//! pack` from an older build converts one to v3.
 
 use crate::event::{EtlTrace, ThreadKey, TraceBuilder, TraceEvent, WaitReason};
-use crate::shard::BlockCursor;
+use crate::shard::{SerialShards, ShardedTrace};
 use simcore::SimTime;
 use std::io::{self, Write};
 
@@ -413,24 +415,22 @@ impl<W: Write> V3Writer<W> {
 /// the block index's record count before the first record decodes, and
 /// never grows. The count is untrusted, so the reservation is clamped to
 /// what the stream's bytes can hold; a stream whose blocks hold fewer
-/// records than the index claims fails in the walk.
+/// records than the index claims fails in the fold, a width-1
+/// [`ShardedTrace::fold_events`] over `bytes` in place.
 ///
 /// # Errors
 /// Returns `InvalidData` for a bad magic/revision, a stream cut short,
 /// malformed or out-of-order records, or any checksum mismatch.
 pub fn read_setl3(bytes: &[u8]) -> io::Result<EtlTrace> {
     let mut sp = simobs::span::span("codec", "read_setl3");
-    let index = Index::parse(bytes)?;
+    let trace = ShardedTrace::from_slice(bytes)?;
     // A record takes at least 2 bytes.
-    let capacity = (bytes.len() / 2).min(usize::try_from(index.count).unwrap_or(usize::MAX));
-    let mut builder = TraceBuilder::with_capacity(index.n_logical, capacity);
-    walk(bytes, &index, |ev| {
-        builder.push_decoded(ev);
-        Ok(())
-    })?;
-    sp.add_events(index.count);
+    let capacity = (bytes.len() / 2).min(usize::try_from(trace.count()).unwrap_or(usize::MAX));
+    let mut builder = TraceBuilder::with_capacity(trace.n_logical_cpus(), capacity);
+    trace.fold_events(&SerialShards, 1, |ev| builder.push_decoded(ev))?;
+    sp.add_events(trace.count());
     sp.add_bytes(bytes.len() as u64);
-    Ok(builder.finish(index.start, index.end))
+    Ok(builder.finish(trace.start(), trace.end()))
 }
 
 /// One entry of the trailing block index: where the block's bytes live and
@@ -463,7 +463,7 @@ pub(crate) struct Index {
     pub(crate) blocks: Vec<BlockMeta>,
     /// [`checksum`] of the header bytes: the whole-file hash where the
     /// record area starts.
-    header_hash: u64,
+    pub(crate) header_hash: u64,
     /// Offset of the block index, i.e. the end of the record area.
     index_start: usize,
 }
@@ -475,14 +475,16 @@ impl Index {
     ///
     /// # Errors
     /// `InvalidData` with a distinct message for legacy flat v1/v2 traces,
-    /// for revision-2 streams and for other revisions, for any structural
+    /// for revision-2 streams and for other revisions, for a stream cut
+    /// short (a proper prefix of the magic included), for any structural
     /// inconsistency or exceeded bound, and for a `meta_hash` mismatch.
     pub(crate) fn parse(bytes: &[u8]) -> io::Result<Index> {
         let Some(rest) = bytes.strip_prefix(MAGIC.as_slice()) else {
-            return Err(if bytes.starts_with(b"SETL") {
-                bad("legacy flat SETL v1/v2 trace is no longer read; convert it to v3 with `tracetool pack` from an older build")
-            } else {
-                bad("not a SETL3 trace stream")
+            return Err(match bytes {
+                _ if MAGIC.starts_with(bytes) => truncated(),
+                // A flat file's version is a little-endian u32.
+                [b'S', b'E', b'T', b'L', 1 | 2, ..] => bad("legacy flat SETL v1/v2 trace is no longer read; convert it to v3 with `tracetool pack` from an older build"),
+                _ => bad("not a SETL3 trace stream"),
             });
         };
         let (&revision, mut r) = rest.split_first().ok_or_else(truncated)?;
@@ -597,52 +599,19 @@ impl Index {
             index_start,
         })
     }
-}
 
-/// Decodes every record of `bytes`, indexed by `index`, in trace order and
-/// hands each event to `f`. Each block's hash is checked before it
-/// decodes. The whole-file hash chains over the segments [`V3Writer`]
-/// emits — the header, each block, and the index with its length — and is
-/// checked against the trailer after the last block.
-///
-/// # Errors
-/// `InvalidData` for a block or file checksum mismatch or a malformed
-/// record, and the first error `f` returns.
-pub(crate) fn walk<F>(bytes: &[u8], index: &Index, mut f: F) -> io::Result<()>
-where
-    F: FnMut(TraceEvent) -> io::Result<()>,
-{
-    let mut file_hash = index.header_hash;
-    let mut last_at = 0;
-    for m in &index.blocks {
-        let block = bytes
-            .get(m.offset..m.offset + m.len)
-            .ok_or_else(|| bad("block extent past the record area"))?;
-        if checksum(CHECKSUM_SEED, block) != m.hash {
-            return Err(bad("block checksum mismatch"));
+    /// Checks the file trailer of `bytes`, chaining the index tail onto
+    /// `file_hash`, the whole-file hash over the header and every block.
+    pub(crate) fn check_trailer(&self, bytes: &[u8], file_hash: u64) -> io::Result<()> {
+        let trailer_at = bytes.len().saturating_sub(8);
+        let tail = bytes
+            .get(self.index_start..trailer_at)
+            .ok_or_else(truncated)?;
+        if checksum(file_hash, tail) != le_u64(bytes, trailer_at)? {
+            return Err(bad("file checksum mismatch"));
         }
-        file_hash = checksum(file_hash, block);
-        let mut cursor = BlockCursor::new(
-            block,
-            &index.strings,
-            index.n_logical,
-            m.clocks.clone(),
-            m.records,
-            last_at,
-        );
-        while let Some(ev) = cursor.next_event()? {
-            f(ev)?;
-        }
-        last_at = cursor.last_at();
+        Ok(())
     }
-    let trailer_at = bytes.len().saturating_sub(8);
-    let tail = bytes
-        .get(index.index_start..trailer_at)
-        .ok_or_else(truncated)?;
-    if checksum(file_hash, tail) != le_u64(bytes, trailer_at)? {
-        return Err(bad("file checksum mismatch"));
-    }
-    Ok(())
 }
 
 /// Splits the first `n` bytes off `r`.
@@ -1202,6 +1171,39 @@ pub(crate) mod tests {
         b.finish(SimTime::ZERO, SimTime::ZERO + SimDuration::from_millis(10))
     }
 
+    /// [`demo_trace`], with its string table, as a stream of two blocks:
+    /// the writer closes the first after 7 records, not after
+    /// [`BLOCK_RECORDS`], so every mutation of the stream is cheap to try.
+    pub(crate) fn two_block_stream() -> Vec<u8> {
+        let trace = demo_trace();
+        let mut strings: Vec<&str> = Vec::new();
+        for s in trace.events().iter().filter_map(event_string) {
+            if !strings.contains(&s) {
+                strings.push(s);
+            }
+        }
+        let mut w = V3Writer::new(
+            Vec::new(),
+            trace.n_logical_cpus(),
+            trace.start(),
+            trace.end(),
+            &strings,
+            trace.events().len() as u64,
+        )
+        .unwrap();
+        let (first, second) = trace.events().split_at(7);
+        for ev in first {
+            w.push(ev).unwrap();
+        }
+        w.flush_block().unwrap();
+        for ev in second {
+            w.push(ev).unwrap();
+        }
+        let buf = w.finish().unwrap();
+        assert_eq!(read_setl3(&buf).unwrap(), trace);
+        buf
+    }
+
     /// `n` context switches alternating between two CPUs: more than
     /// [`BLOCK_RECORDS`] of them make a multi-block stream.
     fn cswitch_trace(n: usize) -> EtlTrace {
@@ -1274,7 +1276,8 @@ pub(crate) mod tests {
             }
             assert!(read_setl3(&mutated).is_err(), "word at byte {at}: decode");
             if at >= trailer_at {
-                // Only the in-order walk folds the trailer.
+                // Only a full fold checks the trailer; a cursor checks its
+                // own block.
                 continue;
             }
             let indexed = Index::parse(&mutated).is_err()
@@ -1339,12 +1342,18 @@ pub(crate) mod tests {
                         io::ErrorKind::InvalidData,
                         "{reader} at {len}: {err}"
                     );
-                    // The codec's own message, never std's I/O one.
+                    // The codec's own message, never std's I/O one, and
+                    // never the legacy flat file's, not even for a stream
+                    // cut to its first 4 bytes (`SETL`).
                     let msg = err.to_string();
                     assert!(
                         msg.contains("SETL") || msg.contains("block index"),
                         "{reader} at {len}: {msg}"
                     );
+                    assert!(!msg.contains("v1/v2"), "{reader} at {len}: {msg}");
+                    if len <= MAGIC.len() + 1 {
+                        assert_eq!(msg, "truncated SETL3 stream", "{reader} at {len}");
+                    }
                 }
             }
         }

@@ -1,14 +1,13 @@
-//! Sharded zero-copy access to SETL v3 streams.
+//! Sharded zero-copy access to SETL v3 streams, and the one block walk.
 //!
 //! [`BlockCursor`] is the one v3 record decoder: it decodes one 4096-record
 //! block **in place** from a shared byte buffer, starting from the block's
-//! clock snapshot in the index. The in-order readers in [`crate::setl3`]
-//! walk it over every block; [`ShardedTrace`] holds the raw bytes and the
-//! parsed index and hands cursors to workers instead. No seek-from-start,
-//! no whole-trace materialization, and every block is integrity-checked on
-//! its own (the index carries a 64-bit [`setl3::checksum`] per block, and
-//! the index itself is covered by `meta_hash`, seeded from the header
-//! hash).
+//! clock snapshot in the index. [`ShardedTrace`] holds the stream's bytes,
+//! owned or borrowed, with the parsed index, and hands cursors out.
+//! [`ShardedTrace::fold_events`] is the one walk over every block: the
+//! analyzers' `_sharded` entry points use it, and every in-order reader is
+//! a width-1 fold on [`SerialShards`]. No seek-from-start, no whole-trace
+//! materialization.
 //!
 //! Parallelism is injected, not owned: analyzers drive shards through the
 //! [`ShardRunner`] trait so this crate never spawns a thread. `parastat`'s
@@ -16,22 +15,20 @@
 //! is the width-1 fallback and the determinism reference.
 //!
 //! Determinism rules (see DESIGN.md §14): block decode order is free, but
-//! every fold over events happens **in block order on one thread**
-//! ([`ShardedTrace::fold_events`], the only way an analyzer uses the
-//! runner), so the bytes an analyzer report renders to are identical at any
-//! shard count.
+//! every fold over events happens **in block order on one thread**, so the
+//! bytes an analyzer report renders to are identical at any shard count.
 //!
-//! Integrity on the sharded path: `meta_hash` covers the header plus the
-//! block index, and each block hash covers its record bytes, so any
-//! corruption of the header, index or record area is detected. The only
-//! bytes not covered are the file trailer's own 8 bytes (the whole-file
-//! hash, which only the in-order walk folds) — a flip there is caught by
-//! the in-order readers and changes nothing a shard decodes.
+//! Integrity: `meta_hash` covers the header and the block index, each
+//! block's 64-bit [`setl3::checksum`] covers its records, and a fold checks
+//! the whole-file trailer after the last block. So every fold, at any
+//! width, rejects a corrupt byte anywhere in the file; a single
+//! [`ShardedTrace::cursor`] checks only its own block.
 
 use crate::event::{PidSet, TraceEvent};
-use crate::setl3::{self, Clocks, Index};
+use crate::setl3::{self, BlockMeta, Clocks, Index};
 use simcore::SimTime;
 use simobs::span::Span;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io;
 use std::ops::Range;
@@ -59,28 +56,44 @@ impl ShardRunner for SerialShards {
     }
 }
 
-/// A SETL v3 stream held fully in memory, indexed for independent
-/// per-block decoding.
+/// A SETL v3 stream held fully in memory, owned or borrowed, indexed for
+/// independent per-block decoding.
 ///
-/// `from_bytes` checks the header and block index without touching a
-/// single record byte. Records are only decoded when a [`BlockCursor`]
-/// walks them, and each cursor verifies its block's 64-bit hash first.
+/// `from_bytes` and `from_slice` check the header and block index without
+/// touching a single record byte. Records are only decoded when a
+/// [`BlockCursor`] walks them, and each cursor verifies its block's 64-bit
+/// hash first.
 #[derive(Debug)]
-pub struct ShardedTrace {
-    bytes: Vec<u8>,
+pub struct ShardedTrace<'a> {
+    bytes: Cow<'a, [u8]>,
     index: Index,
 }
 
-impl ShardedTrace {
-    /// Indexes a v3 stream.
+impl<'a> ShardedTrace<'a> {
+    /// Indexes a v3 stream it takes ownership of.
     ///
     /// # Errors
     /// `InvalidData` with a distinct message for legacy flat v1/v2 traces
-    /// and for other v3 revisions, for any structural inconsistency, and
-    /// for a `meta_hash` mismatch.
-    pub fn from_bytes(bytes: Vec<u8>) -> io::Result<ShardedTrace> {
+    /// and for other v3 revisions, for a stream cut short, for any
+    /// structural inconsistency, and for a `meta_hash` mismatch.
+    pub fn from_bytes(bytes: Vec<u8>) -> io::Result<Self> {
         let index = Index::parse(&bytes)?;
-        Ok(ShardedTrace { bytes, index })
+        Ok(ShardedTrace {
+            bytes: Cow::Owned(bytes),
+            index,
+        })
+    }
+
+    /// Indexes a v3 stream in place: the trace borrows `bytes` and copies
+    /// none of them.
+    ///
+    /// # Errors
+    /// Same conditions as [`ShardedTrace::from_bytes`].
+    pub fn from_slice(bytes: &'a [u8]) -> io::Result<Self> {
+        Ok(ShardedTrace {
+            index: Index::parse(bytes)?,
+            bytes: Cow::Borrowed(bytes),
+        })
     }
 
     /// Number of logical CPUs the trace was recorded on.
@@ -118,6 +131,11 @@ impl ShardedTrace {
         self.bytes.len()
     }
 
+    /// The interned string table.
+    pub(crate) fn strings(&self) -> &[String] {
+        &self.index.strings
+    }
+
     /// A cursor over block `block`, after verifying the block's 64-bit
     /// [`setl3::checksum`] against the index. The hash covers every record
     /// byte, so a cursor that is handed out decodes trusted bytes.
@@ -125,6 +143,30 @@ impl ShardedTrace {
     /// # Errors
     /// `InvalidData` for an out-of-range block or a hash mismatch.
     pub fn cursor(&self, block: usize) -> io::Result<BlockCursor<'_>> {
+        // The block decodes on its own, so its order check starts afresh;
+        // `fold_events` checks the seam to the block before.
+        self.seeded_cursor(block, 0)
+    }
+
+    /// [`ShardedTrace::cursor`] whose first record may not precede
+    /// `last_at` (ns).
+    fn seeded_cursor(&self, block: usize, last_at: u64) -> io::Result<BlockCursor<'_>> {
+        let (m, buf) = self.block(block)?;
+        if setl3::checksum(setl3::CHECKSUM_SEED, buf) != m.hash {
+            return Err(setl3::bad("block checksum mismatch"));
+        }
+        Ok(BlockCursor {
+            buf,
+            strings: &self.index.strings,
+            n_logical: self.index.n_logical,
+            clocks: m.clocks.clone(),
+            last_at,
+            remaining: m.records,
+        })
+    }
+
+    /// Block `block`'s index entry and bytes.
+    fn block(&self, block: usize) -> io::Result<(&BlockMeta, &[u8])> {
         let m = self
             .index
             .blocks
@@ -134,19 +176,7 @@ impl ShardedTrace {
             .bytes
             .get(m.offset..m.offset + m.len)
             .ok_or_else(|| setl3::bad("block extent past the record area"))?;
-        if setl3::checksum(setl3::CHECKSUM_SEED, buf) != m.hash {
-            return Err(setl3::bad("block checksum mismatch"));
-        }
-        // The block decodes on its own, so its order check starts afresh;
-        // `fold_events` checks the seam to the block before.
-        Ok(BlockCursor::new(
-            buf,
-            &self.index.strings,
-            self.index.n_logical,
-            m.clocks.clone(),
-            m.records,
-            0,
-        ))
+        Ok((m, buf))
     }
 
     /// Decodes block `block` into a `Vec` (hash-verified).
@@ -202,37 +232,34 @@ impl ShardedTrace {
         start..stop.max(start)
     }
 
-    /// Streams every event through `f` **in trace order** while blocks
-    /// decode in parallel on `runner`, all inside one runner scope of
-    /// `min(shards, blocks)` tasks (DESIGN.md §14.2):
+    /// Streams every event through `f`, by value and **in trace order**,
+    /// while blocks decode in parallel on `runner`, inside one runner scope
+    /// of `min(shards, blocks)` tasks (DESIGN.md §14.2). The first task to
+    /// start takes `f` and folds blocks `0..n` in order; every other task
+    /// decodes blocks ahead of it, block hash first, at most `2 × shards`
+    /// ahead. The folder folds a block no task has claimed straight from
+    /// its cursor, as it does every block at width 1, and decodes ahead
+    /// itself while its next block is still decoding. It chains the
+    /// whole-file hash over every block and checks the trailer at the end.
     ///
-    /// * the first task to start takes `f` and folds blocks `0..n` in
-    ///   order;
-    /// * every other task claims the next undecoded block and decodes it,
-    ///   block hash first, and parks it for the fold, never more than
-    ///   `2 × shards` blocks ahead of the fold;
-    /// * when the folder's next block is still being decoded, the folder
-    ///   claims and decodes the next unclaimed block itself instead of
-    ///   waiting, so a cheap fold still keeps every worker decoding.
-    ///
-    /// Memory stays bounded by that window (≈ `2 × shards × 4096` events)
-    /// however large the trace is, and the fold sees the exact event
-    /// sequence a sequential reader would — so any analyzer fold driven
-    /// through here is byte-identical to its materialized twin by
-    /// construction. `f` must be `Send`: it runs on whichever task starts
-    /// first.
+    /// Memory stays bounded by the window (≈ `2 × shards × 4096` events),
+    /// and `f` sees the exact event sequence at any width, so an analyzer
+    /// fold driven through here is byte-identical to its materialized twin
+    /// by construction. `f` must be `Send`: it runs on whichever task
+    /// starts first.
     ///
     /// # Errors
     /// The first decode error in block order, where a block whose first
-    /// record precedes the last record of the block before it fails too.
-    /// `f` has then seen exactly the events of the blocks before it.
+    /// record precedes the last record of the block before it fails too,
+    /// then a file checksum mismatch. `f` has seen the events before the
+    /// failing record.
     ///
     /// # Panics
     /// A panic in `f` or in a decode halts every other task at its next
     /// claim or wait, and the runner re-raises it.
     pub fn fold_events<F>(&self, runner: &dyn ShardRunner, shards: usize, f: F) -> io::Result<()>
     where
-        F: FnMut(&TraceEvent) + Send,
+        F: FnMut(TraceEvent) + Send,
     {
         let blocks = self.index.blocks.len();
         // A window wider than the trace would admit no more claims.
@@ -262,50 +289,73 @@ impl ShardedTrace {
     }
 
     /// The folder's side of [`ShardedTrace::fold_events`]: folds blocks in
-    /// order. It decodes its next block itself when no task has claimed
-    /// it, and the next unclaimed one while another task finishes it.
+    /// order, chaining the file hash, and checks the trailer at the end.
     fn fold_in_order<F>(&self, pipe: &Pipeline, worker: &mut Span, mut f: F) -> io::Result<()>
     where
-        F: FnMut(&TraceEvent),
+        F: FnMut(TraceEvent),
     {
-        let mut last_at = SimTime::ZERO;
+        let mut file_hash = self.index.header_hash;
+        // Time of the last record folded (ns).
+        let mut last_at = 0;
         for block in 0..pipe.blocks {
-            let events = loop {
-                let mut claims = pipe.lock();
-                if let Some(decoded) = claims.ready.remove(&block) {
-                    break decoded?;
-                }
-                if claims.halted {
-                    return Err(io::Error::other("a block decoder panicked"));
-                }
-                match pipe.claim(&mut claims) {
-                    Some(next) => {
-                        drop(claims);
-                        let decoded = self.decode_claimed(worker, next);
-                        if next == block {
-                            break decoded?;
-                        }
-                        pipe.land(next, decoded);
+            file_hash = setl3::checksum(file_hash, self.block(block)?.1);
+            match self.next_block(pipe, worker, block) {
+                // The cursor's order check, seeded with the block before,
+                // covers the seam.
+                None => {
+                    let _sp = decode_span(&self.index, worker, block);
+                    let mut cursor = self.seeded_cursor(block, last_at)?;
+                    while let Some(ev) = cursor.next_event()? {
+                        f(ev);
                     }
-                    // `block` is claimed and still decoding: its task lands
-                    // it (or unwinds and halts) without waiting on anyone.
-                    None => drop(pipe.wait(claims)),
+                    last_at = cursor.last_at;
                 }
-            };
-            // Each block's decoder checks time order inside the block;
-            // the seam to the block before is checked here.
-            if events.first().is_some_and(|ev| ev.at() < last_at) {
-                return Err(setl3::bad(setl3::OUT_OF_ORDER));
-            }
-            for ev in &events {
-                f(ev);
-            }
-            if let Some(ev) = events.last() {
-                last_at = ev.at();
+                // Another task decoded the block on its own; the seam to
+                // the block before is checked here.
+                Some(events) => {
+                    let events = events?;
+                    if events
+                        .first()
+                        .is_some_and(|ev| ev.at().as_nanos() < last_at)
+                    {
+                        return Err(setl3::bad(setl3::OUT_OF_ORDER));
+                    }
+                    if let Some(ev) = events.last() {
+                        last_at = ev.at().as_nanos();
+                    }
+                    events.into_iter().for_each(&mut f);
+                }
             }
             pipe.advance();
         }
-        Ok(())
+        self.index.check_trailer(&self.bytes, file_hash)
+    }
+
+    /// Waits for the folder's next block, `block`: what another task
+    /// decoded, or `None` once the folder has claimed the block itself.
+    /// While another task still decodes `block`, the folder decodes the
+    /// next unclaimed block and lands it.
+    fn next_block(&self, pipe: &Pipeline, worker: &mut Span, block: usize) -> Option<Decoded> {
+        loop {
+            let mut claims = pipe.lock();
+            if let Some(decoded) = claims.ready.remove(&block) {
+                return Some(decoded);
+            }
+            if claims.halted {
+                return Some(Err(io::Error::other("a block decoder panicked")));
+            }
+            match pipe.claim(&mut claims) {
+                Some(next) if next == block => return None,
+                Some(next) => {
+                    drop(claims);
+                    let decoded = self.decode_claimed(worker, next);
+                    pipe.land(next, decoded);
+                }
+                // `block` is claimed and still decoding: its task lands it
+                // (or unwinds and halts) without waiting on anyone.
+                None => drop(pipe.wait(claims)),
+            }
+        }
     }
 
     /// A decoding task's side of [`ShardedTrace::fold_events`]: claims
@@ -332,15 +382,9 @@ impl ShardedTrace {
         }
     }
 
-    /// Decodes one claimed block under a `shard/decode` span and counts it
-    /// on the task's `shard/worker` span.
+    /// Decodes one claimed block for the folder to take.
     fn decode_claimed(&self, worker: &mut Span, block: usize) -> Decoded {
-        worker.add_events(1);
-        let mut sp = simobs::span::span("shard", "decode");
-        if let Some(m) = self.index.blocks.get(block) {
-            sp.add_events(m.records);
-            sp.add_bytes(m.len as u64);
-        }
+        let _sp = decode_span(&self.index, worker, block);
         self.decode_block(block)
     }
 
@@ -361,12 +405,25 @@ impl ShardedTrace {
         self.fold_events(runner, shards, |ev| {
             if let TraceEvent::ProcessStart { pid, name, .. } = ev {
                 if name.to_ascii_lowercase().starts_with(&prefix) {
-                    pids.insert(*pid);
+                    pids.insert(pid);
                 }
             }
         })?;
         Ok(pids)
     }
+}
+
+/// Opens the `shard/decode` span of one block and counts the block on its
+/// task's `shard/worker` span. A block the folder folds from its cursor
+/// spans its fold too.
+fn decode_span(index: &Index, worker: &mut Span, block: usize) -> Span {
+    worker.add_events(1);
+    let mut sp = simobs::span::span("shard", "decode");
+    if let Some(m) = index.blocks.get(block) {
+        sp.add_events(m.records);
+        sp.add_bytes(m.len as u64);
+    }
+    sp
 }
 
 /// One decoded block, or why it failed.
@@ -468,53 +525,28 @@ impl Drop for HaltOnUnwind<'_> {
 }
 
 /// In-place decoder over one block's bytes: borrows the shared buffer and
-/// carries a private clock state seeded from the index snapshot. Its
-/// creators — [`ShardedTrace::cursor`] and the in-order walk in
-/// [`crate::setl3`] — verify the block's 64-bit [`setl3::checksum`] first.
-/// That hash covers every record byte, so records carry no check bytes and
-/// the cursor decodes them back to back.
+/// carries a private clock state seeded from the index snapshot.
+/// [`ShardedTrace`] verifies the block's 64-bit [`setl3::checksum`] before
+/// it hands a cursor out. That hash covers every record byte, so records
+/// carry no check bytes and the cursor decodes them back to back.
 ///
 /// The cursor also carries the time of the record before the next one, and
-/// refuses a record that goes back in time. The in-order walk seeds it with
-/// the previous block's last time; a cursor from [`ShardedTrace::cursor`]
-/// starts at 0, and [`ShardedTrace::fold_events`] checks the seam.
+/// refuses a record that goes back in time. A cursor from
+/// [`ShardedTrace::cursor`] starts at 0; the fold seeds the cursor of the
+/// block it folds next with the previous block's last time.
 pub struct BlockCursor<'a> {
     buf: &'a [u8],
     strings: &'a [String],
     /// The header's logical CPU count; a `CSwitch` must name a CPU below it.
     n_logical: usize,
     clocks: Clocks,
-    /// Time of the last record decoded (ns); the next may not precede it.
+    /// Time of the last record decoded, or the seed before the first (ns);
+    /// the next may not precede it.
     last_at: u64,
     remaining: u64,
 }
 
-impl<'a> BlockCursor<'a> {
-    /// A cursor over `records` records in `buf`, whose hash the caller has
-    /// verified, whose first record may not precede `last_at` (ns).
-    pub(crate) fn new(
-        buf: &'a [u8],
-        strings: &'a [String],
-        n_logical: usize,
-        clocks: Clocks,
-        records: u64,
-        last_at: u64,
-    ) -> BlockCursor<'a> {
-        BlockCursor {
-            buf,
-            strings,
-            n_logical,
-            clocks,
-            last_at,
-            remaining: records,
-        }
-    }
-
-    /// Time of the last record decoded, or the seed before the first (ns).
-    pub(crate) fn last_at(&self) -> u64 {
-        self.last_at
-    }
-
+impl BlockCursor<'_> {
     /// The next event in the block, or `None` after the last record.
     ///
     /// # Errors
@@ -591,7 +623,7 @@ mod tests {
         // And the streaming fold sees the same order.
         let mut folded = Vec::new();
         sharded
-            .fold_events(&SerialShards, 4, |ev| folded.push(ev.clone()))
+            .fold_events(&SerialShards, 4, |ev| folded.push(ev))
             .unwrap();
         assert_eq!(&folded, trace.events());
     }
@@ -618,9 +650,10 @@ mod tests {
     fn every_flip_outside_the_trailer_is_detected_by_some_shard() {
         let trace = big_trace((BLOCK_RECORDS + 50) as usize);
         let buf = encode(&trace);
-        // The sharded path never folds the file trailer's own 8 bytes; any
-        // flip in header, records or index must fail indexing or decoding.
-        for i in 0..buf.len() - 8 {
+        let trailer_at = buf.len() - 8;
+        // Any flip in header, records or index must fail indexing or
+        // decoding a block.
+        for i in 0..trailer_at {
             let mut mutated = buf.clone();
             mutated[i] ^= 0x40;
             let failed = match ShardedTrace::from_bytes(mutated) {
@@ -631,6 +664,89 @@ mod tests {
                 failed,
                 "flip at byte {i} went undetected on the sharded path"
             );
+        }
+        // A block cursor checks only its own block, so a flip in the
+        // trailer decodes every block; a full fold checks the trailer at
+        // every width.
+        for i in trailer_at..buf.len() {
+            let mut mutated = buf.clone();
+            mutated[i] ^= 0x40;
+            let s = ShardedTrace::from_bytes(mutated).unwrap();
+            assert!((0..s.n_blocks()).all(|b| s.decode_block(b).is_ok()));
+            for (name, runner) in runners() {
+                for shards in [1usize, 2, 4] {
+                    let err = s.fold_events(runner, shards, drop).unwrap_err();
+                    assert_eq!(
+                        err.to_string(),
+                        "file checksum mismatch",
+                        "flip at byte {i}, {name} runner at {shards} shards"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Whether each reader of the whole stream accepts `bytes`, by name:
+    /// the in-order readers and the fold at widths 1 and 2.
+    fn every_reader(bytes: &[u8]) -> [(&'static str, io::Result<()>); 5] {
+        let fold = |runner: &dyn ShardRunner, shards| {
+            ShardedTrace::from_slice(bytes)?.fold_events(runner, shards, drop)
+        };
+        [
+            ("read_setl3", setl3::read_setl3(bytes).map(drop)),
+            ("trace_info", crate::etl::trace_info(bytes).map(drop)),
+            (
+                "read_timeline",
+                crate::timeline::read_timeline(bytes, 4).map(drop),
+            ),
+            ("fold_events at 1", fold(&SerialShards, 1)),
+            ("fold_events at 2", fold(&ScopedThreads(2), 2)),
+        ]
+    }
+
+    #[test]
+    fn every_reader_gives_one_verdict_on_every_mutation() {
+        let clean = setl3::tests::two_block_stream();
+        for (reader, verdict) in every_reader(&clean) {
+            assert!(verdict.is_ok(), "{reader} refused the clean stream");
+        }
+        let index = Index::parse(&clean).unwrap();
+        let [first, second] = &index.blocks[..] else {
+            panic!("{} blocks", index.blocks.len());
+        };
+        assert!(!index.strings.is_empty());
+        let mut mutations = Vec::new();
+        for bit in 0..clean.len() * 8 {
+            let mut flipped = clean.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            mutations.push((format!("bit {bit} flipped"), flipped));
+        }
+        for len in 0..clean.len() {
+            mutations.push((format!("cut to {len} bytes"), clean[..len].to_vec()));
+        }
+        let bytes = |m: &BlockMeta| &clean[m.offset..m.offset + m.len];
+        let mut swapped = clean.clone();
+        swapped.splice(
+            first.offset..second.offset + second.len,
+            [bytes(second), bytes(first)].concat(),
+        );
+        assert_ne!(swapped, clean);
+        mutations.push(("blocks swapped".to_string(), swapped));
+
+        for (mutation, bytes) in &mutations {
+            let verdicts = every_reader(bytes);
+            let want = verdicts[0].1.as_ref().map_err(ToString::to_string);
+            for (reader, verdict) in &verdicts {
+                let err = verdict
+                    .as_ref()
+                    .expect_err(&format!("{reader} took the stream with its {mutation}"));
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{mutation}: {err}");
+                assert_eq!(
+                    want,
+                    Err(err.to_string()),
+                    "{reader} disagrees with read_setl3 on the {mutation}"
+                );
+            }
         }
     }
 
@@ -960,7 +1076,7 @@ mod tests {
             for shards in [1usize, 2, 3, 4, 7] {
                 let mut seen = Vec::new();
                 let err = sharded
-                    .fold_events(runner, shards, |ev| seen.push(ev.clone()))
+                    .fold_events(runner, shards, |ev| seen.push(ev))
                     .unwrap_err();
                 assert!(
                     err.to_string().contains("block checksum mismatch"),

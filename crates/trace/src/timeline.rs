@@ -10,8 +10,8 @@
 //!
 //! Two properties are load-bearing:
 //!
-//! * **Streaming.** [`read_timeline`] walks a SETL v3 file's blocks in
-//!   order through the one checksum-enforcing v3 decoder and never
+//! * **Streaming.** [`read_timeline`] folds a SETL v3 file's blocks in
+//!   order through the one checksum-enforcing block walk and never
 //!   materializes a `Vec<TraceEvent>`. Fold state is O(threads + CPUs +
 //!   engines), independent of trace length.
 //! * **Exact conservation.** All accounting is integer nanoseconds. Bucket
@@ -26,7 +26,7 @@
 //! triage view like `tracetool info`, not an Equation-1 measurement.
 
 use crate::event::{EtlTrace, ThreadKey, TraceEvent, WaitReason};
-use crate::setl3;
+use crate::shard::{SerialShards, ShardRunner, ShardedTrace};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
@@ -463,9 +463,9 @@ pub fn fold_trace(trace: &EtlTrace, n_buckets: usize) -> Timeline {
 /// # Errors
 /// Any block decode or checksum error.
 pub fn timeline_sharded(
-    trace: &crate::shard::ShardedTrace,
+    trace: &ShardedTrace,
     n_buckets: usize,
-    runner: &dyn crate::shard::ShardRunner,
+    runner: &dyn ShardRunner,
     shards: usize,
 ) -> io::Result<Timeline> {
     let mut sp = simobs::span::span("analyzer", "timeline");
@@ -477,32 +477,23 @@ pub fn timeline_sharded(
         trace.end().as_nanos(),
         n_buckets,
     );
-    trace.fold_events(runner, shards, |ev| f.fold(ev))?;
+    trace.fold_events(runner, shards, |ev| f.fold(&ev))?;
     Ok(f.finish())
 }
 
-/// Folds a trace file. The v3 stream is walked block by block with full
-/// checksum verification and no `Vec<TraceEvent>` is built.
+/// Folds a trace file: [`timeline_sharded`] at width 1 over `bytes` in
+/// place, with full checksum verification and no `Vec<TraceEvent>`.
 ///
 /// # Errors
 /// Same conditions as [`crate::etl::read_etl`]: bad magic/revision, a
 /// stream cut short, malformed records, checksum mismatches.
 pub fn read_timeline(bytes: &[u8], n_buckets: usize) -> io::Result<Timeline> {
-    let mut sp = simobs::span::span("analyzer", "timeline");
-    let index = setl3::Index::parse(bytes)?;
-    let mut f = Folder::new(
-        index.n_logical,
-        index.start.as_nanos(),
-        index.end.as_nanos(),
+    timeline_sharded(
+        &ShardedTrace::from_slice(bytes)?,
         n_buckets,
-    );
-    setl3::walk(bytes, &index, |ev| {
-        f.fold(&ev);
-        Ok(())
-    })?;
-    sp.add_events(f.events);
-    sp.add_bytes(bytes.len() as u64);
-    Ok(f.finish())
+        &SerialShards,
+        1,
+    )
 }
 
 fn fmt_val(v: f64) -> String {
@@ -768,6 +759,7 @@ impl Timeline {
 mod tests {
     use super::*;
     use crate::event::TraceBuilder;
+    use crate::setl3;
     use simcore::{SimDuration, SimTime};
 
     fn at(ms: u64) -> SimTime {

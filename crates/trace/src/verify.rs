@@ -787,7 +787,7 @@ pub fn verify_sharded(
     let mut sp = simobs::span::span("analyzer", "verify");
     sp.add_events(trace.count());
     let mut v = Verifier::new(trace.n_logical_cpus());
-    trace.fold_events(runner, shards, |ev| v.push(ev))?;
+    trace.fold_events(runner, shards, |ev| v.push(&ev))?;
     Ok(v.finish(trace.end()))
 }
 
