@@ -133,7 +133,7 @@ fn main() {
             if let Some(shards) = shards {
                 let runner = ThreadPoolRunner::new(shards);
                 let trace = read_sharded(path);
-                filter = sharded_filter(&trace, &runner, shards, prefix);
+                filter = sharded_filter(&trace, &runner, shards, path, prefix);
                 profile = analysis::concurrency_sharded(&trace, &filter, &runner, shards)
                     .unwrap_or_else(|e| usage(&format!("{path}: {e}")));
                 util = analysis::gpu_utilization_sharded(&trace, &filter, None, &runner, shards)
@@ -197,7 +197,7 @@ fn main() {
             let lat = if let Some(shards) = shards {
                 let runner = ThreadPoolRunner::new(shards);
                 let trace = read_sharded(path);
-                let filter = sharded_filter(&trace, &runner, shards, prefix);
+                let filter = sharded_filter(&trace, &runner, shards, path, prefix);
                 analysis::scheduling_latency_sharded(&trace, &filter, &runner, shards)
                     .unwrap_or_else(|e| usage(&format!("{path}: {e}")))
             } else {
@@ -217,9 +217,10 @@ fn main() {
         }
         Some("bottlenecks") => {
             if let Some(shards) = shards {
-                let (trace, filter, runner) = load_sharded_filtered(&args, "bottlenecks", shards);
+                let (path, trace, filter, runner) =
+                    load_sharded_filtered(&args, "bottlenecks", shards);
                 let report = blame::blame_sharded(&trace, &filter, &runner, shards)
-                    .unwrap_or_else(|e| usage(&format!("{e}")));
+                    .unwrap_or_else(|e| usage(&format!("{path}: {e}")));
                 print!("{}", report.render());
             } else {
                 let (trace, filter) = load_filtered(&args, "bottlenecks");
@@ -228,9 +229,10 @@ fn main() {
         }
         Some("critical-path") => {
             if let Some(shards) = shards {
-                let (trace, filter, runner) = load_sharded_filtered(&args, "critical-path", shards);
+                let (path, trace, filter, runner) =
+                    load_sharded_filtered(&args, "critical-path", shards);
                 let report = critical::critical_path_sharded(&trace, &filter, &runner, shards)
-                    .unwrap_or_else(|e| usage(&format!("{e}")));
+                    .unwrap_or_else(|e| usage(&format!("{path}: {e}")));
                 print!("{}", report.render());
             } else {
                 let (trace, filter) = load_filtered(&args, "critical-path");
@@ -243,12 +245,13 @@ fn main() {
                 if args.len() != 2 {
                     usage("verify <trace.etl>");
                 }
+                let path = &args[1];
                 let runner = ThreadPoolRunner::new(shards);
-                let trace = read_sharded(&args[1]);
+                let trace = read_sharded(path);
                 report = verify::verify_sharded(&trace, &runner, shards)
-                    .unwrap_or_else(|e| usage(&format!("{e}")));
+                    .unwrap_or_else(|e| usage(&format!("{path}: {e}")));
                 causal = hb::analyze_sharded(&trace, &hb::HbOptions::default(), &runner, shards)
-                    .unwrap_or_else(|e| usage(&format!("{e}")));
+                    .unwrap_or_else(|e| usage(&format!("{path}: {e}")));
             } else {
                 let trace = load(&args, 2);
                 report = verify::verify_trace(&trace);
@@ -398,35 +401,37 @@ fn read_sharded(path: &str) -> ShardedTrace<'static> {
     ShardedTrace::from_bytes(read_bytes(path)).unwrap_or_else(|e| usage(&format!("{path}: {e}")))
 }
 
-/// Resolves a process-prefix filter through the parallel sweep.
+/// Resolves a process-prefix filter through the parallel sweep of the
+/// trace read from `path`.
 fn sharded_filter(
     trace: &ShardedTrace,
     runner: &ThreadPoolRunner,
     shards: usize,
+    path: &str,
     prefix: &str,
 ) -> PidSet {
     let filter = trace
         .pids_by_name(runner, shards, prefix)
-        .unwrap_or_else(|e| usage(&format!("{e}")));
+        .unwrap_or_else(|e| usage(&format!("{path}: {e}")));
     if filter.is_empty() {
         usage(&format!("no process matches `{prefix}`"));
     }
     filter
 }
 
-/// Sharded twin of [`load_filtered`].
-fn load_sharded_filtered(
-    args: &[String],
+/// Sharded twin of [`load_filtered`]; also returns the trace's path.
+fn load_sharded_filtered<'a>(
+    args: &'a [String],
     cmd: &str,
     shards: usize,
-) -> (ShardedTrace<'static>, PidSet, ThreadPoolRunner) {
+) -> (&'a str, ShardedTrace<'static>, PidSet, ThreadPoolRunner) {
     let [_, path, prefix] = args else {
         usage(&format!("{cmd} <trace.etl> <process-prefix>"));
     };
     let runner = ThreadPoolRunner::new(shards);
     let trace = read_sharded(path);
-    let filter = sharded_filter(&trace, &runner, shards, prefix);
-    (trace, filter, runner)
+    let filter = sharded_filter(&trace, &runner, shards, path, prefix);
+    (path, trace, filter, runner)
 }
 
 /// Writes the bench suite's synthetic workload ([`Handoff`]), rounded up

@@ -4,9 +4,10 @@
 //! must equal the whole-trace totals *exactly* (integer nanoseconds, no
 //! rounding slop), the buckets must tile the window, and the totals must
 //! be independent of the bucket count. The streaming decoder path must
-//! agree byte-for-byte with the in-memory fold.
+//! agree byte-for-byte with the in-memory fold. The same generator checks
+//! that the Fig. 5–7/9 series are their summaries cut into bins.
 
-use etwtrace::{setl3, timeline, EtlTrace};
+use etwtrace::{analysis, setl3, timeline, EtlTrace};
 use machine::{Action, Machine, MachineConfig, ThreadCtx, ThreadProgram, Work};
 use proptest::prelude::*;
 use simcore::SimDuration;
@@ -53,6 +54,11 @@ fn arb_program() -> impl Strategy<Value = Vec<(u8, u16)>> {
     proptest::collection::vec((any::<u8>(), 1u16..400), 1..20)
 }
 
+/// `a` and `b` agree to 1e-9 of the larger magnitude.
+fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-9 * a.abs().max(b.abs())
+}
+
 fn random_trace(programs: Vec<Vec<(u8, u16)>>, logical: usize, seed: u64) -> EtlTrace {
     let mut m = Machine::new(MachineConfig::study_rig(logical.max(2), true).with_seed(seed));
     let ev = m.create_event();
@@ -94,6 +100,36 @@ proptest! {
             );
             // Totals are a property of the trace, not of the bucketing.
             prop_assert_eq!(&tl.totals, &reference.totals);
+        }
+    }
+
+    /// A series with one bin over the whole window is its summary: the
+    /// instantaneous TLP equals Eq. 1 TLP, and the GPU busy series equals
+    /// GPU utilization on every device and on device 0.
+    #[test]
+    fn one_bin_series_equal_their_summaries(
+        programs in proptest::collection::vec(arb_program(), 1..8),
+        logical in 2usize..=12,
+        seed: u64,
+    ) {
+        let trace = random_trace(programs, logical, seed);
+        let filter = trace.pids_by_name("timeline");
+        let window = trace.window();
+        let tlp = analysis::instantaneous_tlp(&trace, &filter, window);
+        prop_assert_eq!(tlp.len(), 1);
+        let eq1 = analysis::concurrency(&trace, &filter).tlp();
+        prop_assert!(close(tlp.points()[0].1, eq1), "series {:?}, Eq. 1 {}", tlp, eq1);
+        for gpu in [None, Some(0)] {
+            let series = analysis::gpu_util_series(&trace, &filter, gpu, window);
+            prop_assert_eq!(series.len(), 1);
+            let util = analysis::gpu_utilization(&trace, &filter, gpu).percent();
+            prop_assert!(
+                close(series.points()[0].1, util),
+                "gpu {:?}: series {:?}, utilization {}",
+                gpu,
+                series,
+                util
+            );
         }
     }
 

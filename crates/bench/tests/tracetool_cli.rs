@@ -203,20 +203,29 @@ fn a_flipped_file_trailer_exits_2_on_the_default_and_the_sharded_path() {
     *bytes.last_mut().unwrap() ^= 0x40;
     parastat::store::atomic_write(&etl, &bytes).unwrap();
     let file = etl.to_str().unwrap();
-    for argv in [
-        vec!["info", file],
-        vec!["verify", file],
-        vec!["--analyzer-shards", "2", "verify", file],
-        vec!["--analyzer-shards", "2", "tlp", file, "vlc"],
-        vec!["--analyzer-shards", "2", "timeline", file],
-    ] {
-        let out = tracetool(&argv);
+    let first_stderr_line = |argv: &[&str]| -> String {
+        let out = tracetool(argv);
         assert_eq!(out.status.code(), Some(2), "{argv:?}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains("file checksum mismatch"),
-            "{argv:?}: {stderr}"
-        );
+        stderr.lines().next().unwrap_or_default().to_string()
+    };
+    let want = format!("tracetool: {file}: file checksum mismatch");
+    assert_eq!(first_stderr_line(&["info", file]), want);
+    // Every analyser names the file in the same line on both paths.
+    for (sub, prefix) in [
+        ("verify", None),
+        ("tlp", Some("vlc")),
+        ("latency", Some("vlc")),
+        ("bottlenecks", Some("vlc")),
+        ("critical-path", Some("vlc")),
+        ("timeline", None),
+    ] {
+        let mut argv = vec![sub, file];
+        argv.extend(prefix);
+        assert_eq!(first_stderr_line(&argv), want, "{sub}");
+        let mut sharded = vec!["--analyzer-shards", "2"];
+        sharded.extend(&argv);
+        assert_eq!(first_stderr_line(&sharded), want, "sharded {sub}");
     }
     let _ = std::fs::remove_file(&etl);
 }

@@ -352,13 +352,7 @@ impl SingleRun {
 
     /// Total presented/transcoded frames in the window.
     pub fn frames(&self) -> u64 {
-        self.trace
-            .events()
-            .iter()
-            .filter(|e| {
-                matches!(e, etwtrace::TraceEvent::Frame { pid, .. } if self.filter.contains(*pid))
-            })
-            .count() as u64
+        analysis::frame_count(&self.trace, &self.filter)
     }
 
     /// Mean frame rate over the whole window (the transcode rate of

@@ -57,11 +57,7 @@ pub fn cosched(budget: Budget) -> CoScheduling {
             .sum::<f64>()
             / profile.n_logical() as f64;
         let hb = trace.pids_by_name("handbrake");
-        let frames = trace
-            .events()
-            .iter()
-            .filter(|e| matches!(e, etwtrace::TraceEvent::Frame { pid, .. } if hb.contains(*pid)))
-            .count() as f64;
+        let frames = analysis::frame_count(&trace, &hb) as f64;
         (busy, frames / trace.window().as_secs_f64())
     };
     let (hb_alone_busy, hb_rate_alone) = busy_of(&[AppId::Handbrake]);
@@ -117,11 +113,7 @@ pub fn offload(budget: Budget) -> Offload {
         let trace = m.into_trace();
         let winx = trace.pids_by_name("winx");
         let ps = trace.pids_by_name("photoshop");
-        let frames = trace
-            .events()
-            .iter()
-            .filter(|e| matches!(e, etwtrace::TraceEvent::Frame { pid, .. } if winx.contains(*pid)))
-            .count() as f64;
+        let frames = analysis::frame_count(&trace, &winx) as f64;
         let rate = frames / trace.window().as_secs_f64();
         let ps_busy = 1.0 - analysis::concurrency(&trace, &ps).fractions()[0];
         (rate, ps_busy)

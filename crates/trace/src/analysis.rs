@@ -99,28 +99,33 @@ impl<'a> ConcurrencyFold<'a> {
     }
 
     pub(crate) fn push(&mut self, ev: &TraceEvent) {
+        let mut step = None;
+        self.switch(ev, |at, running| step = Some((at, running)));
+        if let Some((at, running)) = step {
+            self.hist.add(running, at.saturating_since(self.cursor));
+            self.cursor = at;
+        }
+    }
+
+    /// Hands `before` a context switch's clamped time and the level up to
+    /// it, then applies the switch to the CPU occupancy; other events pass.
+    #[inline]
+    fn switch(&mut self, ev: &TraceEvent, before: impl FnOnce(SimTime, usize)) {
         let TraceEvent::CSwitch {
             at, cpu, old, new, ..
         } = ev
         else {
             return;
         };
-        let at = (*at).max(self.start).min(self.end);
-        self.hist
-            .add(self.running, at.saturating_since(self.cursor));
-        self.cursor = at;
+        before((*at).max(self.start).min(self.end), self.running);
         debug_assert!(*cpu < self.per_cpu.len(), "CSwitch on disabled cpu {cpu}");
-        if let Some(prev) = self.per_cpu[*cpu] {
-            debug_assert_eq!(Some(prev), old.map(|k| k.pid), "cswitch old mismatch");
-            if self.filter.contains(prev) {
-                self.running -= 1;
-            }
+        let prev = std::mem::replace(&mut self.per_cpu[*cpu], new.map(|k| k.pid));
+        debug_assert!(prev.is_none() || prev == old.map(|k| k.pid));
+        if prev.is_some_and(|pid| self.filter.contains(pid)) {
+            self.running -= 1;
         }
-        self.per_cpu[*cpu] = new.map(|k| k.pid);
-        if let Some(next) = self.per_cpu[*cpu] {
-            if self.filter.contains(next) {
-                self.running += 1;
-            }
+        if new.is_some_and(|k| self.filter.contains(k.pid)) {
+            self.running += 1;
         }
     }
 
@@ -134,102 +139,77 @@ impl<'a> ConcurrencyFold<'a> {
     }
 }
 
-/// Instantaneous TLP over time: for each `bin`, the busy-time-weighted mean
-/// concurrency (idle time excluded, like Equation 1 restricted to the bin);
-/// bins with no busy time report 0. This is the signal plotted in the
-/// paper's Figures 5–7.
+/// Instantaneous TLP per `bin` (Figures 5–7): Equation 1 restricted to the
+/// bin, so the busy-time-weighted mean concurrency, and 0 in a bin with no
+/// busy time. It is the Eq. 1 replay of [`concurrency`], cut into bins.
 pub fn instantaneous_tlp(trace: &EtlTrace, filter: &PidSet, bin: SimDuration) -> Series {
-    assert!(!bin.is_zero(), "bin width must be positive");
-    let n = trace.n_logical_cpus();
-    let mut per_cpu: Vec<Option<u64>> = vec![None; n];
-    let mut running = 0usize;
-    let mut cursor = trace.start();
-    let mut bin_start = trace.start();
-    let mut busy = SimDuration::ZERO;
-    let mut weighted = 0.0f64;
-    let mut out = Series::new();
-
-    let flush_bins_until = |t: SimTime,
-                            running: usize,
-                            cursor: &mut SimTime,
-                            bin_start: &mut SimTime,
-                            busy: &mut SimDuration,
-                            weighted: &mut f64,
-                            out: &mut Series| {
-        while *cursor < t {
-            let bin_end = *bin_start + bin;
-            let seg_end = t.min(bin_end);
-            let dt = seg_end.saturating_since(*cursor);
-            if running > 0 {
-                *busy += dt;
-                *weighted += running as f64 * dt.as_secs_f64();
-            }
-            *cursor = seg_end;
-            if *cursor >= bin_end {
-                let v = if busy.is_zero() {
-                    0.0
-                } else {
-                    *weighted / busy.as_secs_f64()
-                };
-                out.push(*bin_start, v);
-                *bin_start = bin_end;
-                *busy = SimDuration::ZERO;
-                *weighted = 0.0;
-            }
-        }
-    };
-
-    for ev in trace.events() {
-        if let TraceEvent::CSwitch {
-            at,
-            cpu,
-            old: _,
-            new,
-            ..
-        } = ev
-        {
-            let at = (*at).max(trace.start()).min(trace.end());
-            flush_bins_until(
-                at,
-                running,
-                &mut cursor,
-                &mut bin_start,
-                &mut busy,
-                &mut weighted,
-                &mut out,
-            );
-            if let Some(prev) = per_cpu[*cpu] {
-                if filter.contains(prev) {
-                    running -= 1;
-                }
-            }
-            per_cpu[*cpu] = new.map(|k| k.pid);
-            if let Some(next) = per_cpu[*cpu] {
-                if filter.contains(next) {
-                    running += 1;
-                }
-            }
-        }
-    }
-    flush_bins_until(
-        trace.end(),
-        running,
-        &mut cursor,
-        &mut bin_start,
-        &mut busy,
-        &mut weighted,
-        &mut out,
-    );
-    // Emit the final partial bin if it saw anything.
-    if bin_start < trace.end() {
-        let v = if busy.is_zero() {
+    let mut fold = ConcurrencyFold::new(filter, trace.n_logical_cpus(), trace.start(), trace.end());
+    let mut bins = StepBins::new(trace.start(), bin, |busy, weighted| {
+        if busy.is_zero() {
             0.0
         } else {
             weighted / busy.as_secs_f64()
-        };
-        out.push(bin_start, v);
+        }
+    });
+    let mut out = Series::new();
+    for ev in trace.events() {
+        fold.switch(ev, |at, running| bins.hold(running, at, &mut out));
     }
-    out
+    bins.finish(fold.running, trace.end(), out)
+}
+
+/// Cuts a step function of time into `bin`-wide points; the last bin may be
+/// partial. Each bin sums the time the level was positive and the
+/// level-weighted seconds, and `value` turns the two into its point.
+/// Points go to a caller-held `Series`, which keeps these sums in registers.
+struct StepBins<F> {
+    bin: SimDuration,
+    bin_start: SimTime,
+    cursor: SimTime,
+    busy: SimDuration,
+    weighted: f64,
+    value: F,
+}
+
+impl<F: Fn(SimDuration, f64) -> f64> StepBins<F> {
+    fn new(start: SimTime, bin: SimDuration, value: F) -> Self {
+        assert!(!bin.is_zero(), "bin width must be positive");
+        StepBins {
+            bin,
+            bin_start: start,
+            cursor: start,
+            busy: SimDuration::ZERO,
+            weighted: 0.0,
+            value,
+        }
+    }
+
+    /// Holds `level` up to `t` (if later), pushing each bin it closes to `out`.
+    fn hold(&mut self, level: usize, t: SimTime, out: &mut Series) {
+        while self.cursor < t {
+            let bin_end = self.bin_start + self.bin;
+            let seg_end = t.min(bin_end);
+            let dt = seg_end.saturating_since(self.cursor);
+            if level > 0 {
+                self.busy += dt;
+                self.weighted += level as f64 * dt.as_secs_f64();
+            }
+            self.cursor = seg_end;
+            if self.cursor >= bin_end {
+                out.push(self.bin_start, (self.value)(self.busy, self.weighted));
+                (self.bin_start, self.busy, self.weighted) = (bin_end, SimDuration::ZERO, 0.0);
+            }
+        }
+    }
+
+    /// Holds `level` to `end` and pushes the last bin if it is open.
+    fn finish(mut self, level: usize, end: SimTime, mut out: Series) -> Series {
+        self.hold(level, end, &mut out);
+        if self.bin_start < end {
+            out.push(self.bin_start, (self.value)(self.busy, self.weighted));
+        }
+        out
+    }
 }
 
 /// GPU utilization summary for one observation window.
@@ -341,74 +321,26 @@ impl<'a> GpuUtilFold<'a> {
     }
 }
 
-/// GPU busy percentage per time bin (the GPU curves of Figures 5–7 and 9).
+/// GPU busy percentage per time bin (the GPU curves of Figures 5–7 and 9):
+/// the [`gpu_utilization`] fold, cut into bins.
 pub fn gpu_util_series(
     trace: &EtlTrace,
     filter: &PidSet,
     gpu: Option<usize>,
     bin: SimDuration,
 ) -> Series {
-    assert!(!bin.is_zero(), "bin width must be positive");
-    let mut outstanding = 0i64;
-    let mut cursor = trace.start();
-    let mut bin_start = trace.start();
-    let mut busy = SimDuration::ZERO;
+    let mut fold = GpuUtilFold::new(filter, gpu, trace.start(), trace.end());
+    let mut bins = StepBins::new(trace.start(), bin, |busy, _| 100.0 * (busy / bin));
     let mut out = Series::new();
-
-    let advance = |t: SimTime,
-                   outstanding: i64,
-                   cursor: &mut SimTime,
-                   bin_start: &mut SimTime,
-                   busy: &mut SimDuration,
-                   out: &mut Series| {
-        while *cursor < t {
-            let bin_end = *bin_start + bin;
-            let seg_end = t.min(bin_end);
-            if outstanding > 0 {
-                *busy += seg_end.saturating_since(*cursor);
-            }
-            *cursor = seg_end;
-            if *cursor >= bin_end {
-                out.push(*bin_start, 100.0 * (*busy / bin));
-                *bin_start = bin_end;
-                *busy = SimDuration::ZERO;
-            }
-        }
-    };
-
     for ev in trace.events() {
-        let (at, delta) = match ev {
-            TraceEvent::GpuStart {
-                at, gpu: g, pid, ..
-            } if filter.contains(*pid) && gpu.map_or(true, |want| want == *g) => (*at, 1),
-            TraceEvent::GpuEnd {
-                at, gpu: g, pid, ..
-            } if filter.contains(*pid) && gpu.map_or(true, |want| want == *g) => (*at, -1),
-            _ => continue,
-        };
-        let at = at.max(trace.start()).min(trace.end());
-        advance(
-            at,
-            outstanding,
-            &mut cursor,
-            &mut bin_start,
-            &mut busy,
-            &mut out,
-        );
-        outstanding += delta;
+        // Every packet start or end the fold takes moves this count.
+        let outstanding = fold.outstanding;
+        fold.push(ev);
+        if fold.outstanding != outstanding {
+            bins.hold(usize::from(outstanding > 0), fold.cursor, &mut out);
+        }
     }
-    advance(
-        trace.end(),
-        outstanding,
-        &mut cursor,
-        &mut bin_start,
-        &mut busy,
-        &mut out,
-    );
-    if bin_start < trace.end() {
-        out.push(bin_start, 100.0 * (busy / bin));
-    }
-    out
+    bins.finish(usize::from(fold.outstanding > 0), trace.end(), out)
 }
 
 /// Scheduler-behaviour statistics for one application: how long threads run
@@ -793,6 +725,13 @@ pub fn fps_series(trace: &EtlTrace, pid: Option<u64>, bin: SimDuration) -> Serie
         count = 0;
     }
     out
+}
+
+/// Frames presented (or transcoded) by the processes in `filter`.
+pub fn frame_count(trace: &EtlTrace, filter: &PidSet) -> u64 {
+    let frame =
+        |ev: &&TraceEvent| matches!(ev, TraceEvent::Frame { pid, .. } if filter.contains(*pid));
+    trace.events().iter().filter(frame).count() as u64
 }
 
 // ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@
 //!   times, GPU packet start/finish records, frame-present markers, process
 //!   and thread lifecycle events.
 //! * [`analysis`] — replay analyzers: the concurrency profile (`c_0..c_n`
-//!   heat-map row), TLP per Equation 1, instantaneous-TLP time series, GPU
-//!   utilization (union of packet busy intervals + mean outstanding packets)
-//!   and FPS series.
+//!   heat-map row), TLP per Equation 1, GPU utilization (union of packet
+//!   busy intervals + mean outstanding packets), the instantaneous-TLP and
+//!   GPU series that cut those two replays into bins, and FPS series.
 //! * [`export`] — `wpaexporter`-style CSV dumps with the same columns the
 //!   paper extracts.
 //! * [`chrome`] — Chrome trace-event JSON export, loadable in Perfetto or
@@ -38,12 +38,11 @@
 //! * [`diff`] — run-diff regression reports over two runs' Prometheus
 //!   registries and timeline summaries, with configurable thresholds.
 //! * [`shard`] — the one v3 record decoder, [`BlockCursor`], which decodes
-//!   a block in place; zero-copy sharded access over it (time-window seek
-//!   over the index clock snapshots, and one ordered fold,
-//!   [`ShardedTrace::fold_events`], that decodes blocks on the injected
-//!   [`ShardRunner`] and drives every analyzer's byte-identical sharded
-//!   twin). The fold is the one block walk: every reader of a whole trace
-//!   file is that fold at width 1.
+//!   a block in place, and zero-copy sharded access over it: one ordered
+//!   fold, [`ShardedTrace::fold_events`], that decodes blocks on the
+//!   injected [`ShardRunner`] and drives every analyzer's byte-identical
+//!   sharded twin. The fold is the one block walk: every reader of a whole
+//!   trace file is that fold at width 1.
 //!
 //! TLP here is **application-level**: analyzers take a [`PidSet`] filter and
 //! only count threads of those processes, exactly as the paper distinguishes

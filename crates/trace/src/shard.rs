@@ -31,7 +31,6 @@ use simobs::span::Span;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io;
-use std::ops::Range;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Executes `f(0..shards)` on some set of workers. Implemented by
@@ -191,45 +190,6 @@ impl<'a> ShardedTrace<'a> {
             out.push(ev);
         }
         Ok(out)
-    }
-
-    /// The contiguous range of blocks whose events can overlap the closed
-    /// time window `[lo, hi]` — the seek step the blocked container buys.
-    ///
-    /// Each index entry carries the delta clocks snapshotted at its block
-    /// boundary, and the builder emits events in global time order, so a
-    /// snapshot's largest clock is a tight lower bound on its block's first
-    /// event and the *next* snapshot's largest clock bounds its last. Both
-    /// bounds are nondecreasing in block order, so the overlap test binary
-    /// searches the index and never touches a record byte: a windowed
-    /// analyzer decodes only the returned blocks, while a materializing
-    /// reader has to decode the whole stream to reach the same window.
-    pub fn blocks_in_window(&self, lo: SimTime, hi: SimTime) -> Range<usize> {
-        let n = self.index.blocks.len();
-        // Block `i`'s lower bound; past the last block, the window end.
-        let first_at = |i: usize| -> u64 {
-            self.index.blocks.get(i).map_or(self.end().as_nanos(), |m| {
-                let c = &m.clocks;
-                c.per_cpu.iter().copied().fold(c.global, u64::max)
-            })
-        };
-        let last_at = |i: usize| first_at(i + 1);
-        // Index of the first i in 0..n with !pred(i); pred is monotone.
-        let lower_bound = |pred: &dyn Fn(usize) -> bool| -> usize {
-            let (mut a, mut b) = (0, n);
-            while a < b {
-                let mid = (a + b) / 2;
-                if pred(mid) {
-                    a = mid + 1;
-                } else {
-                    b = mid;
-                }
-            }
-            a
-        };
-        let start = lower_bound(&|i| last_at(i) < lo.as_nanos());
-        let stop = lower_bound(&|i| first_at(i) <= hi.as_nanos());
-        start..stop.max(start)
     }
 
     /// Streams every event through `f`, by value and **in trace order**,
@@ -748,48 +708,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn window_seek_finds_exactly_the_overlapping_blocks() {
-        let n = (BLOCK_RECORDS * 4 + 200) as usize;
-        let trace = big_trace(n);
-        let sharded = ShardedTrace::from_bytes(encode(&trace)).unwrap();
-        assert_eq!(
-            sharded.blocks_in_window(sharded.start(), sharded.end()),
-            0..sharded.n_blocks()
-        );
-        let beyond = SimTime::from_nanos(sharded.end().as_nanos() + 1);
-        assert!(sharded.blocks_in_window(beyond, beyond).is_empty());
-        // A window over the middle of the trace: every in-window event must
-        // live in a returned block, and no other block may contain one.
-        let lo = SimTime::from_nanos(n as u64 * 500 / 2);
-        let hi = SimTime::from_nanos(n as u64 * 500 * 3 / 4);
-        let range = sharded.blocks_in_window(lo, hi);
-        assert!(!range.is_empty() && range.len() < sharded.n_blocks());
-        let mut in_window = 0usize;
-        for b in 0..sharded.n_blocks() {
-            let hits = sharded
-                .decode_block(b)
-                .unwrap()
-                .iter()
-                .filter(|ev| (lo..=hi).contains(&ev.at()))
-                .count();
-            if range.contains(&b) {
-                in_window += hits;
-            } else {
-                assert_eq!(
-                    hits, 0,
-                    "block {b} outside {range:?} holds in-window events"
-                );
-            }
-        }
-        let expected = trace
-            .events()
-            .iter()
-            .filter(|ev| (lo..=hi).contains(&ev.at()))
-            .count();
-        assert_eq!(in_window, expected);
     }
 
     #[test]

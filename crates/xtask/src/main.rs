@@ -114,22 +114,14 @@ const SELF_TRACE_MAX_PCT: f64 = 5.0;
 /// to baseline drift across machines). The streaming pair is a
 /// conservative floor: the ordered fold keeps only its window of decoded
 /// blocks alive, never the whole trace, and decodes them on four workers
-/// while it folds. The seek pair is the headline: decoding only the
-/// index-selected tail blocks beats decoding the whole stream by well
-/// over 5× (~35× measured single-core). The fold
-/// pair holds `fold_events` to a parallel gain: at width 2 one worker
-/// folds while the other decodes ahead, where a fold that overlaps nothing
-/// runs at about 1.0× its width-1 time.
-const SHARD_MIN_SPEEDUP: [(&str, &str, f64); 3] = [
+/// while it folds. The fold pair holds `fold_events` to a parallel gain:
+/// at width 2 one worker folds while the other decodes ahead, where a fold
+/// that overlaps nothing runs at about 1.0× its width-1 time.
+const SHARD_MIN_SPEEDUP: [(&str, &str, f64); 2] = [
     (
         "shard/materialized/tlp_250k_events",
         "shard/streaming4/tlp_250k_events",
         1.3,
-    ),
-    (
-        "shard/materialized/window_tail_250k_events",
-        "shard/seek/window_tail_250k_events",
-        5.0,
     ),
     (
         "shard/fold1/verify_hb_250k_events",
