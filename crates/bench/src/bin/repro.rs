@@ -26,7 +26,7 @@
 //! Prometheus text exposition format. The snapshots are deterministic, so the
 //! file is diffable across machines and runs.
 //!
-//! `--verify` reports the context's trace-verification tally after the run —
+//! Every run ends with the context's trace-verification tally on stderr —
 //! every fresh simulation's trace goes through the invariant checker — and
 //! exits 1 with the full diagnostic reports if anything fired.
 //!
@@ -83,7 +83,6 @@ fn main() {
     let mut metrics_app = "handbrake".to_string();
     let mut jobs: Option<usize> = None;
     let mut want_blame = false;
-    let mut want_verify = false;
     let mut store_flag: Option<bool> = None;
     let mut want_store_stats = false;
     let mut self_trace: Option<PathBuf> = None;
@@ -137,7 +136,6 @@ fn main() {
                     .unwrap_or_else(|| usage("--metrics-app needs an app substring"));
             }
             "--blame" => want_blame = true,
-            "--verify" => want_verify = true,
             "help" | "--help" | "-h" => {
                 print!("{}", usage_text());
                 return;
@@ -361,15 +359,13 @@ fn main() {
             }
         }
     }
-    if want_verify {
-        let (traces, findings) = ctx.verify_stats();
-        eprintln!("# verification: {traces} traces checked, {findings} findings");
-        if findings > 0 {
-            for report in ctx.verify_reports() {
-                eprintln!("{report}");
-            }
-            std::process::exit(1);
+    let (traces, findings) = ctx.verify_stats();
+    eprintln!("# verification: {traces} traces checked, {findings} findings");
+    if findings > 0 {
+        for report in ctx.verify_reports() {
+            eprintln!("{report}");
         }
+        std::process::exit(1);
     }
     eprintln!(
         "# done; paper says the average TLP is {:.1} across the suite",
@@ -486,10 +482,9 @@ fn emit(out_dir: &Path, name: &str, report: &str, csv: Option<String>) {
 
 fn usage_text() -> String {
     [
-        "usage: repro <artefact>...|all [--blame] [--verify] [--budget quick|standard|paper] [--jobs N] [--out DIR]",
+        "usage: repro <artefact>...|all [--blame] [--budget quick|standard|paper] [--jobs N] [--out DIR]",
         "       repro <artefact> --store [--store-stats]   # persistent run store (see PARASTAT_STORE)",
         "       repro --blame [--budget …]",
-        "       repro <artefact> --verify   # exit 1 if any trace fails verification",
         "       repro --metrics-out <path> [--metrics-app SUBSTR] [--budget …]",
         "       repro <artefact> --self-trace <path>   # Perfetto-loadable span trace of the run itself",
         "       repro --doctor [<artefact>...]   # one-shot pipeline health report",
@@ -497,6 +492,7 @@ fn usage_text() -> String {
         "       repro --baseline <dir> [--update]   # diff against <dir>/baseline.prom; exit 1 on drift",
         "       repro help   # this listing",
         &format!("artefacts: {}", ARTEFACTS.join(" ")),
+        "every run ends with the trace-verification tally and exits 1 on a finding",
         "",
     ]
     .join("\n")

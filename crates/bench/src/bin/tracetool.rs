@@ -26,20 +26,17 @@
 //! A trace file is one SETL v3 stream, the format `record` writes. Every
 //! reader refuses a legacy flat v1/v2 file with exit 2 and a message
 //! naming the converter, `tracetool pack` from an older build, and any
-//! corrupt byte, the file trailer's included, with exit 2 on every path.
-//!
-//! `info` summarizes a trace file without materializing it: container
-//! format, event/record counts, string-table size, window duration,
-//! the per-CPU context-switch histogram and the per-wait-reason census —
-//! all through the checksum-enforcing v3 block walk. `timeline` folds the
-//! same walk into the bucketed series without materializing the event
-//! vector.
+//! corrupt byte, the file trailer's included, with exit 2.
 //!
 //! The analysis subcommands (`verify`, `tlp`, `latency`, `bottlenecks`,
-//! `critical-path`, `timeline`) accept a global `--analyzer-shards N`
-//! flag that routes them through the sharded streaming path: blocks of a
-//! SETL v3 file decode in parallel on `N` workers (`0` = one per hardware
-//! thread; at most 256) and fold into byte-identical reports.
+//! `critical-path`, `timeline`) fold the encoded file in place, as `info`
+//! does: block by block in trace order, with no event vector. `tlp` folds
+//! its five statistics in one pass, after the pass that resolves the
+//! process filter. The global `--analyzer-shards N` flag sets the folds'
+//! width: `N` tasks decode blocks ahead of the one that folds (`0` = one
+//! per hardware thread; at most 256). The default, 1, folds on the calling
+//! thread, and every width prints the same bytes. `summary` and the
+//! exports load the whole trace.
 
 use etwtrace::{
     analysis, blame, chrome, critical, etl, export, hb, setl3, verify, EtlTrace, PidSet,
@@ -75,6 +72,7 @@ fn main() {
     );
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let shards = take_shards(&mut args);
+    let runner = ThreadPoolRunner::new(shards);
     match args.first().map(String::as_str) {
         Some("record") => {
             let [_, app, secs, out] = &args[..] else {
@@ -98,9 +96,8 @@ fn main() {
             let trace = m.into_trace();
             // lint:allow(fs-write): streamed whole-file trace export to a
             // user-chosen path; never consumed by the persistent store.
-            File::create(out)
-                .and_then(|file| setl3::write_setl3(&trace, file))
-                .unwrap_or_else(|e| usage(&format!("{out}: {e}")));
+            let written = File::create(out).and_then(|file| setl3::write_setl3(&trace, file));
+            check(out, written);
             eprintln!("{} events → {out}", trace.events().len());
         }
         Some("info") => {
@@ -108,12 +105,11 @@ fn main() {
                 usage("info <trace.etl>");
             }
             let path = &args[1];
-            let info = etl::trace_info(&read_bytes(path))
-                .unwrap_or_else(|e| usage(&format!("{path}: {e}")));
+            let info = check(path, etl::trace_info(&read_bytes(path)));
             print!("{}", info.render());
         }
         Some("summary") => {
-            let trace = load(&args, 2);
+            let trace = read(trace_path(&args));
             println!(
                 "{:<26} {:>4} {:>8} {:>7} {:>7}",
                 "process", "pid", "threads", "CPU %", "GPU %"
@@ -126,41 +122,16 @@ fn main() {
             }
         }
         Some("tlp") => {
-            let [_, path, prefix] = &args[..] else {
-                usage("tlp <trace.etl> <process-prefix>");
-            };
-            let (profile, util, lat, sched, engines, filter);
-            if let Some(shards) = shards {
-                let runner = ThreadPoolRunner::new(shards);
-                let trace = read_sharded(path);
-                filter = sharded_filter(&trace, &runner, shards, path, prefix);
-                profile = analysis::concurrency_sharded(&trace, &filter, &runner, shards)
-                    .unwrap_or_else(|e| usage(&format!("{path}: {e}")));
-                util = analysis::gpu_utilization_sharded(&trace, &filter, None, &runner, shards)
-                    .unwrap_or_else(|e| usage(&format!("{path}: {e}")));
-                lat = analysis::scheduling_latency_sharded(&trace, &filter, &runner, shards)
-                    .unwrap_or_else(|e| usage(&format!("{path}: {e}")));
-                sched = analysis::schedule_stats_sharded(&trace, &filter, &runner, shards)
-                    .unwrap_or_else(|e| usage(&format!("{path}: {e}")));
-                engines =
-                    analysis::gpu_engine_breakdown_sharded(&trace, &filter, 0, &runner, shards)
-                        .unwrap_or_else(|e| usage(&format!("{path}: {e}")));
-            } else {
-                let trace = read(path);
-                filter = trace.pids_by_name(prefix);
-                if filter.is_empty() {
-                    usage(&format!("no process matches `{prefix}`"));
-                }
-                profile = analysis::concurrency(&trace, &filter);
-                util = analysis::gpu_utilization(&trace, &filter, None);
-                lat = analysis::scheduling_latency(&trace, &filter);
-                sched = analysis::schedule_stats(&trace, &filter);
-                engines = analysis::gpu_engine_breakdown(&trace, &filter, 0);
-            }
+            let (path, trace, filter) = load_filtered(&args, "tlp", &runner, shards);
+            let tlp = check(
+                path,
+                analysis::tlp_report_sharded(&trace, &filter, &runner, shards),
+            );
+            let (profile, lat, sched) = (&tlp.profile, &tlp.latency, &tlp.schedule);
             println!("processes        : {}", filter.len());
             println!("TLP              : {:.3}", profile.tlp());
             println!("max concurrency  : {}", profile.max_concurrency());
-            println!("GPU utilization  : {:.2} %", util.percent());
+            println!("GPU utilization  : {:.2} %", tlp.gpu.percent());
             println!(
                 "sched latency    : mean {:.0} µs, p95 {:.0} µs",
                 lat.mean_us, lat.p95_us
@@ -169,8 +140,9 @@ fn main() {
                 "run episodes     : {} (mean {:.2} ms, max {:.1} ms), {} migrations",
                 sched.episodes, sched.mean_slice_ms, sched.max_slice_ms, sched.migrations
             );
-            if !engines.is_empty() {
-                let parts: Vec<String> = engines
+            if !tlp.engines.is_empty() {
+                let parts: Vec<String> = tlp
+                    .engines
                     .iter()
                     .map(|(e, f)| {
                         let name = if *e == u32::MAX {
@@ -191,23 +163,11 @@ fn main() {
             println!("c0..cN (%)       : {}", c.join(" "));
         }
         Some("latency") => {
-            let [_, path, prefix] = &args[..] else {
-                usage("latency <trace.etl> <process-prefix>");
-            };
-            let lat = if let Some(shards) = shards {
-                let runner = ThreadPoolRunner::new(shards);
-                let trace = read_sharded(path);
-                let filter = sharded_filter(&trace, &runner, shards, path, prefix);
-                analysis::scheduling_latency_sharded(&trace, &filter, &runner, shards)
-                    .unwrap_or_else(|e| usage(&format!("{path}: {e}")))
-            } else {
-                let trace = read(path);
-                let filter = trace.pids_by_name(prefix);
-                if filter.is_empty() {
-                    usage(&format!("no process matches `{prefix}`"));
-                }
-                analysis::scheduling_latency(&trace, &filter)
-            };
+            let (path, trace, filter) = load_filtered(&args, "latency", &runner, shards);
+            let lat = check(
+                path,
+                analysis::scheduling_latency_sharded(&trace, &filter, &runner, shards),
+            );
             println!("sched events     : {}", lat.count);
             println!("mean latency     : {:.1} µs", lat.mean_us);
             println!("p50 latency      : {:.1} µs", lat.p50_us);
@@ -216,47 +176,26 @@ fn main() {
             println!("max latency      : {:.1} µs", lat.max_us);
         }
         Some("bottlenecks") => {
-            if let Some(shards) = shards {
-                let (path, trace, filter, runner) =
-                    load_sharded_filtered(&args, "bottlenecks", shards);
-                let report = blame::blame_sharded(&trace, &filter, &runner, shards)
-                    .unwrap_or_else(|e| usage(&format!("{path}: {e}")));
-                print!("{}", report.render());
-            } else {
-                let (trace, filter) = load_filtered(&args, "bottlenecks");
-                print!("{}", blame::blame(&trace, &filter).render());
-            }
+            let (path, trace, filter) = load_filtered(&args, "bottlenecks", &runner, shards);
+            let report = check(path, blame::blame_sharded(&trace, &filter, &runner, shards));
+            print!("{}", report.render());
         }
         Some("critical-path") => {
-            if let Some(shards) = shards {
-                let (path, trace, filter, runner) =
-                    load_sharded_filtered(&args, "critical-path", shards);
-                let report = critical::critical_path_sharded(&trace, &filter, &runner, shards)
-                    .unwrap_or_else(|e| usage(&format!("{path}: {e}")));
-                print!("{}", report.render());
-            } else {
-                let (trace, filter) = load_filtered(&args, "critical-path");
-                print!("{}", critical::critical_path(&trace, &filter).render());
-            }
+            let (path, trace, filter) = load_filtered(&args, "critical-path", &runner, shards);
+            let report = check(
+                path,
+                critical::critical_path_sharded(&trace, &filter, &runner, shards),
+            );
+            print!("{}", report.render());
         }
         Some("verify") => {
-            let (report, causal);
-            if let Some(shards) = shards {
-                if args.len() != 2 {
-                    usage("verify <trace.etl>");
-                }
-                let path = &args[1];
-                let runner = ThreadPoolRunner::new(shards);
-                let trace = read_sharded(path);
-                report = verify::verify_sharded(&trace, &runner, shards)
-                    .unwrap_or_else(|e| usage(&format!("{path}: {e}")));
-                causal = hb::analyze_sharded(&trace, &hb::HbOptions::default(), &runner, shards)
-                    .unwrap_or_else(|e| usage(&format!("{path}: {e}")));
-            } else {
-                let trace = load(&args, 2);
-                report = verify::verify_trace(&trace);
-                causal = hb::analyze(&trace, &hb::HbOptions::default());
-            }
+            let path = trace_path(&args);
+            let trace = open(path);
+            let report = check(path, verify::verify_sharded(&trace, &runner, shards));
+            let causal = check(
+                path,
+                hb::analyze_sharded(&trace, &hb::HbOptions::default(), &runner, shards),
+            );
             print!("{}", report.render());
             print!("{}", causal.render());
             if !report.is_clean() || !causal.is_clean() {
@@ -292,15 +231,10 @@ fn main() {
             }
             let path =
                 path.unwrap_or_else(|| usage("timeline <trace.etl> [--buckets N] [--csv|--json]"));
-            let tl = if let Some(shards) = shards {
-                let runner = ThreadPoolRunner::new(shards);
-                let trace = read_sharded(&path);
-                etwtrace::timeline::timeline_sharded(&trace, buckets, &runner, shards)
-                    .unwrap_or_else(|e| usage(&format!("{path}: {e}")))
-            } else {
-                etwtrace::timeline::read_timeline(&read_bytes(&path), buckets)
-                    .unwrap_or_else(|e| usage(&format!("{path}: {e}")))
-            };
+            let tl = check(
+                &path,
+                etwtrace::timeline::timeline_sharded(&open(&path), buckets, &runner, shards),
+            );
             match format {
                 "csv" => print!("{}", tl.to_csv()),
                 "json" => println!("{}", tl.to_json()),
@@ -349,8 +283,8 @@ fn main() {
                 .unwrap_or_else(|| usage("synth needs a positive event count"));
             synth(n, out);
         }
-        Some("export-cpu") => print!("{}", export::cpu_usage_precise(&load(&args, 2))),
-        Some("export-gpu") => print!("{}", export::gpu_utilization_fm(&load(&args, 2))),
+        Some("export-cpu") => print!("{}", export::cpu_usage_precise(&read(trace_path(&args)))),
+        Some("export-gpu") => print!("{}", export::gpu_utilization_fm(&read(trace_path(&args)))),
         Some("export-chrome") => {
             let [_, path, out] = &args[..] else {
                 usage("export-chrome <trace.etl> <out.json>");
@@ -371,11 +305,12 @@ fn main() {
 }
 
 /// Strips a global `--analyzer-shards N` flag from anywhere on the command
-/// line. `Some(n)` routes supporting subcommands through the sharded
-/// streaming path; `0` resolves to one shard per hardware thread, at most
-/// [`MAX_SHARDS`].
-fn take_shards(args: &mut Vec<String>) -> Option<usize> {
-    let i = args.iter().position(|a| a == "--analyzer-shards")?;
+/// line and returns the analysis folds' width: `N`, where `0` resolves to
+/// one per hardware thread, at most [`MAX_SHARDS`]; 1 without the flag.
+fn take_shards(args: &mut Vec<String>) -> usize {
+    let Some(i) = args.iter().position(|a| a == "--analyzer-shards") else {
+        return 1;
+    };
     let n = args
         .get(i + 1)
         .and_then(|v| v.parse::<usize>().ok())
@@ -386,52 +321,38 @@ fn take_shards(args: &mut Vec<String>) -> Option<usize> {
         ));
     }
     args.drain(i..i + 2);
-    Some(if n == 0 {
+    if n == 0 {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
             .min(MAX_SHARDS)
     } else {
         n
-    })
-}
-
-/// Opens a trace file for sharded analysis.
-fn read_sharded(path: &str) -> ShardedTrace<'static> {
-    ShardedTrace::from_bytes(read_bytes(path)).unwrap_or_else(|e| usage(&format!("{path}: {e}")))
-}
-
-/// Resolves a process-prefix filter through the parallel sweep of the
-/// trace read from `path`.
-fn sharded_filter(
-    trace: &ShardedTrace,
-    runner: &ThreadPoolRunner,
-    shards: usize,
-    path: &str,
-    prefix: &str,
-) -> PidSet {
-    let filter = trace
-        .pids_by_name(runner, shards, prefix)
-        .unwrap_or_else(|e| usage(&format!("{path}: {e}")));
-    if filter.is_empty() {
-        usage(&format!("no process matches `{prefix}`"));
     }
-    filter
 }
 
-/// Sharded twin of [`load_filtered`]; also returns the trace's path.
-fn load_sharded_filtered<'a>(
+/// Indexes the trace file at `path` for a fold.
+fn open(path: &str) -> ShardedTrace<'static> {
+    check(path, ShardedTrace::from_bytes(read_bytes(path)))
+}
+
+/// Parses `<cmd> <trace.etl> <process-prefix>`, opens the trace and
+/// resolves the filter in a fold of its own.
+fn load_filtered<'a>(
     args: &'a [String],
     cmd: &str,
+    runner: &ThreadPoolRunner,
     shards: usize,
-) -> (&'a str, ShardedTrace<'static>, PidSet, ThreadPoolRunner) {
+) -> (&'a str, ShardedTrace<'static>, PidSet) {
     let [_, path, prefix] = args else {
         usage(&format!("{cmd} <trace.etl> <process-prefix>"));
     };
-    let runner = ThreadPoolRunner::new(shards);
-    let trace = read_sharded(path);
-    let filter = sharded_filter(&trace, &runner, shards, path, prefix);
-    (path, trace, filter, runner)
+    let trace = open(path);
+    let filter = check(path, trace.pids_by_name(runner, shards, prefix));
+    if filter.is_empty() {
+        usage(&format!("no process matches `{prefix}`"));
+    }
+    (path, trace, filter)
 }
 
 /// Writes the bench suite's synthetic workload ([`Handoff`]), rounded up
@@ -446,45 +367,32 @@ fn synth(n: u64, out: &str) {
     let strings: Vec<&str> = strings.iter().map(String::as_str).collect();
     // lint:allow(fs-write): streamed whole-file trace export to a
     // user-chosen path; never consumed by the persistent store.
-    let file = File::create(out).unwrap_or_else(|e| usage(&format!("{out}: {e}")));
-    let mut w = setl3::V3Writer::new(
-        BufWriter::new(file),
-        Handoff::CPUS,
-        SimTime::ZERO,
-        gen.end(),
-        &strings,
-        count,
-    )
-    .unwrap_or_else(|e| usage(&format!("{out}: {e}")));
+    let file = check(out, File::create(out));
+    let mut w = check(
+        out,
+        setl3::V3Writer::new(
+            BufWriter::new(file),
+            Handoff::CPUS,
+            SimTime::ZERO,
+            gen.end(),
+            &strings,
+            count,
+        ),
+    );
     for ev in gen.events() {
-        w.push(&ev)
-            .unwrap_or_else(|e| usage(&format!("{out}: {e}")));
+        check(out, w.push(&ev));
     }
-    w.finish()
-        .and_then(|mut w| w.flush())
-        .unwrap_or_else(|e| usage(&format!("{out}: {e}")));
+    check(out, w.finish().and_then(|mut w| w.flush()));
     let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
     eprintln!("{count} events ({bytes} bytes) → {out}");
 }
 
-/// Parses `<cmd> <trace.etl> <process-prefix>` and resolves the filter.
-fn load_filtered(args: &[String], cmd: &str) -> (EtlTrace, PidSet) {
-    let [_, path, prefix] = args else {
-        usage(&format!("{cmd} <trace.etl> <process-prefix>"));
-    };
-    let trace = read(path);
-    let filter = trace.pids_by_name(prefix);
-    if filter.is_empty() {
-        usage(&format!("no process matches `{prefix}`"));
-    }
-    (trace, filter)
-}
-
-fn load(args: &[String], arity: usize) -> EtlTrace {
-    if args.len() != arity {
+/// The trace file of a `<cmd> <trace.etl>` command line.
+fn trace_path(args: &[String]) -> &str {
+    let [_, path] = args else {
         usage("expected a trace file");
-    }
-    read(&args[1])
+    };
+    path
 }
 
 /// Loads one `diff` operand as a metric map. Trace files (sniffed by the
@@ -496,9 +404,7 @@ fn load(args: &[String], arity: usize) -> EtlTrace {
 fn load_metric_set(path: &str) -> std::collections::BTreeMap<String, f64> {
     let bytes = read_bytes(path);
     if bytes.starts_with(b"SETL") {
-        let tl = etwtrace::timeline::read_timeline(&bytes[..], 16)
-            .unwrap_or_else(|e| usage(&format!("{path}: {e}")));
-        tl.metrics()
+        check(path, etwtrace::timeline::read_timeline(&bytes, 16)).metrics()
     } else {
         let text = String::from_utf8_lossy(&bytes);
         let map = etwtrace::parse_prometheus(&text);
@@ -512,13 +418,18 @@ fn load_metric_set(path: &str) -> std::collections::BTreeMap<String, f64> {
 }
 
 fn read(path: &str) -> EtlTrace {
-    etl::read_etl(&read_bytes(path)).unwrap_or_else(|e| usage(&format!("{path}: {e}")))
+    check(path, etl::read_etl(&read_bytes(path)))
 }
 
 /// The whole file at `path`: every trace reader takes the stream as one
 /// slice.
 fn read_bytes(path: &str) -> Vec<u8> {
-    std::fs::read(path).unwrap_or_else(|e| usage(&format!("{path}: {e}")))
+    check(path, std::fs::read(path))
+}
+
+/// `res`'s value, or a usage error that names the file at `path`.
+fn check<T>(path: &str, res: std::io::Result<T>) -> T {
+    res.unwrap_or_else(|e| usage(&format!("{path}: {e}")))
 }
 
 fn resolve_app(wanted: &str) -> AppId {
@@ -554,9 +465,9 @@ fn usage_text() -> String {
         "       tracetool synth <events> <out.etl>           synthetic v3 stress trace",
         "       tracetool help                               this listing",
         "",
-        "global: --analyzer-shards N  decode trace blocks on N workers (0 = all",
-        "        hardware threads; at most 256) for verify/tlp/latency/bottlenecks/",
-        "        critical-path/timeline; output is identical",
+        "global: --analyzer-shards N  fold verify/tlp/latency/bottlenecks/",
+        "        critical-path/timeline on N workers (default 1, the calling",
+        "        thread; 0 = all hardware threads; at most 256); output is identical",
         "",
         "exit codes: 0 clean, 1 findings (verify diagnostics, diff regression),",
         "            2 usage error or corrupt input",

@@ -1,6 +1,7 @@
 //! End-to-end CLI tests for `repro`'s argument parsing: a request for help
-//! prints the usage and exits 0, and a budget name other than quick,
-//! standard or paper is a usage error (exit 2) before any work starts.
+//! prints the usage and exits 0, a budget name other than quick, standard
+//! or paper is a usage error (exit 2) before any work starts, and every run
+//! prints its trace-verification tally.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -47,5 +48,31 @@ fn an_unknown_budget_exits_2_and_the_three_known_ones_run() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(&format!("# budget: {name} (")), "{stderr}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_run_prints_the_verification_tally_and_verify_is_no_flag() {
+    let dir = tmp("tally");
+    let metrics = dir.join("m.prom");
+    let out = repro(&[
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+        "--budget",
+        "quick",
+        "--out",
+        dir.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("# verification: 1 traces checked, 0 findings"),
+        "{stderr}"
+    );
+    // The tally is not optional, so the flag that asked for it is gone.
+    let flag = repro(&["table1", "--verify", "--out", dir.to_str().unwrap()]);
+    assert_eq!(flag.status.code(), Some(2), "{flag:?}");
+    let stderr = String::from_utf8_lossy(&flag.stderr);
+    assert!(stderr.contains("unknown artefact `--verify`"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,7 +4,8 @@
 //! runner or a real thread pool — every sharded analyzer must produce
 //! exactly the report its materialized twin computes from the same trace.
 //! Not "close": equal, field for field, so the rendered bytes match at any
-//! `--analyzer-shards` setting.
+//! `--analyzer-shards` setting. The one-pass `tlp` fold must equal the five
+//! materialized analyzers it fuses.
 
 use etwtrace::{analysis, setl3, EtlTrace, SerialShards, ShardRunner, ShardedTrace};
 use machine::{Action, Machine, MachineConfig, ThreadCtx, ThreadProgram, Work};
@@ -87,6 +88,13 @@ proptest! {
         let sharded = ShardedTrace::from_bytes(setl3::encode(&trace)).unwrap();
         let filter = trace.pids_by_name("shard");
         let opts = etwtrace::hb::HbOptions::default();
+        let tlp = analysis::TlpReport {
+            profile: analysis::concurrency(&trace, &filter),
+            gpu: analysis::gpu_utilization(&trace, &filter, None),
+            latency: analysis::scheduling_latency(&trace, &filter),
+            schedule: analysis::schedule_stats(&trace, &filter),
+            engines: analysis::gpu_engine_breakdown(&trace, &filter, 0),
+        };
         let pool = ThreadPoolRunner::new(2);
         let runners: [&dyn ShardRunner; 2] = [&SerialShards, &pool];
         for runner in runners {
@@ -141,6 +149,12 @@ proptest! {
                 analysis::scheduling_latency_sharded(&sharded, &filter, runner, shards).unwrap(),
                 analysis::scheduling_latency(&trace, &filter)
             );
+            for width in [1, 2, 7] {
+                prop_assert_eq!(
+                    &analysis::tlp_report_sharded(&sharded, &filter, runner, width).unwrap(),
+                    &tlp
+                );
+            }
         }
     }
 }

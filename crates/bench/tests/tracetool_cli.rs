@@ -1,10 +1,10 @@
 //! End-to-end CLI tests for `tracetool`: record → verify round trip, the
-//! usage listing, the timeline golden output, the diff exit-code contract
-//! (0 clean / 1 regression / 2 corrupt-or-usage), the refusal of legacy
-//! flat traces, of revision-2 v3 streams, of streams cut inside their
-//! header, of a flipped file trailer and of records out of time order,
-//! out-of-range arguments, the `synth` generator, and exit codes for
-//! help / unknown subcommands.
+//! usage listing, the analysers' golden outputs at two fold widths, the
+//! diff exit-code contract (0 clean / 1 regression / 2 corrupt-or-usage),
+//! the refusal of legacy flat traces, of revision-2 v3 streams, of streams
+//! cut inside their header, of a flipped file trailer and of records out of
+//! time order, out-of-range arguments, the `synth` generator, and exit
+//! codes for help / unknown subcommands.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -211,7 +211,7 @@ fn a_flipped_file_trailer_exits_2_on_the_default_and_the_sharded_path() {
     };
     let want = format!("tracetool: {file}: file checksum mismatch");
     assert_eq!(first_stderr_line(&["info", file]), want);
-    // Every analyser names the file in the same line on both paths.
+    // Every analyser names the file in the same line at every width.
     for (sub, prefix) in [
         ("verify", None),
         ("tlp", Some("vlc")),
@@ -375,6 +375,53 @@ fn timeline_matches_the_committed_golden_output() {
     let _ = std::fs::remove_file(&etl);
 }
 
+/// The committed output of each analyser on `record vlc 2`, at the default
+/// width and at width 2. The bottlenecks and timeline goldens are also
+/// pinned elsewhere (the library path and the default width).
+#[test]
+fn analysers_match_their_committed_goldens_at_widths_1_and_2() {
+    let etl = tmp("goldens.etl");
+    record("2", &etl);
+    let file = etl.to_str().unwrap();
+    for (sub, prefix, golden) in [
+        ("tlp", Some("vlc"), include_str!("golden/tlp_vlc.txt")),
+        (
+            "latency",
+            Some("vlc"),
+            include_str!("golden/latency_vlc.txt"),
+        ),
+        (
+            "critical-path",
+            Some("vlc"),
+            include_str!("golden/critical_path_vlc.txt"),
+        ),
+        ("verify", None, include_str!("golden/verify_vlc.txt")),
+        (
+            "bottlenecks",
+            Some("vlc"),
+            include_str!("golden/bottlenecks.txt"),
+        ),
+        ("timeline", None, include_str!("golden/timeline_vlc.txt")),
+    ] {
+        for width in [None, Some("2")] {
+            let mut argv = Vec::new();
+            if let Some(n) = width {
+                argv.extend(["--analyzer-shards", n]);
+            }
+            argv.extend([sub, file]);
+            argv.extend(prefix);
+            let out = tracetool(&argv);
+            assert_eq!(out.status.code(), Some(0), "{argv:?}: {out:?}");
+            assert_eq!(
+                String::from_utf8_lossy(&out.stdout),
+                golden,
+                "{argv:?} drifted from its golden"
+            );
+        }
+    }
+    let _ = std::fs::remove_file(&etl);
+}
+
 #[test]
 fn diff_exit_codes_pin_the_regression_contract() {
     let etl = tmp("diff.etl");
@@ -435,7 +482,8 @@ fn analyzer_shards_match_serial_output_byte_for_byte() {
     assert!(blocks >= 3, "recorded only {blocks} blocks");
 
     // Every analyzer subcommand must render the same bytes whether it
-    // materializes serially or shards the v3 blocks over a pool.
+    // folds on the calling thread (the default width, 1) or decodes the v3
+    // blocks ahead on a pool.
     for (sub, prefix) in [
         ("verify", None),
         ("tlp", Some("vlc")),
@@ -448,7 +496,7 @@ fn analyzer_shards_match_serial_output_byte_for_byte() {
         argv.extend(prefix);
         let serial = tracetool(&argv);
         assert!(serial.status.success(), "{sub} serial failed: {serial:?}");
-        for shards in ["1", "4"] {
+        for shards in ["2", "4"] {
             let mut sharded_argv = vec!["--analyzer-shards", shards];
             sharded_argv.extend(argv.iter().copied());
             let sharded = tracetool(&sharded_argv);
@@ -530,8 +578,8 @@ fn synth_writes_a_verify_clean_v3_stream_of_the_exact_size() {
     );
     assert!(info_out.contains(&written.to_string()), "{info_out}");
 
-    // The generated trace is clean under full verification, on both the
-    // materialized and the sharded path.
+    // The generated trace is clean under full verification, at the default
+    // width and at 4.
     let ver = tracetool(&["verify", out.to_str().unwrap()]);
     assert_eq!(ver.status.code(), Some(0), "{ver:?}");
     let sharded = tracetool(&["--analyzer-shards", "4", "verify", out.to_str().unwrap()]);
@@ -704,6 +752,61 @@ fn records_out_of_time_order_exit_2_from_every_reader() {
         }
         let _ = std::fs::remove_file(&path);
     }
+}
+
+/// A verify-clean trace whose one wait is a yield that another thread
+/// ends. A yield blocks nothing, so `bottlenecks` reports it at every width
+/// instead of panicking.
+#[test]
+fn bottlenecks_exits_0_on_a_yield_ended_by_a_waker() {
+    use etwtrace::{ThreadKey, TraceEvent, WaitReason};
+    use simcore::SimTime;
+    let at = SimTime::from_nanos;
+    let (a, b) = (ThreadKey { pid: 1, tid: 10 }, ThreadKey { pid: 1, tid: 11 });
+    let mut t = etwtrace::TraceBuilder::new(2);
+    t.push(TraceEvent::ProcessStart {
+        at: at(0),
+        pid: 1,
+        name: "app.exe".into(),
+    });
+    for (key, name) in [(a, "a"), (b, "b")] {
+        t.push(TraceEvent::ThreadStart {
+            at: at(0),
+            key,
+            name: name.into(),
+        });
+    }
+    t.push(TraceEvent::CSwitch {
+        at: at(0),
+        cpu: 0,
+        old: None,
+        new: Some(a),
+        ready_since: None,
+    });
+    t.push(TraceEvent::WaitBegin {
+        at: at(100),
+        key: b,
+        reason: WaitReason::Yield,
+    });
+    t.push(TraceEvent::WaitEnd {
+        at: at(200),
+        key: b,
+        reason: WaitReason::Yield,
+        waker: Some(a),
+    });
+    let trace = t.finish(at(0), at(1000));
+    let path = tmp("yield-waker.etl");
+    parastat::store::atomic_write(&path, &etwtrace::setl3::encode(&trace)).unwrap();
+    let file = path.to_str().unwrap();
+    for argv in [
+        vec!["verify", file],
+        vec!["bottlenecks", file, "app"],
+        vec!["--analyzer-shards", "2", "bottlenecks", file, "app"],
+    ] {
+        let out = tracetool(&argv);
+        assert_eq!(out.status.code(), Some(0), "{argv:?}: {out:?}");
+    }
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

@@ -822,6 +822,57 @@ pub fn scheduling_latency_sharded(
     Ok(fold.finish())
 }
 
+/// The five statistics `tracetool tlp` prints for one application.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TlpReport {
+    /// [`concurrency`]: the Eq. 1 profile.
+    pub profile: ConcurrencyProfile,
+    /// [`gpu_utilization`] over every GPU.
+    pub gpu: GpuUtil,
+    /// [`scheduling_latency`].
+    pub latency: LatencyStats,
+    /// [`schedule_stats`].
+    pub schedule: ScheduleStats,
+    /// [`gpu_engine_breakdown`] on GPU 0.
+    pub engines: Vec<(u32, f64)>,
+}
+
+/// The five [`TlpReport`] folds driven by one [`ShardedTrace::fold_events`]
+/// call: each sees the event sequence its own `_sharded` entry point sees,
+/// so each field equals that function's result.
+///
+/// # Errors
+/// Any block decode or checksum error.
+pub fn tlp_report_sharded(
+    trace: &ShardedTrace,
+    filter: &PidSet,
+    runner: &dyn ShardRunner,
+    shards: usize,
+) -> io::Result<TlpReport> {
+    let mut sp = simobs::span::span("analyzer", "tlp");
+    sp.add_events(trace.count());
+    let (start, end) = (trace.start(), trace.end());
+    let mut profile = ConcurrencyFold::new(filter, trace.n_logical_cpus(), start, end);
+    let mut gpu = GpuUtilFold::new(filter, None, start, end);
+    let mut latency = LatencyFold::new(filter);
+    let mut schedule = ScheduleStatsFold::new(filter);
+    let mut engines = EngineFold::new(filter, 0, start, end);
+    trace.fold_events(runner, shards, |ev| {
+        profile.push(&ev);
+        gpu.push(&ev);
+        latency.push(&ev);
+        schedule.push(&ev);
+        engines.push(&ev);
+    })?;
+    Ok(TlpReport {
+        profile: profile.finish(),
+        gpu: gpu.finish(),
+        latency: latency.finish(),
+        schedule: schedule.finish(),
+        engines: engines.finish(),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

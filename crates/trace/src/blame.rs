@@ -279,12 +279,14 @@ impl<'a> BlameFold<'a> {
             } => {
                 self.engines.insert((gpu as u32, packet), engine);
             }
+            // A runnable wait (preemption, yield) blocks nothing, as in
+            // the replay.
             TraceEvent::WaitEnd {
                 key,
                 reason,
                 waker: Some(w),
                 ..
-            } if self.filter.contains(key.pid) => {
+            } if self.filter.contains(key.pid) && !reason.is_runnable() => {
                 *self
                     .wakers
                     .entry(blocker_of(reason, &self.engines))
@@ -469,7 +471,7 @@ impl Replay {
 }
 
 /// Maps a blocking wait reason to its attribution target, via the shared
-/// object accessors on [`WaitReason`].
+/// object accessors on [`WaitReason`]. Callers skip the runnable reasons.
 fn blocker_of(reason: WaitReason, engines: &BTreeMap<(u32, u64), u32>) -> Blocker {
     if let Some((gpu, packet)) = reason.gpu_packet() {
         Blocker::Gpu {
@@ -481,11 +483,6 @@ fn blocker_of(reason: WaitReason, engines: &BTreeMap<(u32, u64), u32>) -> Blocke
     } else if let Some(id) = reason.event_id() {
         Blocker::Event { id }
     } else {
-        assert!(
-            !reason.is_runnable(),
-            "runnable reasons are not blockers: {}",
-            reason.label()
-        );
         Blocker::Sleep
     }
 }
@@ -685,6 +682,55 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.contains("event 7"), "{a}");
         assert!(a.contains("lost     10.000"), "{a}");
+    }
+
+    /// A verify-clean trace whose one wait is a yield that another thread
+    /// ends: a runnable wait blocks nothing, in the pre-pass as in the
+    /// replay, so no entry point panics and no blocker is charged.
+    #[test]
+    fn a_yield_with_a_waker_blocks_nothing() {
+        let mut b = TraceBuilder::new(2);
+        b.push(TraceEvent::ProcessStart {
+            at: ms(0),
+            pid: 1,
+            name: "app.exe".into(),
+        });
+        for tid in [0, 1] {
+            b.push(TraceEvent::ThreadStart {
+                at: ms(0),
+                key: key(tid),
+                name: format!("t{tid}"),
+            });
+        }
+        b.push(TraceEvent::CSwitch {
+            at: ms(0),
+            cpu: 0,
+            old: None,
+            new: Some(key(0)),
+            ready_since: Some(ms(0)),
+        });
+        b.push(TraceEvent::WaitBegin {
+            at: ms(1),
+            key: key(1),
+            reason: WaitReason::Yield,
+        });
+        b.push(TraceEvent::WaitEnd {
+            at: ms(2),
+            key: key(1),
+            reason: WaitReason::Yield,
+            waker: Some(key(0)),
+        });
+        let trace = b.finish(ms(0), ms(3));
+        let filter: PidSet = [1u64].into_iter().collect();
+        let report = blame(&trace, &filter);
+        assert!(report.ranking.is_empty(), "{}", report.render());
+        assert_eq!(report.per_thread[1].1.ready_ns, 3_000_000);
+        let sharded = crate::shard::ShardedTrace::from_bytes(crate::setl3::encode(&trace)).unwrap();
+        let runner = crate::shard::SerialShards;
+        for shards in [1, 2] {
+            let folded = blame_sharded(&sharded, &filter, &runner, shards).unwrap();
+            assert_eq!(folded, report);
+        }
     }
 
     #[test]

@@ -62,7 +62,9 @@ pub mod shard;
 pub mod timeline;
 pub mod verify;
 
-pub use analysis::{ConcurrencyProfile, GpuUtil, LatencyStats, ProcessSummary, ScheduleStats};
+pub use analysis::{
+    ConcurrencyProfile, GpuUtil, LatencyStats, ProcessSummary, ScheduleStats, TlpReport,
+};
 pub use blame::{BlameReport, Blocker, BlockerStat, ThreadTimeBreakdown};
 pub use critical::{critical_path, CriticalPath};
 pub use diff::{diff_metrics, parse_prometheus, DiffConfig, DiffReport};

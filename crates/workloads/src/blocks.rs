@@ -7,7 +7,9 @@ use machine::{Action, EventId, ThreadCtx, ThreadProgram, Work};
 use simcore::SimDuration;
 use simcpu::ComputeKind;
 use simgpu::PacketKind;
+use std::cell::Cell;
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 /// A background service thread: sleep `period_ms` (jittered), compute
 /// `tick_ms`, forever. Models autosave, telemetry, spell-check, indexers.
@@ -176,6 +178,9 @@ pub struct Stage {
     pub output_signals: u64,
     /// Scheduling class applied when the stage first runs.
     pub priority: Option<machine::Priority>,
+    /// Set by the producer when no more items will come: the stage's next
+    /// wake exits the thread instead of taking an item.
+    stop: Option<Rc<Cell<bool>>>,
     phase: StagePhase,
 }
 
@@ -199,6 +204,7 @@ impl Stage {
             present: false,
             output_signals: 1,
             priority: None,
+            stop: None,
             phase: StagePhase::Waiting,
         }
     }
@@ -219,6 +225,12 @@ impl Stage {
     /// Presents a frame per item (builder style).
     pub fn with_present(mut self) -> Self {
         self.present = true;
+        self
+    }
+
+    /// Exits on the first wake after `stop` is set (builder style).
+    pub fn with_stop(mut self, stop: Rc<Cell<bool>>) -> Self {
+        self.stop = Some(stop);
         self
     }
 
@@ -244,6 +256,9 @@ impl ThreadProgram for Stage {
                     return Action::WaitEvent(self.input);
                 }
                 StagePhase::Arrived => {
+                    if self.stop.as_ref().is_some_and(|stop| stop.get()) {
+                        return Action::Exit;
+                    }
                     // Item received: compute first; effects follow.
                     let ms = ctx.rng().normal(self.work_ms, self.work_ms * self.jitter);
                     let work = Work::busy_ms(ms.max(0.01)).with_kind(self.kind);

@@ -5,7 +5,8 @@
 //! coordinator seeds one GOP of frames, joins the workers, then performs a
 //! serial rate-control/muxing phase — producing exactly the "TLP mostly at
 //! its maximum, but drops periodically due to serialization" shape of
-//! Fig. 5. Each encoded frame emits a `Frame` trace event, so the transcode
+//! Fig. 5. At the end of a finite clip it stops the workers before it
+//! exits, so no thread is left parked at the end of the trace. Each encoded frame emits a `Frame` trace event, so the transcode
 //! rate of Table III / Fig. 8 is `frames / window`.
 
 use crate::blocks::{Stage, StageGpu, Ticker, UiThread};
@@ -17,6 +18,8 @@ use machine::{Action, EventId, Machine, Pid, ThreadCtx, ThreadProgram, Work};
 use simcore::SimDuration;
 use simcpu::ComputeKind;
 use simgpu::PacketKind;
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// GOP-granular transcode coordinator (see module docs).
 struct Coordinator {
@@ -28,6 +31,9 @@ struct Coordinator {
     /// Submit a fixed-function encode job per GOP (WinX with NVENC).
     nvenc_frames_per_gop: f64,
     joined: u32,
+    /// Encoder threads, and the flag that stops them when the clip ends.
+    workers: u32,
+    stop: Rc<Cell<bool>>,
     phase: CoordPhase,
 }
 
@@ -44,6 +50,8 @@ impl ThreadProgram for Coordinator {
                 CoordPhase::Seed => {
                     if self.frames_left == 0 {
                         ctx.marker("transcode-done");
+                        self.stop.set(true);
+                        ctx.signal_n(self.work, u64::from(self.workers));
                         return Action::Exit;
                     }
                     let batch = (self.gop as u64).min(self.frames_left) as u32;
@@ -92,8 +100,11 @@ fn spawn_transcode_pool(
 ) {
     let work = m.create_event();
     let done = m.create_event();
+    let stop = Rc::new(Cell::new(false));
     for i in 0..workers {
-        let mut stage = Stage::new(work, Some(done), frame_ms, ComputeKind::Vector).with_present();
+        let mut stage = Stage::new(work, Some(done), frame_ms, ComputeKind::Vector)
+            .with_present()
+            .with_stop(stop.clone());
         stage.jitter = pt::FRAME_JITTER;
         if let Some(g) = gpu {
             stage = stage.with_gpu(g);
@@ -114,6 +125,8 @@ fn spawn_transcode_pool(
             frames_left: frames,
             nvenc_frames_per_gop,
             joined: 0,
+            workers,
+            stop,
             phase: CoordPhase::Seed,
         }),
     );
@@ -248,10 +261,12 @@ pub fn powerdirector(m: &mut Machine, opts: &WorkloadOpts) -> Pid {
             export: Box::new(move |ctx| {
                 let work = ctx.create_event();
                 let done = ctx.create_event();
+                let stop = Rc::new(Cell::new(false));
                 for i in 0..pa::PDR_WORKERS {
                     let mut stage =
                         Stage::new(work, Some(done), pa::PDR_FRAME_MS, ComputeKind::Vector)
-                            .with_present();
+                            .with_present()
+                            .with_stop(stop.clone());
                     stage.jitter = 0.25;
                     if cuda {
                         stage = stage.with_gpu(StageGpu {
@@ -273,6 +288,8 @@ pub fn powerdirector(m: &mut Machine, opts: &WorkloadOpts) -> Pid {
                         frames_left: frames,
                         nvenc_frames_per_gop: 0.0,
                         joined: 0,
+                        workers: pa::PDR_WORKERS,
+                        stop,
                         phase: CoordPhase::Seed,
                     }),
                 );
@@ -434,6 +451,32 @@ mod tests {
         let u_gpu = analysis::gpu_utilization(&t_gpu, &f_gpu, Some(0)).percent();
         let u_sw = analysis::gpu_utilization(&t_sw, &f_sw, Some(0)).percent();
         assert!(u_gpu > 5.0 && u_sw < 1.0, "gpu {u_gpu}% sw {u_sw}%");
+    }
+
+    /// A finished clip stops the transcoder's encoder pool: the
+    /// happens-before pass finds no thread parked at the end of the trace
+    /// (H001), with and without the GPU.
+    #[test]
+    fn a_finished_clip_leaves_no_encoder_parked() {
+        type Build = fn(&mut Machine, &WorkloadOpts) -> Pid;
+        let transcoders: [(Build, bool); 3] = [(handbrake, false), (winx, false), (winx, true)];
+        for (build, cuda) in transcoders {
+            let mut m = Machine::new(MachineConfig::study_rig(4, false));
+            let opts = WorkloadOpts {
+                duration: SimDuration::from_secs(30),
+                transcode_frames: Some(60),
+                cuda,
+                ..WorkloadOpts::default()
+            };
+            build(&mut m, &opts);
+            m.run_for(SimDuration::from_secs(30));
+            let trace = m.into_trace();
+            assert!(trace.events().iter().any(
+                |e| matches!(e, etwtrace::TraceEvent::Marker { label, .. } if label == "transcode-done")
+            ));
+            let causal = etwtrace::hb::analyze(&trace, &etwtrace::HbOptions::default());
+            assert!(causal.is_clean(), "cuda {cuda}: {}", causal.render());
+        }
     }
 
     #[test]
