@@ -376,33 +376,61 @@ fn timeline_matches_the_committed_golden_output() {
 }
 
 /// The committed output of each analyser on `record vlc 2`, at the default
-/// width and at width 2. The bottlenecks and timeline goldens are also
+/// width and at width 2, and of `verify` on two wider recordings:
+/// `record excel 30` (91 threads) and `record "project cars" 5` (5,400
+/// wake edges, 2 GPU edges). The bottlenecks and timeline goldens are also
 /// pinned elsewhere (the library path and the default width).
 #[test]
 fn analysers_match_their_committed_goldens_at_widths_1_and_2() {
-    let etl = tmp("goldens.etl");
-    record("2", &etl);
-    let file = etl.to_str().unwrap();
-    for (sub, prefix, golden) in [
-        ("tlp", Some("vlc"), include_str!("golden/tlp_vlc.txt")),
+    let vlc = tmp("goldens.etl");
+    record("2", &vlc);
+    let excel = tmp("goldens-excel.etl");
+    let cars = tmp("goldens-cars.etl");
+    for (app, secs, etl) in [("excel", "30", &excel), ("project cars", "5", &cars)] {
+        let rec = tracetool(&["record", app, secs, etl.to_str().unwrap()]);
+        assert!(rec.status.success(), "record failed: {rec:?}");
+    }
+    for (etl, sub, prefix, golden) in [
+        (&vlc, "tlp", Some("vlc"), include_str!("golden/tlp_vlc.txt")),
         (
+            &vlc,
             "latency",
             Some("vlc"),
             include_str!("golden/latency_vlc.txt"),
         ),
         (
+            &vlc,
             "critical-path",
             Some("vlc"),
             include_str!("golden/critical_path_vlc.txt"),
         ),
-        ("verify", None, include_str!("golden/verify_vlc.txt")),
+        (&vlc, "verify", None, include_str!("golden/verify_vlc.txt")),
         (
+            &vlc,
             "bottlenecks",
             Some("vlc"),
             include_str!("golden/bottlenecks.txt"),
         ),
-        ("timeline", None, include_str!("golden/timeline_vlc.txt")),
+        (
+            &vlc,
+            "timeline",
+            None,
+            include_str!("golden/timeline_vlc.txt"),
+        ),
+        (
+            &excel,
+            "verify",
+            None,
+            include_str!("golden/verify_excel.txt"),
+        ),
+        (
+            &cars,
+            "verify",
+            None,
+            include_str!("golden/verify_project_cars.txt"),
+        ),
     ] {
+        let file = etl.to_str().unwrap();
         for width in [None, Some("2")] {
             let mut argv = Vec::new();
             if let Some(n) = width {
@@ -419,7 +447,9 @@ fn analysers_match_their_committed_goldens_at_widths_1_and_2() {
             );
         }
     }
-    let _ = std::fs::remove_file(&etl);
+    for etl in [vlc, excel, cars] {
+        let _ = std::fs::remove_file(etl);
+    }
 }
 
 #[test]

@@ -2,9 +2,10 @@
 //! render byte-identical artifacts — and a corrupted entry must cost one
 //! re-simulation, never a changed byte.
 
+use etwtrace::{EtlTrace, HbOptions, PidSet, ThreadKey, TraceBuilder, TraceEvent, WaitReason};
 use parastat::store::LoadOutcome;
-use parastat::{Budget, Experiment, RunContext, RunRequest, SimStore};
-use simcore::SimDuration;
+use parastat::{Budget, Experiment, RunContext, RunMetrics, RunRequest, SimStore, SingleRun};
+use simcore::{SimDuration, SimTime};
 use std::path::{Path, PathBuf};
 use workloads::AppId;
 
@@ -230,4 +231,142 @@ fn an_epoch_1_entry_is_a_clean_miss() {
     assert!(old.exists(), "the old entry is left alone");
     assert!(!store.quarantine_dir().exists());
     let _ = std::fs::remove_dir_all(&root);
+}
+
+fn ms(t: u64) -> SimTime {
+    SimTime::from_nanos(t * 1_000_000)
+}
+
+/// One process with threads `0..n` started at 0 on a 2-CPU machine.
+fn process(n: u64) -> TraceBuilder {
+    let mut b = TraceBuilder::new(2);
+    b.push(TraceEvent::ProcessStart {
+        at: ms(0),
+        pid: 1,
+        name: "vlc.exe".into(),
+    });
+    for tid in 0..n {
+        b.push(TraceEvent::ThreadStart {
+            at: ms(0),
+            key: ThreadKey { pid: 1, tid },
+            name: format!("t{tid}"),
+        });
+    }
+    b
+}
+
+/// Exactly one `verify` finding and none from happens-before: thread 1
+/// switches in onto CPU 0 while thread 0 still occupies it (V003).
+fn switch_onto_an_occupied_cpu() -> EtlTrace {
+    let mut b = process(2);
+    for (at, tid) in [(0, 0), (1, 1)] {
+        b.push(TraceEvent::CSwitch {
+            at: ms(at),
+            cpu: 0,
+            old: None,
+            new: Some(ThreadKey { pid: 1, tid }),
+            ready_since: Some(ms(0)),
+        });
+    }
+    b.finish(ms(0), ms(10))
+}
+
+/// Exactly one finding, from happens-before only: the one thread parks
+/// on an event nothing signals and is still parked at the end (H001).
+fn the_last_live_thread_parked() -> EtlTrace {
+    let t0 = ThreadKey { pid: 1, tid: 0 };
+    let mut b = process(1);
+    b.push(TraceEvent::CSwitch {
+        at: ms(0),
+        cpu: 0,
+        old: None,
+        new: Some(t0),
+        ready_since: Some(ms(0)),
+    });
+    b.push(TraceEvent::CSwitch {
+        at: ms(1),
+        cpu: 0,
+        old: Some(t0),
+        new: None,
+        ready_since: None,
+    });
+    b.push(TraceEvent::WaitBegin {
+        at: ms(1),
+        key: t0,
+        reason: WaitReason::Event { id: 5 },
+    });
+    b.finish(ms(0), ms(10))
+}
+
+/// A run holding `trace` whose snapshot recorded `recorded` findings.
+fn hand_built(trace: EtlTrace, recorded: u64) -> SingleRun {
+    let mut metrics = RunMetrics::default();
+    metrics
+        .registry
+        .counter("parastat_verify_findings_total", &[], recorded);
+    SingleRun {
+        trace,
+        filter: [1].into_iter().collect::<PidSet>(),
+        metrics,
+    }
+}
+
+/// A load re-runs verify and happens-before on the decoded trace. An entry
+/// whose count of findings differs from its snapshot's is quarantined and
+/// re-simulated, whichever pass the finding comes from; an entry that
+/// recorded its findings loads.
+#[test]
+fn a_load_quarantines_an_entry_whose_findings_differ_from_its_record() {
+    let exp = Experiment::new(AppId::VlcMediaPlayer).budget(Budget {
+        duration: SimDuration::from_secs(2),
+        iterations: 1,
+    });
+    let cases = [
+        ("verify", switch_onto_an_occupied_cpu(), (1, 0)),
+        ("hb", the_last_live_thread_parked(), (0, 1)),
+    ];
+    for (pass, trace, counts) in cases {
+        let verified = etwtrace::verify_trace(&trace);
+        let causal = etwtrace::analyze(&trace, &HbOptions::default());
+        assert_eq!(
+            (verified.diagnostics.len(), causal.findings.len()),
+            counts,
+            "{pass}:\n{}{}",
+            verified.render(),
+            causal.render()
+        );
+        for recorded in [0, 1] {
+            let root = tmp_root(&format!("reverify-{pass}-{recorded}"));
+            let req = RunRequest::new(&exp, 42);
+            let key = req.cache_key();
+            let store = SimStore::open(&root);
+            store
+                .save(&key, &hand_built(trace.clone(), recorded))
+                .unwrap();
+            let ctx = store_ctx(&root, 1);
+            ctx.run_singles(vec![req]);
+            if recorded == 0 {
+                assert_eq!(ctx.store_stats(), (0, 1, 1), "{pass}");
+                let notes = ctx.store_notes();
+                assert_eq!(notes.len(), 1, "{pass}: {notes:?}");
+                assert!(
+                    notes[0].ends_with("verify pass found 1 finding(s), entry recorded 0"),
+                    "{pass}: {notes:?}"
+                );
+                assert_eq!(
+                    std::fs::read_dir(store.quarantine_dir()).unwrap().count(),
+                    1
+                );
+            } else {
+                assert_eq!(ctx.store_stats(), (1, 0, 0), "{pass}");
+                assert!(ctx.store_notes().is_empty(), "{pass}");
+                assert_eq!(ctx.verify_stats(), (1, 1), "{pass}");
+                let LoadOutcome::Hit(run) = store.load(&key) else {
+                    panic!("{pass}: an entry that recorded its finding must load");
+                };
+                assert_eq!(run.trace, trace);
+            }
+            let _ = std::fs::remove_dir_all(&root);
+        }
+    }
 }

@@ -2,9 +2,11 @@
 //! of compute, sleep, event signalling/waiting, GPU submission and yields,
 //! the machine's sealed trace must pass the streaming invariant checker with
 //! zero findings and the happens-before pass with no structural findings.
+//! The same trace with every tid shifted by 2^40, past the thread table's
+//! tid-indexed array, must give the same reports.
 
 use etwtrace::verify::verify_trace;
-use etwtrace::{analyze, HbOptions};
+use etwtrace::{analyze, EtlTrace, HbOptions, ThreadKey, TraceBuilder, TraceEvent};
 use machine::{Action, Machine, MachineConfig, ThreadCtx, ThreadProgram, Work};
 use proptest::prelude::*;
 use simcore::SimDuration;
@@ -57,6 +59,35 @@ impl ThreadProgram for Workhorse {
     }
 }
 
+/// `trace` with every tid moved up by 2^40, which keeps key order.
+fn shifted(trace: &EtlTrace) -> EtlTrace {
+    let up = |k: &ThreadKey| ThreadKey {
+        pid: k.pid,
+        tid: k.tid + (1 << 40),
+    };
+    let mut b = TraceBuilder::new(trace.n_logical_cpus());
+    for ev in trace.events() {
+        let mut ev = ev.clone();
+        match &mut ev {
+            TraceEvent::ThreadStart { key, .. }
+            | TraceEvent::ThreadEnd { key, .. }
+            | TraceEvent::WaitBegin { key, .. }
+            | TraceEvent::GpuSubmit { key, .. } => *key = up(key),
+            TraceEvent::WaitEnd { key, waker, .. } => {
+                *key = up(key);
+                *waker = waker.as_ref().map(up);
+            }
+            TraceEvent::CSwitch { old, new, .. } => {
+                *old = old.as_ref().map(up);
+                *new = new.as_ref().map(up);
+            }
+            _ => {}
+        }
+        b.push(ev);
+    }
+    b.finish(trace.start(), trace.end())
+}
+
 fn arb_program() -> impl Strategy<Value = Vec<(u8, u16)>> {
     proptest::collection::vec((any::<u8>(), 1u16..400), 1..20)
 }
@@ -92,5 +123,10 @@ proptest! {
 
         let hb = analyze(&trace, &HbOptions::default());
         prop_assert!(hb.is_clean(), "happens-before findings:\n{}", hb.render());
+
+        // Clean reports carry no keys, so equal reports need no mapping.
+        let far = shifted(&trace);
+        prop_assert_eq!(verify_trace(&far), report);
+        prop_assert_eq!(analyze(&far, &HbOptions::default()), hb);
     }
 }

@@ -1,7 +1,7 @@
 //! Trace event model and the trace log container.
 
 use simcore::SimTime;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Identifies a thread within the trace: `(process id, thread id)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -10,6 +10,78 @@ pub struct ThreadKey {
     pub pid: u64,
     /// Thread within the process.
     pub tid: u64,
+}
+
+/// Tids below this bound find their slot in [`ThreadTable`]'s flat array.
+const DIRECT_TIDS: usize = 1 << 16;
+
+/// Dense slots for the threads of one trace, numbered `0, 1, …` in
+/// first-sight order, so an analyser keeps its per-thread state in `Vec`s
+/// indexed by slot and looks each key mention up once.
+///
+/// A key finds its slot in O(1) through an array indexed by tid and checked
+/// against the pid: simulator and `synth` tids are small and dense, and the
+/// array grows only to the largest tid seen. A tid at or past
+/// [`DIRECT_TIDS`], or a second pid on a tid whose entry is already taken,
+/// falls back to an ordered map. Slot order is first-sight order, so every
+/// report an analyser builds at finish time walks
+/// [`ThreadTable::in_key_order`] instead.
+#[derive(Debug, Default)]
+pub(crate) struct ThreadTable {
+    /// `direct[tid]`: the pid that took the tid's entry, and its slot.
+    direct: Vec<Option<(u64, usize)>>,
+    /// Threads that could not take a direct entry.
+    spill: BTreeMap<ThreadKey, usize>,
+    /// Each slot's key.
+    keys: Vec<ThreadKey>,
+}
+
+impl ThreadTable {
+    /// `key`'s slot, if the table has seen it.
+    pub(crate) fn get(&self, key: ThreadKey) -> Option<usize> {
+        let direct = usize::try_from(key.tid)
+            .ok()
+            .and_then(|tid| self.direct.get(tid));
+        match direct {
+            Some(&Some((pid, slot))) if pid == key.pid => Some(slot),
+            _ => self.spill.get(&key).copied(),
+        }
+    }
+
+    /// `key`'s slot, taking the next one on first sight.
+    pub(crate) fn slot(&mut self, key: ThreadKey) -> usize {
+        if let Some(slot) = self.get(key) {
+            return slot;
+        }
+        let slot = self.keys.len();
+        self.keys.push(key);
+        let tid = usize::try_from(key.tid)
+            .ok()
+            .filter(|&tid| tid < DIRECT_TIDS);
+        if let Some(tid) = tid {
+            if self.direct.len() <= tid {
+                self.direct.resize(tid + 1, None);
+            }
+            if let Some(entry @ None) = self.direct.get_mut(tid) {
+                *entry = Some((key.pid, slot));
+                return slot;
+            }
+        }
+        self.spill.insert(key, slot);
+        slot
+    }
+
+    /// Number of threads seen.
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Every `(key, slot)` in ascending key order.
+    pub(crate) fn in_key_order(&self) -> Vec<(ThreadKey, usize)> {
+        let mut order: Vec<(ThreadKey, usize)> = self.keys.iter().copied().zip(0..).collect();
+        order.sort_unstable();
+        order
+    }
 }
 
 /// One record in the event trace log.
@@ -504,6 +576,39 @@ mod tests {
         assert_eq!(WaitReason::Sleep.describe(), "sleep");
         assert_eq!(WaitReason::Preempted.label(), "preempted");
         assert!(WaitReason::Yield.is_runnable());
+    }
+
+    #[test]
+    fn thread_slots_follow_first_sight_and_reports_follow_key_order() {
+        let key = |pid, tid| ThreadKey { pid, tid };
+        let mut t = ThreadTable::default();
+        // Direct entries, a tid past the array's bound, and a second pid
+        // on a tid that is already taken.
+        let seen = [key(2, 5), key(1, 7), key(3, 1 << 40), key(1, 5), key(0, 0)];
+        for (slot, k) in seen.into_iter().enumerate() {
+            assert_eq!(t.get(k), None);
+            assert_eq!(t.slot(k), slot);
+        }
+        for (slot, k) in seen.into_iter().enumerate() {
+            assert_eq!(t.get(k), Some(slot));
+            assert_eq!(t.slot(k), slot, "a key keeps its slot");
+        }
+        assert_eq!(t.len(), 5);
+        assert_eq!(t.get(key(9, 5)), None, "the pid is checked");
+        assert_eq!(t.get(key(3, 7)), None);
+        assert_eq!(t.direct.len(), 8, "the array grows to the largest tid");
+        assert_eq!(t.spill.len(), 2);
+        let order: Vec<(ThreadKey, usize)> = t.in_key_order();
+        assert_eq!(
+            order,
+            [
+                (key(0, 0), 4),
+                (key(1, 5), 3),
+                (key(1, 7), 1),
+                (key(2, 5), 0),
+                (key(3, 1 << 40), 2)
+            ]
+        );
     }
 
     #[test]

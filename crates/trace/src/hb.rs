@@ -26,10 +26,17 @@
 //!   inflates TLP with runnable-but-idle threads exactly as the paper
 //!   cautions when reading thread counts off a trace.
 //!
-//! Everything is computed in one forward scan with `BTreeMap` bookkeeping,
-//! so findings are deterministic and ordering-stable.
+//! Everything is computed in one forward scan, so findings are
+//! deterministic and ordering-stable. Per-thread state and the clocks are
+//! indexed by the thread's slot in the crate's `ThreadTable` (`event.rs`),
+//! which finds each key mention in O(1) through a bounded array indexed by
+//! tid. A wake borrows the waker's clock in place, and a park reads the
+//! parker's live clock unless that clock moves before the wake, so a
+//! well-formed stream copies a clock only at a GPU submission. The
+//! end-of-trace sweep and the overtake check walk threads in key order,
+//! never in slot order.
 
-use crate::event::{EtlTrace, ThreadKey, TraceEvent, WaitReason};
+use crate::event::{EtlTrace, ThreadKey, ThreadTable, TraceEvent, WaitReason};
 use crate::verify::{DiagCode, Diagnostic, Severity};
 use simcore::{SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -90,17 +97,17 @@ impl HbReport {
     }
 }
 
-/// A vector clock, indexed by dense thread index.
+/// A vector clock, indexed by thread slot.
 type Clock = Vec<u64>;
 
 /// `a ≤ b` componentwise (missing components are zero).
-fn clock_le(a: &Clock, b: &Clock) -> bool {
+fn clock_le(a: &[u64], b: &[u64]) -> bool {
     a.iter()
         .enumerate()
         .all(|(i, &v)| v <= b.get(i).copied().unwrap_or(0))
 }
 
-fn clock_join(into: &mut Clock, other: &Clock) {
+fn clock_join(into: &mut Clock, other: &[u64]) {
     if into.len() < other.len() {
         into.resize(other.len(), 0);
     }
@@ -109,11 +116,11 @@ fn clock_join(into: &mut Clock, other: &Clock) {
     }
 }
 
-/// Per-thread analysis state.
+/// Per-thread analysis state, indexed by the thread's slot in the
+/// [`ThreadTable`]. The slot is also the thread's component in every
+/// vector clock.
 #[derive(Debug, Default)]
 struct Th {
-    /// Dense index: this thread's component in every vector clock.
-    idx: usize,
     clock: Clock,
     exited: bool,
     /// Open blocking wait, if any.
@@ -122,38 +129,39 @@ struct Th {
     yields: usize,
     last_yield: Option<SimTime>,
     storm_reported: bool,
+    /// The event whose [`Park`] of this thread still reads its live clock.
+    live_park: Option<u64>,
 }
 
-/// `key`'s state, given the next dense index on first sight.
-fn thread(threads: &mut BTreeMap<ThreadKey, Th>, key: ThreadKey) -> &mut Th {
-    let next = threads.len();
-    threads.entry(key).or_insert_with(|| Th {
-        idx: next,
-        ..Th::default()
-    })
+/// One thread parked on a kernel event.
+#[derive(Debug)]
+struct Park {
+    key: ThreadKey,
+    slot: usize,
+    at: SimTime,
+    /// The parker's clock at the park. It is copied only when the parker's
+    /// live clock moves on before its wake, which a well-formed stream
+    /// never does; until then it is `None` and the live clock stands in.
+    clock: Option<Clock>,
 }
 
-/// Ticks `key`'s own clock component (it performed an observable step).
-fn tick(threads: &mut BTreeMap<ThreadKey, Th>, key: ThreadKey) -> &mut Th {
-    let th = thread(threads, key);
-    if th.clock.len() <= th.idx {
-        th.clock.resize(th.idx + 1, 0);
-    }
-    if let Some(own) = th.clock.get_mut(th.idx) {
-        *own += 1;
-    }
-    th
+/// One GPU packet's progress and its submitter's clock.
+#[derive(Debug, Default)]
+struct Packet {
+    /// Submitted or started.
+    pending: bool,
+    ended: bool,
+    /// The submitter's clock at the submission.
+    clock: Option<Clock>,
 }
 
 struct Analyzer {
     opts: HbOptions,
-    threads: BTreeMap<ThreadKey, Th>,
-    /// Clock snapshot taken at each packet's submission.
-    packet_clocks: BTreeMap<(u64, u64), Clock>,
-    /// Packet lifecycle progress (`submitted or started`, `ended`).
-    packets: BTreeMap<(u64, u64), (bool, bool)>,
-    /// Parked waiters per kernel event: thread → (park time, park clock).
-    parked: BTreeMap<u64, BTreeMap<ThreadKey, (SimTime, Clock)>>,
+    table: ThreadTable,
+    threads: Vec<Th>,
+    packets: BTreeMap<(u64, u64), Packet>,
+    /// Parked waiters per kernel event.
+    parked: BTreeMap<u64, Vec<Park>>,
     findings: Vec<Diagnostic>,
     n_wake_edges: usize,
     n_gpu_edges: usize,
@@ -163,8 +171,8 @@ impl Analyzer {
     fn new(opts: &HbOptions) -> Analyzer {
         Analyzer {
             opts: *opts,
-            threads: BTreeMap::new(),
-            packet_clocks: BTreeMap::new(),
+            table: ThreadTable::default(),
+            threads: Vec::new(),
             packets: BTreeMap::new(),
             parked: BTreeMap::new(),
             findings: Vec::new(),
@@ -173,48 +181,132 @@ impl Analyzer {
         }
     }
 
+    /// `key`'s slot, given the next one and fresh state on first sight.
+    fn slot(&mut self, key: ThreadKey) -> usize {
+        let slot = self.table.slot(key);
+        if slot == self.threads.len() {
+            self.threads.push(Th::default());
+        }
+        slot
+    }
+
+    /// Copies `slot`'s clock into the park that still reads it, before
+    /// the clock moves on.
+    fn settle(&mut self, slot: usize) {
+        let Some(th) = self.threads.get_mut(slot) else {
+            return;
+        };
+        let Some(id) = th.live_park.take() else {
+            return;
+        };
+        let park = self
+            .parked
+            .get_mut(&id)
+            .and_then(|parks| parks.iter_mut().find(|p| p.slot == slot));
+        if let Some(park) = park {
+            park.clock = Some(th.clock.clone());
+        }
+    }
+
+    /// Ticks `key`'s own clock component (it performed an observable step)
+    /// and returns its slot.
+    fn tick(&mut self, key: ThreadKey) -> usize {
+        let slot = self.slot(key);
+        self.settle(slot);
+        if let Some(th) = self.threads.get_mut(slot) {
+            if th.clock.len() <= slot {
+                th.clock.resize(slot + 1, 0);
+            }
+            if let Some(own) = th.clock.get_mut(slot) {
+                *own += 1;
+            }
+        }
+        slot
+    }
+
+    /// Joins `from`'s clock into `into`'s, both in place.
+    fn join(&mut self, into: usize, from: usize) {
+        if into == from {
+            return;
+        }
+        self.settle(into);
+        let Some(th) = self.threads.get_mut(into) else {
+            return;
+        };
+        let mut clock = std::mem::take(&mut th.clock);
+        if let Some(other) = self.threads.get(from) {
+            clock_join(&mut clock, &other.clock);
+        }
+        if let Some(th) = self.threads.get_mut(into) {
+            th.clock = clock;
+        }
+    }
+
+    /// Parks `key` on event `id` at `at`, replacing an earlier park of it
+    /// there. The park reads the thread's live clock until it moves on.
+    fn park(&mut self, id: u64, key: ThreadKey, slot: usize, at: SimTime) {
+        let parks = self.parked.entry(id).or_default();
+        if let Some(i) = parks.iter().position(|p| p.slot == slot) {
+            parks.swap_remove(i);
+        }
+        parks.push(Park {
+            key,
+            slot,
+            at,
+            clock: None,
+        });
+        if let Some(th) = self.threads.get_mut(slot) {
+            th.live_park = Some(id);
+        }
+    }
+
     /// Consumes one event in stream order.
     fn push(&mut self, ev: &TraceEvent) {
-        let a = self;
         match ev {
             TraceEvent::ThreadStart { key, .. } => {
-                tick(&mut a.threads, *key);
+                self.tick(*key);
             }
             TraceEvent::ThreadEnd { key, .. } => {
-                let th = tick(&mut a.threads, *key);
-                th.exited = true;
-                th.wait = None;
+                let slot = self.tick(*key);
+                if let Some(th) = self.threads.get_mut(slot) {
+                    th.exited = true;
+                    th.wait = None;
+                }
             }
             TraceEvent::CSwitch { new, .. } => {
                 if let Some(key) = new {
                     // Dispatch closes a runnable wait; a blocking wait here
                     // is a stream defect verify reports — recover silently.
-                    tick(&mut a.threads, *key).wait = None;
+                    let slot = self.tick(*key);
+                    if let Some(th) = self.threads.get_mut(slot) {
+                        th.wait = None;
+                    }
                 }
             }
             TraceEvent::WaitBegin { at, key, reason } => {
-                let th = tick(&mut a.threads, *key);
+                let slot = self.tick(*key);
+                if let Some(id) = reason.event_id() {
+                    self.park(id, *key, slot, *at);
+                }
+                let opts = self.opts;
+                let Some(th) = self.threads.get_mut(slot) else {
+                    return;
+                };
                 if !reason.is_runnable() {
                     th.wait = Some((*reason, *at));
-                }
-                if let Some(id) = reason.event_id() {
-                    a.parked
-                        .entry(id)
-                        .or_default()
-                        .insert(*key, (*at, th.clock.clone()));
                 }
                 match *reason {
                     WaitReason::Yield => {
                         let gap_ok = th
                             .last_yield
-                            .is_some_and(|t| *at - t <= a.opts.yield_storm_gap);
+                            .is_some_and(|t| *at - t <= opts.yield_storm_gap);
                         th.yields = if gap_ok { th.yields + 1 } else { 1 };
                         th.last_yield = Some(*at);
-                        let storm = th.yields >= a.opts.yield_storm_min && !th.storm_reported;
+                        let storm = th.yields >= opts.yield_storm_min && !th.storm_reported;
                         if storm {
                             th.storm_reported = true;
                             let n = th.yields;
-                            a.findings.push(Diagnostic {
+                            self.findings.push(Diagnostic {
                                 code: DiagCode::YieldStorm,
                                 severity: Severity::Warning,
                                 at: *at,
@@ -222,7 +314,7 @@ impl Analyzer {
                                 message: format!(
                                     "{n} voluntary yields in a row at sub-{}ns spacing: \
                                      busy-wait storm (runnable but doing no work)",
-                                    a.opts.yield_storm_gap.as_nanos()
+                                    opts.yield_storm_gap.as_nanos()
                                 ),
                             });
                         }
@@ -241,81 +333,115 @@ impl Analyzer {
                 key,
                 reason,
                 waker,
-            } => {
-                let th = tick(&mut a.threads, *key);
-                th.wait = None;
-                if let Some((gpu, packet)) = reason.gpu_packet() {
-                    if let Some(pc) = a.packet_clocks.get(&(gpu as u64, packet)) {
-                        clock_join(&mut th.clock, pc);
-                        a.n_gpu_edges += 1;
-                    }
-                }
-                if let Some(id) = reason.event_id() {
-                    // FIFO overtake check: someone parked strictly earlier
-                    // on the same event is still parked while we wake.
-                    let my_park = a.parked.get(&id).and_then(|m| m.get(key)).map(|p| p.0);
-                    let overtaken = my_park.and_then(|mine| {
-                        a.parked
-                            .get(&id)?
-                            .iter()
-                            .find(|(k, (t, _))| **k != *key && *t < mine)
-                    });
-                    if let Some((other, (since, park_clock))) = overtaken {
-                        let (severity, grade) = match waker {
-                            Some(w) => {
-                                if clock_le(park_clock, &thread(&mut a.threads, *w).clock) {
-                                    (
-                                        Severity::Error,
-                                        "the park happens-before the signal (lost wakeup)",
-                                    )
-                                } else {
-                                    (Severity::Warning, "park and signal are concurrent")
-                                }
-                            }
-                            None => (Severity::Warning, "signal came from outside the trace"),
-                        };
-                        a.findings.push(Diagnostic {
-                            code: DiagCode::LostWakeup,
-                            severity,
-                            at: *at,
-                            thread: Some(*other),
-                            message: format!(
-                                "signal on event {id} woke pid{}/tid{} past pid{}/tid{} \
-                                 parked since {}ns; {grade}",
-                                key.pid,
-                                key.tid,
-                                other.pid,
-                                other.tid,
-                                since.as_nanos()
-                            ),
-                        });
-                    }
-                    if let Some(m) = a.parked.get_mut(&id) {
-                        m.remove(key);
-                    }
-                    if let Some(w) = waker {
-                        let wclock = thread(&mut a.threads, *w).clock.clone();
-                        clock_join(&mut thread(&mut a.threads, *key).clock, &wclock);
-                        a.n_wake_edges += 1;
-                    }
-                }
-            }
+            } => self.wake(*at, *key, *reason, *waker),
             TraceEvent::GpuSubmit {
                 key, gpu, packet, ..
             } => {
-                let clock = tick(&mut a.threads, *key).clock.clone();
-                a.packet_clocks.insert((*gpu as u64, *packet), clock);
-                a.packets.entry((*gpu as u64, *packet)).or_default().0 = true;
+                let slot = self.tick(*key);
+                let pkt = self.packets.entry((*gpu as u64, *packet)).or_default();
+                pkt.pending = true;
+                pkt.clock = self.threads.get(slot).map(|th| th.clock.clone());
             }
             TraceEvent::GpuStart { gpu, packet, .. } => {
-                a.packets.entry((*gpu as u64, *packet)).or_default().0 = true;
+                self.packets
+                    .entry((*gpu as u64, *packet))
+                    .or_default()
+                    .pending = true;
             }
             TraceEvent::GpuEnd { gpu, packet, .. } => {
-                a.packets.entry((*gpu as u64, *packet)).or_default().1 = true;
+                self.packets
+                    .entry((*gpu as u64, *packet))
+                    .or_default()
+                    .ended = true;
             }
             TraceEvent::ProcessStart { .. }
             | TraceEvent::Frame { .. }
             | TraceEvent::Marker { .. } => {}
+        }
+    }
+
+    /// A `WaitEnd`: joins the packet's or the waker's clock into the
+    /// waiter's, and checks the event's other parked waiters for an
+    /// overtake.
+    fn wake(&mut self, at: SimTime, key: ThreadKey, reason: WaitReason, waker: Option<ThreadKey>) {
+        let event = reason.event_id();
+        let slot = self.slot(key);
+        if let Some(th) = self.threads.get_mut(slot) {
+            // The park on this event ends here, so the tick below need not
+            // copy the clock it reads.
+            if event.is_some() && th.live_park == event {
+                th.live_park = None;
+            }
+        }
+        self.tick(key);
+        if let Some(th) = self.threads.get_mut(slot) {
+            th.wait = None;
+            if let Some((gpu, packet)) = reason.gpu_packet() {
+                let submitted = self
+                    .packets
+                    .get(&(gpu as u64, packet))
+                    .and_then(|p| p.clock.as_ref());
+                if let Some(pc) = submitted {
+                    clock_join(&mut th.clock, pc);
+                    self.n_gpu_edges += 1;
+                }
+            }
+        }
+        let Some(id) = event else {
+            return;
+        };
+        let waker = waker.map(|w| self.slot(w));
+        // FIFO overtake check: of the waiters parked strictly earlier on
+        // the same event and still parked as this one wakes, the first in
+        // key order is named.
+        let mut overtake = None;
+        if let Some(parks) = self.parked.get_mut(&id) {
+            if let Some(i) = parks.iter().position(|p| p.slot == slot) {
+                let mine = parks.swap_remove(i);
+                let first = parks
+                    .iter()
+                    .filter(|p| p.at < mine.at)
+                    .min_by_key(|p| p.key);
+                if let Some(p) = first {
+                    let live = |s: usize| {
+                        self.threads
+                            .get(s)
+                            .map_or(&[] as &[u64], |t| t.clock.as_slice())
+                    };
+                    let park_clock = p.clock.as_deref().unwrap_or_else(|| live(p.slot));
+                    let ordered = waker.map(|w| clock_le(park_clock, live(w)));
+                    overtake = Some((p.key, p.at, ordered));
+                }
+            }
+        }
+        if let Some((other, since, ordered)) = overtake {
+            let (severity, grade) = match ordered {
+                Some(true) => (
+                    Severity::Error,
+                    "the park happens-before the signal (lost wakeup)",
+                ),
+                Some(false) => (Severity::Warning, "park and signal are concurrent"),
+                None => (Severity::Warning, "signal came from outside the trace"),
+            };
+            self.findings.push(Diagnostic {
+                code: DiagCode::LostWakeup,
+                severity,
+                at,
+                thread: Some(other),
+                message: format!(
+                    "signal on event {id} woke pid{}/tid{} past pid{}/tid{} \
+                     parked since {}ns; {grade}",
+                    key.pid,
+                    key.tid,
+                    other.pid,
+                    other.tid,
+                    since.as_nanos()
+                ),
+            });
+        }
+        if let Some(w) = waker {
+            self.join(slot, w);
+            self.n_wake_edges += 1;
         }
     }
 
@@ -327,7 +453,10 @@ impl Analyzer {
         // still owes.
         let mut capable = 0usize;
         let mut stuck: Vec<(ThreadKey, u64, SimTime)> = Vec::new();
-        for (key, th) in &self.threads {
+        for (key, slot) in self.table.in_key_order() {
+            let Some(th) = self.threads.get(slot) else {
+                continue;
+            };
             if th.exited {
                 continue;
             }
@@ -339,8 +468,7 @@ impl Analyzer {
                         let (pending, ended) = self
                             .packets
                             .get(&(gpu as u64, packet))
-                            .copied()
-                            .unwrap_or((false, false));
+                            .map_or((false, false), |p| (p.pending, p.ended));
                         if pending && !ended {
                             capable += 1;
                         }
@@ -348,7 +476,7 @@ impl Analyzer {
                         // structural defect verify already reports
                         // (V021/V022).
                     } else if let Some(id) = reason.event_id() {
-                        stuck.push((*key, id, since));
+                        stuck.push((key, id, since));
                     }
                 }
             }
@@ -371,7 +499,7 @@ impl Analyzer {
 
         HbReport {
             findings: self.findings,
-            n_threads: self.threads.len(),
+            n_threads: self.table.len(),
             n_wake_edges: self.n_wake_edges,
             n_gpu_edges: self.n_gpu_edges,
         }
@@ -554,6 +682,28 @@ mod tests {
     }
 
     #[test]
+    fn a_parked_thread_whose_clock_moves_keeps_its_park_clock() {
+        // As in the ordered overtake, but t1 is dispatched while still
+        // parked (a defect verify reports). Its clock moves past what t0
+        // saw; the overtake is still graded by the clock t1 parked with.
+        let mut b = threads(&[0, 1, 2]);
+        park(&mut b, ms(1), 1, EVENT3);
+        park(&mut b, ms(2), 0, WaitReason::Event { id: 9 });
+        wake(&mut b, ms(3), 0, WaitReason::Event { id: 9 }, Some(1));
+        b.push(TraceEvent::CSwitch {
+            at: ms(3),
+            cpu: 0,
+            old: None,
+            new: Some(key(1)),
+            ready_since: None,
+        });
+        park(&mut b, ms(4), 2, EVENT3);
+        wake(&mut b, ms(5), 2, EVENT3, Some(0));
+        let r = run(b);
+        assert_eq!(only(&r, DiagCode::LostWakeup).severity, Severity::Error);
+    }
+
+    #[test]
     fn a_gpu_completion_carries_the_submitters_clock() {
         // t1 parks on event 3, then submits packet 7. t0 learns of t1's
         // park only through that packet's completion wake, so its later
@@ -574,6 +724,77 @@ mod tests {
         let r = run(b);
         assert_eq!(r.n_gpu_edges, 1, "{}", r.render());
         assert_eq!(only(&r, DiagCode::LostWakeup).severity, Severity::Error);
+    }
+
+    /// Threads of two processes share tid 0, so only the first seen takes
+    /// the thread table's direct entry for it and the other falls back to
+    /// its ordered map. Each keeps its own state in both passes, and the
+    /// overtaken waiter named is the one parked first, not the first seen.
+    #[test]
+    fn threads_of_two_processes_on_one_tid_keep_apart() {
+        let k = |pid, tid| ThreadKey { pid, tid };
+        let mut b = TraceBuilder::new(2);
+        for pid in [1, 2] {
+            b.push(TraceEvent::ProcessStart {
+                at: ms(0),
+                pid,
+                name: format!("p{pid}.exe"),
+            });
+        }
+        for key in [k(1, 0), k(2, 0), k(2, 1)] {
+            b.push(TraceEvent::ThreadStart {
+                at: ms(0),
+                key,
+                name: "t".into(),
+            });
+        }
+        let switch = |b: &mut TraceBuilder, at, cpu, old, new| {
+            b.push(TraceEvent::CSwitch {
+                at: ms(at),
+                cpu,
+                old,
+                new,
+                ready_since: new.map(|_| ms(at)),
+            });
+        };
+        switch(&mut b, 0, 0, None, Some(k(1, 0)));
+        switch(&mut b, 0, 1, None, Some(k(2, 0)));
+        // pid 2's tid 0 parks first, then pid 1's, on the same event.
+        switch(&mut b, 1, 1, Some(k(2, 0)), None);
+        b.push(TraceEvent::WaitBegin {
+            at: ms(1),
+            key: k(2, 0),
+            reason: EVENT3,
+        });
+        switch(&mut b, 2, 0, Some(k(1, 0)), None);
+        b.push(TraceEvent::WaitBegin {
+            at: ms(2),
+            key: k(1, 0),
+            reason: EVENT3,
+        });
+        // A signal from pid 2's tid 1 wakes pid 1's thread past it.
+        b.push(TraceEvent::WaitEnd {
+            at: ms(5),
+            key: k(1, 0),
+            reason: EVENT3,
+            waker: Some(k(2, 1)),
+        });
+        switch(&mut b, 5, 1, None, Some(k(1, 0)));
+        // pid 2's tid 1 lands on the CPU pid 1's tid 0 holds.
+        switch(&mut b, 6, 1, None, Some(k(2, 1)));
+        let trace = b.finish(ms(0), ms(10));
+        assert_eq!(
+            crate::verify::verify_trace(&trace).render(),
+            "trace verification: 14 events checked, 1 errors, 0 warnings\n  \
+             V003 error   t=6000000ns pid2/tid1: switch-in onto cpu 1 still occupied by \
+             pid1/tid0\n"
+        );
+        assert_eq!(
+            analyze(&trace, &HbOptions::default()).render(),
+            "happens-before: 3 threads, 1 wake edges, 0 gpu edges, 1 findings\n  \
+             H002 warning t=5000000ns pid2/tid0: signal on event 3 woke pid1/tid0 past \
+             pid2/tid0 parked since 1000000ns; park and signal are concurrent\n"
+        );
     }
 
     #[test]

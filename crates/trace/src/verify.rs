@@ -31,11 +31,14 @@
 //! * processes and threads start before they are referenced and are
 //!   never referenced after their end record.
 //!
-//! The checker is deterministic: diagnostics appear in stream order with
-//! [`std::collections::BTreeMap`] bookkeeping, so a given trace renders
-//! byte-identically on every platform and at any worker-pool size.
+//! The checker is deterministic: diagnostics appear in stream order, so a
+//! given trace renders byte-identically on every platform and at any
+//! worker-pool size. Per-thread state lives in a `Vec` indexed by the
+//! thread's slot in the crate's `ThreadTable` (`event.rs`), which finds
+//! each key mention in O(1) through a bounded array indexed by tid; the
+//! end-of-trace checks walk threads in key order, never in slot order.
 
-use crate::event::{EtlTrace, ThreadKey, TraceEvent, WaitReason};
+use crate::event::{EtlTrace, ThreadKey, ThreadTable, TraceEvent, WaitReason};
 use simcore::SimTime;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -226,7 +229,7 @@ impl VerifyReport {
     }
 }
 
-/// Per-thread checker state.
+/// Per-thread checker state, indexed by the thread's slot.
 #[derive(Debug, Default)]
 struct Th {
     exited_at: Option<SimTime>,
@@ -252,7 +255,9 @@ struct Pkt {
 pub struct Verifier {
     cpus: Vec<Option<ThreadKey>>,
     processes: BTreeMap<u64, SimTime>,
-    threads: BTreeMap<ThreadKey, Th>,
+    /// Slots of the started threads.
+    table: ThreadTable,
+    threads: Vec<Th>,
     packets: BTreeMap<(u64, u64), Pkt>,
     last_at: SimTime,
     any_event: bool,
@@ -267,7 +272,8 @@ impl Verifier {
         Verifier {
             cpus: vec![None; n_logical_cpus],
             processes: BTreeMap::new(),
-            threads: BTreeMap::new(),
+            table: ThreadTable::default(),
+            threads: Vec::new(),
             packets: BTreeMap::new(),
             last_at: SimTime::ZERO,
             any_event: false,
@@ -291,32 +297,28 @@ impl Verifier {
     /// stream references a thread that cannot legally act. Returns `None`
     /// on those findings (the event's further checks are skipped).
     fn live_thread(&mut self, key: ThreadKey, at: SimTime) -> Option<&mut Th> {
-        match self.threads.get(&key) {
-            None => {
-                self.diag(
-                    DiagCode::UnknownThread,
-                    at,
-                    Some(key),
-                    "event references a thread with no ThreadStart".to_string(),
-                );
-                None
-            }
-            Some(th) if th.exited_at.is_some() => {
-                // lint:allow(analyzer-panic): the match guard just checked is_some()
-                let when = th.exited_at.expect("checked");
-                self.diag(
-                    DiagCode::AfterExit,
-                    at,
-                    Some(key),
-                    format!(
-                        "event references a thread that exited at {}ns",
-                        when.as_nanos()
-                    ),
-                );
-                None
-            }
-            Some(_) => self.threads.get_mut(&key),
+        let Some(slot) = self.table.get(key) else {
+            self.diag(
+                DiagCode::UnknownThread,
+                at,
+                Some(key),
+                "event references a thread with no ThreadStart".to_string(),
+            );
+            return None;
+        };
+        if let Some(when) = self.threads.get(slot)?.exited_at {
+            self.diag(
+                DiagCode::AfterExit,
+                at,
+                Some(key),
+                format!(
+                    "event references a thread that exited at {}ns",
+                    when.as_nanos()
+                ),
+            );
+            return None;
         }
+        self.threads.get_mut(slot)
     }
 
     /// Consumes one event, appending any findings it triggers.
@@ -359,7 +361,7 @@ impl Verifier {
                         format!("thread starts in unknown process {}", key.pid),
                     );
                 }
-                if self.threads.contains_key(key) {
+                if self.table.get(*key).is_some() {
                     self.diag(
                         DiagCode::DuplicateThread,
                         *at,
@@ -367,7 +369,8 @@ impl Verifier {
                         "thread started twice".to_string(),
                     );
                 } else {
-                    self.threads.insert(*key, Th::default());
+                    self.table.slot(*key);
+                    self.threads.push(Th::default());
                 }
             }
             TraceEvent::ThreadEnd { at, key } => {
@@ -609,7 +612,8 @@ impl Verifier {
                 if let Some(w) = waker {
                     // A signaller may exit at the same instant as the wake
                     // it queued, never strictly before it.
-                    let problem = match self.threads.get(w) {
+                    let waker = self.table.get(*w).and_then(|s| self.threads.get(s));
+                    let problem = match waker {
                         None => Some(format!("waker pid{}/tid{} never started", w.pid, w.tid)),
                         Some(wth) => wth.exited_at.filter(|t| *t < *at).map(|t| {
                             format!(
@@ -717,15 +721,16 @@ impl Verifier {
         // still open on an ended packet means a wake never reached its
         // waiter.
         let missed: Vec<(ThreadKey, u32, u64, SimTime)> = self
-            .threads
-            .iter()
-            .filter_map(|(key, th)| {
-                let (reason, since) = th.wait?;
+            .table
+            .in_key_order()
+            .into_iter()
+            .filter_map(|(key, slot)| {
+                let (reason, since) = self.threads.get(slot)?.wait?;
                 let (gpu, packet) = reason.gpu_packet()?;
                 self.packets
                     .get(&(gpu as u64, packet))
                     .is_some_and(|p| p.ended)
-                    .then_some((*key, gpu, packet, since))
+                    .then_some((key, gpu, packet, since))
             })
             .collect();
         for (key, gpu, packet, since) in missed {

@@ -3,9 +3,18 @@
 //! diagnostic code fires. The corrupted streams are fed through [`Verifier`]
 //! directly because [`etwtrace::TraceBuilder`] panics on out-of-order pushes
 //! — precisely the defect some mutations inject.
+//!
+//! Every stream is also checked with each tid shifted by 2^40. Such tids
+//! are past the thread table's tid-indexed array, so both passes take its
+//! ordered-map fallback; the shift keeps key order, so the verify report —
+//! and, for a stream in time order, the happens-before report — must be
+//! the same once the keys are mapped back.
 
 use etwtrace::verify::Verifier;
-use etwtrace::{DiagCode, ThreadKey, TraceEvent, VerifyReport, WaitReason};
+use etwtrace::{
+    analyze, DiagCode, Diagnostic, HbOptions, HbReport, ThreadKey, TraceBuilder, TraceEvent,
+    VerifyReport, WaitReason,
+};
 use simcore::SimTime;
 
 fn us(t: u64) -> SimTime {
@@ -150,12 +159,85 @@ fn clean_events() -> Vec<TraceEvent> {
     ]
 }
 
-fn run(events: &[TraceEvent]) -> VerifyReport {
+/// Tids this far apart never fit the thread table's tid-indexed array.
+const SHIFT: u64 = 1 << 40;
+
+/// `ev` with every tid moved up by [`SHIFT`].
+fn shift(ev: &TraceEvent) -> TraceEvent {
+    let up = |k: &ThreadKey| ThreadKey {
+        pid: k.pid,
+        tid: k.tid + SHIFT,
+    };
+    let mut ev = ev.clone();
+    match &mut ev {
+        TraceEvent::ThreadStart { key, .. }
+        | TraceEvent::ThreadEnd { key, .. }
+        | TraceEvent::WaitBegin { key, .. }
+        | TraceEvent::GpuSubmit { key, .. } => *key = up(key),
+        TraceEvent::WaitEnd { key, waker, .. } => {
+            *key = up(key);
+            *waker = waker.as_ref().map(up);
+        }
+        TraceEvent::CSwitch { old, new, .. } => {
+            *old = old.as_ref().map(up);
+            *new = new.as_ref().map(up);
+        }
+        _ => {}
+    }
+    ev
+}
+
+/// A shifted stream's findings with their keys and message tids mapped
+/// back; the stream's own tids are all below 100.
+fn unshift(diags: Vec<Diagnostic>) -> Vec<Diagnostic> {
+    diags
+        .into_iter()
+        .map(|mut d| {
+            if let Some(k) = &mut d.thread {
+                k.tid -= SHIFT;
+            }
+            for tid in 0..100 {
+                let shifted = format!("tid{}", tid + SHIFT);
+                d.message = d.message.replace(&shifted, &format!("tid{tid}"));
+            }
+            d
+        })
+        .collect()
+}
+
+fn verify(events: &[TraceEvent]) -> VerifyReport {
     let mut v = Verifier::new(2);
     for ev in events {
         v.push(ev);
     }
     v.finish(us(30))
+}
+
+/// The happens-before report, for a stream in time order.
+fn happens_before(events: &[TraceEvent]) -> Option<HbReport> {
+    if events.windows(2).any(|w| w[1].at() < w[0].at()) {
+        return None;
+    }
+    let mut b = TraceBuilder::new(2);
+    for ev in events {
+        b.push(ev.clone());
+    }
+    Some(analyze(&b.finish(us(0), us(30)), &HbOptions::default()))
+}
+
+fn run(events: &[TraceEvent]) -> VerifyReport {
+    let report = verify(events);
+    let shifted: Vec<TraceEvent> = events.iter().map(shift).collect();
+    let mut far = verify(&shifted);
+    far.diagnostics = unshift(far.diagnostics);
+    assert_eq!(far, report, "{}", report.render());
+    let hb = happens_before(events);
+    let far_hb = happens_before(&shifted).map(|mut r| {
+        r.findings = unshift(r.findings);
+        r
+    });
+    assert_eq!(far_hb, hb);
+    report
 }
 
 #[test]

@@ -421,6 +421,9 @@ pub struct UiThread {
     pub handler: InputHandler,
     pending: VecDeque<Action>,
     waiting: bool,
+    /// Set when no more input will come: a wake that finds the channel
+    /// empty exits the thread instead of waiting again.
+    stop: Option<Rc<Cell<bool>>>,
 }
 
 impl UiThread {
@@ -431,7 +434,16 @@ impl UiThread {
             handler: Box::new(|_, _| Vec::new()),
             pending: VecDeque::new(),
             waiting: false,
+            stop: None,
         }
+    }
+
+    /// Exits on the first wake after `stop` is set that finds no input
+    /// left (builder style). Whoever sets `stop` signals the channel's
+    /// event once, so a parked thread sees it.
+    pub fn with_stop(mut self, stop: Rc<Cell<bool>>) -> Self {
+        self.stop = Some(stop);
+        self
     }
 
     /// Sets the handler (builder style).
@@ -457,6 +469,9 @@ impl ThreadProgram for UiThread {
                 let extras = (self.handler)(&action, ctx);
                 self.pending.extend(extras);
                 return Action::Compute(base);
+            }
+            if self.stop.as_ref().is_some_and(|stop| stop.get()) {
+                return Action::Exit;
             }
         }
         self.waiting = true;

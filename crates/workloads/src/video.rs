@@ -34,6 +34,9 @@ struct Coordinator {
     /// Encoder threads, and the flag that stops them when the clip ends.
     workers: u32,
     stop: Rc<Cell<bool>>,
+    /// The event an editor's UI thread waits on, when that thread shares
+    /// `stop`: it gets one wake when the clip ends, so it exits too.
+    ui: Option<EventId>,
     phase: CoordPhase,
 }
 
@@ -52,6 +55,9 @@ impl ThreadProgram for Coordinator {
                         ctx.marker("transcode-done");
                         self.stop.set(true);
                         ctx.signal_n(self.work, u64::from(self.workers));
+                        if let Some(ui) = self.ui {
+                            ctx.signal(ui);
+                        }
                         return Action::Exit;
                     }
                     let batch = (self.gop as u64).min(self.frames_left) as u32;
@@ -127,6 +133,7 @@ fn spawn_transcode_pool(
             joined: 0,
             workers,
             stop,
+            ui: None,
             phase: CoordPhase::Seed,
         }),
     );
@@ -240,14 +247,19 @@ pub fn powerdirector(m: &mut Machine, opts: &WorkloadOpts) -> Pid {
         .click() // color correction
         .keys("Title text");
     let channel = install(m, fill(cycle, edit_span), opts.automation);
-    let ui = UiThread::new(channel).with_handler(move |action, ctx| {
-        ctx.submit_gpu(0, 0, PacketKind::Graphics3d, 30.0); // preview redraw
-        let ms = match action {
-            InputAction::Menu(_) => pa::PDR_EDIT_MS * 1.6,
-            _ => pa::PDR_EDIT_MS,
-        };
-        vec![Action::Compute(Work::busy_ms(ms))]
-    });
+    // Stops the export's encoders and, once its script is done, `ui`.
+    let stop = Rc::new(Cell::new(false));
+    let ui_event = channel.event;
+    let ui = UiThread::new(channel)
+        .with_handler(move |action, ctx| {
+            ctx.submit_gpu(0, 0, PacketKind::Graphics3d, 30.0); // preview redraw
+            let ms = match action {
+                InputAction::Menu(_) => pa::PDR_EDIT_MS * 1.6,
+                _ => pa::PDR_EDIT_MS,
+            };
+            vec![Action::Compute(Work::busy_ms(ms))]
+        })
+        .with_stop(stop.clone());
     m.spawn(pid, "ui", Box::new(ui));
 
     let frames = opts.transcode_frames.unwrap_or(u64::MAX / 2);
@@ -261,7 +273,6 @@ pub fn powerdirector(m: &mut Machine, opts: &WorkloadOpts) -> Pid {
             export: Box::new(move |ctx| {
                 let work = ctx.create_event();
                 let done = ctx.create_event();
-                let stop = Rc::new(Cell::new(false));
                 for i in 0..pa::PDR_WORKERS {
                     let mut stage =
                         Stage::new(work, Some(done), pa::PDR_FRAME_MS, ComputeKind::Vector)
@@ -290,6 +301,7 @@ pub fn powerdirector(m: &mut Machine, opts: &WorkloadOpts) -> Pid {
                         joined: 0,
                         workers: pa::PDR_WORKERS,
                         stop,
+                        ui: Some(ui_event),
                         phase: CoordPhase::Seed,
                     }),
                 );
@@ -453,14 +465,25 @@ mod tests {
         assert!(u_gpu > 5.0 && u_sw < 1.0, "gpu {u_gpu}% sw {u_sw}%");
     }
 
-    /// A finished clip stops the transcoder's encoder pool: the
+    /// A finished clip stops every thread that worked on it: the
     /// happens-before pass finds no thread parked at the end of the trace
-    /// (H001), with and without the GPU.
+    /// (H001), with and without the GPU. The transcoders and PowerDirector
+    /// finish their 60 frames, and PowerDirector's `ui` exits with the
+    /// encoders. Premiere's export has no frame budget: its frame clock
+    /// keeps it running to the end of the window.
     #[test]
     fn a_finished_clip_leaves_no_encoder_parked() {
         type Build = fn(&mut Machine, &WorkloadOpts) -> Pid;
-        let transcoders: [(Build, bool); 3] = [(handbrake, false), (winx, false), (winx, true)];
-        for (build, cuda) in transcoders {
+        let apps: [(&str, Build, bool); 7] = [
+            ("handbrake", handbrake, false),
+            ("winx", winx, false),
+            ("winx", winx, true),
+            ("powerdirector", powerdirector, false),
+            ("powerdirector", powerdirector, true),
+            ("premiere", premiere, false),
+            ("premiere", premiere, true),
+        ];
+        for (name, build, cuda) in apps {
             let mut m = Machine::new(MachineConfig::study_rig(4, false));
             let opts = WorkloadOpts {
                 duration: SimDuration::from_secs(30),
@@ -471,11 +494,12 @@ mod tests {
             build(&mut m, &opts);
             m.run_for(SimDuration::from_secs(30));
             let trace = m.into_trace();
-            assert!(trace.events().iter().any(
-                |e| matches!(e, etwtrace::TraceEvent::Marker { label, .. } if label == "transcode-done")
-            ));
+            let done = trace.events().iter().any(
+                |e| matches!(e, etwtrace::TraceEvent::Marker { label, .. } if label == "transcode-done"),
+            );
+            assert_eq!(done, name != "premiere", "{name} cuda {cuda}");
             let causal = etwtrace::hb::analyze(&trace, &etwtrace::HbOptions::default());
-            assert!(causal.is_clean(), "cuda {cuda}: {}", causal.render());
+            assert!(causal.is_clean(), "{name} cuda {cuda}: {}", causal.render());
         }
     }
 
