@@ -30,17 +30,18 @@
 //!
 //! The analysis subcommands (`verify`, `tlp`, `latency`, `bottlenecks`,
 //! `critical-path`, `timeline`) fold the encoded file in place, as `info`
-//! does: block by block in trace order, with no event vector. `tlp` folds
-//! its five statistics in one pass, after the pass that resolves the
-//! process filter. The global `--analyzer-shards N` flag sets the folds'
-//! width: `N` tasks decode blocks ahead of the one that folds (`0` = one
-//! per hardware thread; at most 256). The default, 1, folds on the calling
-//! thread, and every width prints the same bytes. `summary` and the
-//! exports load the whole trace.
+//! does: block by block in trace order, with no event vector. `verify`
+//! folds the invariant checker and the happens-before pass in one pass
+//! (`verify::check_sharded`), and `tlp` folds its five statistics in one
+//! pass, after the pass that resolves the process filter. The global
+//! `--analyzer-shards N` flag sets the folds' width: `N` tasks decode
+//! blocks ahead of the one that folds (`0` = one per hardware thread; at
+//! most 256). The default, 1, folds on the calling thread, and every width
+//! prints the same bytes. `summary` and the exports load the whole trace;
+//! `summary` then walks it once.
 
 use etwtrace::{
-    analysis, blame, chrome, critical, etl, export, hb, setl3, verify, EtlTrace, PidSet,
-    ShardedTrace,
+    analysis, blame, chrome, critical, etl, export, setl3, verify, EtlTrace, PidSet, ShardedTrace,
 };
 use machine::{Machine, MachineConfig};
 use parastat::ThreadPoolRunner;
@@ -191,11 +192,7 @@ fn main() {
         Some("verify") => {
             let path = trace_path(&args);
             let trace = open(path);
-            let report = check(path, verify::verify_sharded(&trace, &runner, shards));
-            let causal = check(
-                path,
-                hb::analyze_sharded(&trace, &hb::HbOptions::default(), &runner, shards),
-            );
+            let (report, causal) = check(path, verify::check_sharded(&trace, &runner, shards));
             print!("{}", report.render());
             print!("{}", causal.render());
             if !report.is_clean() || !causal.is_clean() {

@@ -376,17 +376,23 @@ fn timeline_matches_the_committed_golden_output() {
 }
 
 /// The committed output of each analyser on `record vlc 2`, at the default
-/// width and at width 2, and of `verify` on two wider recordings:
+/// width and at width 2, of `verify` on two wider recordings:
 /// `record excel 30` (91 threads) and `record "project cars" 5` (5,400
-/// wake edges, 2 GPU edges). The bottlenecks and timeline goldens are also
-/// pinned elsewhere (the library path and the default width).
+/// wake edges, 2 GPU edges), and of `summary` on `record chrome 10` (three
+/// processes, one with GPU packets). The bottlenecks and timeline goldens
+/// are also pinned elsewhere (the library path and the default width).
 #[test]
 fn analysers_match_their_committed_goldens_at_widths_1_and_2() {
     let vlc = tmp("goldens.etl");
     record("2", &vlc);
     let excel = tmp("goldens-excel.etl");
     let cars = tmp("goldens-cars.etl");
-    for (app, secs, etl) in [("excel", "30", &excel), ("project cars", "5", &cars)] {
+    let chrome = tmp("goldens-chrome.etl");
+    for (app, secs, etl) in [
+        ("excel", "30", &excel),
+        ("project cars", "5", &cars),
+        ("chrome", "10", &chrome),
+    ] {
         let rec = tracetool(&["record", app, secs, etl.to_str().unwrap()]);
         assert!(rec.status.success(), "record failed: {rec:?}");
     }
@@ -429,6 +435,12 @@ fn analysers_match_their_committed_goldens_at_widths_1_and_2() {
             None,
             include_str!("golden/verify_project_cars.txt"),
         ),
+        (
+            &chrome,
+            "summary",
+            None,
+            include_str!("golden/summary_chrome.txt"),
+        ),
     ] {
         let file = etl.to_str().unwrap();
         for width in [None, Some("2")] {
@@ -447,7 +459,7 @@ fn analysers_match_their_committed_goldens_at_widths_1_and_2() {
             );
         }
     }
-    for etl in [vlc, excel, cars] {
+    for etl in [vlc, excel, cars, chrome] {
         let _ = std::fs::remove_file(etl);
     }
 }

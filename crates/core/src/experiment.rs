@@ -1,7 +1,7 @@
 //! The experiment runner: N seeded iterations of one application on one
 //! machine configuration, aggregated the way the paper reports them.
 
-use etwtrace::{analysis, blame, critical, hb, verify, ConcurrencyProfile, EtlTrace, PidSet};
+use etwtrace::{analysis, blame, critical, verify, ConcurrencyProfile, EtlTrace, PidSet};
 use machine::{Machine, MachineConfig};
 use simcore::{Histogram, RunningStat, Series, SimDuration};
 use simcpu::Topology;
@@ -215,11 +215,11 @@ impl Experiment {
             ppm(blamed.top_blocker_share()),
         );
         // Trace verification: the invariant checker plus the happens-before
-        // pass. On a healthy machine both are always zero; the counter
-        // existing in every registry means a regression shows up as a diff
-        // in any exported metrics artifact, not just in debug builds.
-        let verified = verify::verify_trace(&trace);
-        let causal = hb::analyze(&trace, &hb::HbOptions::default());
+        // pass, in one checker walk. On a healthy machine both are always
+        // zero; the counter existing in every registry means a regression
+        // shows up as a diff in any exported metrics artifact, not just in
+        // debug builds.
+        let (verified, causal) = verify::check(&trace);
         metrics.registry.counter(
             "parastat_verify_findings_total",
             &[],

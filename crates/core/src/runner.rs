@@ -356,8 +356,7 @@ impl RunContext {
             return;
         }
         self.verify_findings.fetch_add(findings, Ordering::Relaxed);
-        let verified = etwtrace::verify::verify_trace(&run.trace);
-        let causal = etwtrace::hb::analyze(&run.trace, &etwtrace::HbOptions::default());
+        let (verified, causal) = etwtrace::verify::check(&run.trace);
         let mut report = format!("{label}:\n{}", verified.render());
         if !causal.is_clean() {
             report.push_str(&causal.render());

@@ -47,7 +47,7 @@
 use crate::experiment::{RunMetrics, SingleRun};
 use crate::runner::RunKey;
 use cryptomine::Sha256;
-use etwtrace::{hb, setl3, verify, PidSet};
+use etwtrace::{setl3, verify, PidSet};
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -296,8 +296,7 @@ impl SimStore {
             .registry
             .counter_value("parastat_verify_findings_total", &[])
             .ok_or("entry predates the verification counter")?;
-        let verified = verify::verify_trace(&run.trace);
-        let causal = hb::analyze(&run.trace, &hb::HbOptions::default());
+        let (verified, causal) = verify::check(&run.trace);
         let found = (verified.diagnostics.len() + causal.findings.len()) as u64;
         if found != recorded {
             return Err(format!(

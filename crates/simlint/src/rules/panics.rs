@@ -1,18 +1,18 @@
 //! `L-PANIC` (`analyzer-panic`): panics in the streaming analyzers and
 //! the trace decode path.
 //!
-//! The analyzers `verify.rs`, `hb.rs` and `timeline.rs`, and the decode
-//! path under them — `setl3.rs` (container and record codec), `shard.rs`
-//! (`BlockCursor` and the fold pipeline), `etl.rs` (`trace_info`) and
-//! `event.rs` (the `TraceBuilder` that `setl3::read_setl3` fills and
-//! seals) — promise *Diagnostic-and-continue* recovery: a malformed
-//! trace must produce a machine-readable finding or a decode error, never
-//! kill the pass mid-trace — the run store re-verifies every loaded
-//! artifact through these paths, so a panic there turns one corrupt byte
-//! into a crashed pipeline. This rule flags `unwrap`/`expect` calls, panicking
-//! macros, and `[]` indexing (which panics out of range) in those
-//! modules' production code, and every finding gates. A site whose
-//! invariant is locally guaranteed carries
+//! The analyzers `verify.rs`, `hb.rs`, `timeline.rs` and `blame.rs`, and
+//! the decode path under them — `setl3.rs` (container and record codec),
+//! `shard.rs` (`BlockCursor` and the fold pipeline), `etl.rs`
+//! (`trace_info`) and `event.rs` (the `TraceBuilder` that
+//! `setl3::read_setl3` fills and seals) — promise *Diagnostic-and-continue*
+//! recovery: a malformed trace must produce a machine-readable finding or
+//! a decode error, never kill the pass mid-trace — the run store
+//! re-verifies every loaded artifact through these paths, so a panic there
+//! turns one corrupt byte into a crashed pipeline. This rule flags
+//! `unwrap`/`expect` calls, panicking macros, and `[]` indexing (which
+//! panics out of range) in those modules' production code, and every
+//! finding gates. A site whose invariant is locally guaranteed carries
 //! `lint:allow(analyzer-panic): reason`.
 
 use crate::diag::{Diagnostic, Severity};
@@ -21,10 +21,11 @@ use crate::rules::Rule;
 use crate::scope::FileModel;
 
 /// The modules bound by the Diagnostic-and-continue contract.
-const ANALYZER_FILES: [&str; 7] = [
+const ANALYZER_FILES: [&str; 8] = [
     "crates/trace/src/verify.rs",
     "crates/trace/src/hb.rs",
     "crates/trace/src/timeline.rs",
+    "crates/trace/src/blame.rs",
     "crates/trace/src/setl3.rs",
     "crates/trace/src/shard.rs",
     "crates/trace/src/etl.rs",
@@ -139,11 +140,13 @@ mod tests {
     #[test]
     fn panic_sites_fire_only_in_analyzer_modules() {
         let src = "fn f() { x.unwrap(); y.expect(\"e\"); panic!(\"boom\"); let v = xs[0]; }";
-        for file in ["verify", "hb", "timeline", "setl3", "shard", "etl", "event"] {
+        for file in [
+            "verify", "hb", "timeline", "blame", "setl3", "shard", "etl", "event",
+        ] {
             let path = format!("crates/trace/src/{file}.rs");
             assert_eq!(run(&path, src).len(), 4, "{path}");
         }
-        assert!(run("crates/trace/src/blame.rs", src).is_empty());
+        assert!(run("crates/trace/src/critical.rs", src).is_empty());
         assert!(run("crates/workloads/src/video.rs", src).is_empty());
     }
 

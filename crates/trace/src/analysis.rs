@@ -247,8 +247,8 @@ pub fn gpu_utilization(trace: &EtlTrace, filter: &PidSet, gpu: Option<usize>) ->
 /// The event-at-a-time fold behind [`gpu_utilization`], shared verbatim by
 /// the materialized and sharded paths so both produce bit-identical floats
 /// (same accumulation order over the same event sequence).
-struct GpuUtilFold<'a> {
-    filter: &'a PidSet,
+struct GpuUtilFold {
+    filter: PidSet,
     gpu: Option<usize>,
     start: SimTime,
     end: SimTime,
@@ -258,10 +258,10 @@ struct GpuUtilFold<'a> {
     sum: f64,
 }
 
-impl<'a> GpuUtilFold<'a> {
-    fn new(filter: &'a PidSet, gpu: Option<usize>, start: SimTime, end: SimTime) -> Self {
+impl GpuUtilFold {
+    fn new(filter: &PidSet, gpu: Option<usize>, start: SimTime, end: SimTime) -> Self {
         GpuUtilFold {
-            filter,
+            filter: filter.clone(),
             gpu,
             start,
             end,
@@ -533,7 +533,9 @@ pub struct ProcessSummary {
     pub gpu_percent: f64,
 }
 
-/// Summarizes every process in the trace, sorted by CPU seconds descending.
+/// Summarizes every process in the trace, sorted by CPU seconds descending,
+/// in one walk: each process's packet records feed a [`gpu_utilization`]
+/// fold of its own.
 pub fn per_process_summary(trace: &EtlTrace) -> Vec<ProcessSummary> {
     // BTreeMaps: `names` is iterated into the (sorted) output rows, and the
     // workspace determinism lint rejects ordered output derived from
@@ -543,6 +545,11 @@ pub fn per_process_summary(trace: &EtlTrace) -> Vec<ProcessSummary> {
     let mut names: BTreeMap<u64, String> = BTreeMap::new();
     let mut threads: BTreeMap<u64, u64> = BTreeMap::new();
     let mut cpu_seconds: BTreeMap<u64, f64> = BTreeMap::new();
+    let mut gpu: BTreeMap<u64, GpuUtilFold> = BTreeMap::new();
+    let gpu_fold = |pid: u64| {
+        let own: PidSet = [pid].into_iter().collect();
+        GpuUtilFold::new(&own, None, trace.start(), trace.end())
+    };
     // Replay context switches, attributing busy time per pid.
     let n = trace.n_logical_cpus();
     let mut per_cpu: Vec<Option<(u64, SimTime)>> = vec![None; n];
@@ -561,6 +568,9 @@ pub fn per_process_summary(trace: &EtlTrace) -> Vec<ProcessSummary> {
                 }
                 per_cpu[*cpu] = new.map(|k| (k.pid, *at));
             }
+            TraceEvent::GpuStart { pid, .. } | TraceEvent::GpuEnd { pid, .. } => {
+                gpu.entry(*pid).or_insert_with(|| gpu_fold(*pid)).push(ev);
+            }
             _ => {}
         }
     }
@@ -572,8 +582,7 @@ pub fn per_process_summary(trace: &EtlTrace) -> Vec<ProcessSummary> {
         .into_iter()
         .map(|(pid, name)| {
             let cpu = cpu_seconds.get(&pid).copied().unwrap_or(0.0);
-            let filter: PidSet = [pid].into_iter().collect();
-            let gpu = gpu_utilization(trace, &filter, None).percent();
+            let gpu = gpu.remove(&pid).unwrap_or_else(|| gpu_fold(pid));
             ProcessSummary {
                 pid,
                 name,
@@ -584,7 +593,7 @@ pub fn per_process_summary(trace: &EtlTrace) -> Vec<ProcessSummary> {
                 } else {
                     0.0
                 },
-                gpu_percent: gpu,
+                gpu_percent: gpu.finish().percent(),
             }
         })
         .collect();

@@ -116,10 +116,8 @@ impl BlameReport {
     /// `[0, 1]`; `None` when nothing was lost.
     pub fn top_blocker_share(&self) -> Option<f64> {
         let total: u64 = self.ranking.iter().map(|s| s.lost_core_ns).sum();
-        if total == 0 {
-            return None;
-        }
-        Some(self.ranking[0].lost_core_ns as f64 / total as f64)
+        let top = self.ranking.first().filter(|_| total > 0)?;
+        Some(top.lost_core_ns as f64 / total as f64)
     }
 
     /// Renders the fixed-width text report (`tracetool bottlenecks` prints
@@ -453,16 +451,24 @@ impl Replay {
         }
     }
 
+    /// Counts a thread into (`delta` 1) or out of (`delta` -1) state `st`.
+    /// Only [`Replay::transition`] calls it: a thread is counted into the
+    /// state it is recorded in and out of that same recorded state, so no
+    /// count goes below zero whatever the stream holds.
     fn apply_count(&mut self, st: St, delta: i64) {
         match st {
             St::Running => {
                 self.n_running = self
                     .n_running
                     .checked_add_signed(delta)
+                    // lint:allow(analyzer-panic): counted out only from the
+                    // recorded state it was counted into
                     .expect("running count")
             }
             St::Blocked(b) => {
                 let c = self.blocked.entry(b).or_insert(0);
+                // lint:allow(analyzer-panic): counted out only from the
+                // recorded state it was counted into
                 *c = c.checked_add_signed(delta).expect("blocked count");
             }
             St::Ready => {}

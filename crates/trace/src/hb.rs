@@ -7,13 +7,14 @@
 //! event-signal wake joins the waker's clock into the waiter's; a GPU
 //! submission snapshots the submitter's clock into the packet and the
 //! completion wake joins it into the waiter — and uses them, together with
-//! the wait-state bookkeeping, to flag three concurrency smells:
+//! the verifier's replay state, to flag three concurrency smells:
 //!
 //! * **Deadlock at end of trace** (`H001`): threads still blocked on a
 //!   kernel event when no live thread can possibly signal it — every other
-//!   thread has exited or is itself stuck. Sleepers (a timer will fire)
-//!   and threads blocked on pending GPU packets (the device will complete
-//!   them) count as able to make progress, so the finding is conservative.
+//!   thread has exited or is itself stuck. Runnable threads (preempted or
+//!   yielding), sleepers (a timer will fire) and threads blocked on pending
+//!   GPU packets (the device will complete them) count as able to make
+//!   progress, so the finding is conservative.
 //! * **Lost wakeup** (`H002`): a signal wakes a thread while another
 //!   thread had been parked on the *same* event strictly longer — the
 //!   machine's semaphores wake FIFO, so an overtake can only appear in a
@@ -26,18 +27,19 @@
 //!   inflates TLP with runnable-but-idle threads exactly as the paper
 //!   cautions when reading thread counts off a trace.
 //!
-//! Everything is computed in one forward scan, so findings are
-//! deterministic and ordering-stable. Per-thread state and the clocks are
-//! indexed by the thread's slot in the crate's `ThreadTable` (`event.rs`),
-//! which finds each key mention in O(1) through a bounded array indexed by
-//! tid. A wake borrows the waker's clock in place, and a park reads the
-//! parker's live clock unless that clock moves before the wake, so a
-//! well-formed stream copies a clock only at a GPU submission. The
-//! end-of-trace sweep and the overtake check walk threads in key order,
-//! never in slot order.
+//! The pass is a consumer of [`crate::verify::check`]'s one walk: the
+//! [`Verifier`] owns the thread table, each thread's wait and exit and
+//! each packet's lifecycle, and this pass keeps only its own state (the
+//! clocks, parks per event, yield runs, each packet's submitter clock),
+//! indexed by the verifier's thread slots; the slot is the thread's clock
+//! component. A wake borrows the waker's clock in place, and a park reads
+//! the parker's live clock unless that clock moves before the wake, so a
+//! well-formed stream copies a clock only at a GPU submission. The H001
+//! sweep reads the verifier's final state, and it and the overtake check
+//! walk threads in key order, never in slot order.
 
-use crate::event::{EtlTrace, ThreadKey, ThreadTable, TraceEvent, WaitReason};
-use crate::verify::{DiagCode, Diagnostic, Severity};
+use crate::event::{EtlTrace, ThreadKey, TraceEvent, WaitReason};
+use crate::verify::{DiagCode, Diagnostic, Life, Severity, Verifier};
 use simcore::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -117,14 +119,11 @@ fn clock_join(into: &mut Clock, other: &[u64]) {
 }
 
 /// Per-thread analysis state, indexed by the thread's slot in the
-/// [`ThreadTable`]. The slot is also the thread's component in every
+/// verifier's table. The slot is also the thread's component in every
 /// vector clock.
 #[derive(Debug, Default)]
 struct Th {
     clock: Clock,
-    exited: bool,
-    /// Open blocking wait, if any.
-    wait: Option<(WaitReason, SimTime)>,
     /// Yield-storm run state: (run length, time of the last yield).
     yields: usize,
     last_yield: Option<SimTime>,
@@ -145,21 +144,14 @@ struct Park {
     clock: Option<Clock>,
 }
 
-/// One GPU packet's progress and its submitter's clock.
-#[derive(Debug, Default)]
-struct Packet {
-    /// Submitted or started.
-    pending: bool,
-    ended: bool,
-    /// The submitter's clock at the submission.
-    clock: Option<Clock>,
-}
-
-struct Analyzer {
+/// The happens-before consumer of the one checker pass: feed it each event
+/// after the [`Verifier`] has taken it, then seal it before the verifier.
+#[derive(Default)]
+pub(crate) struct Analyzer {
     opts: HbOptions,
-    table: ThreadTable,
     threads: Vec<Th>,
-    packets: BTreeMap<(u64, u64), Packet>,
+    /// Each GPU packet's submitter clock at its submission.
+    submitted: BTreeMap<(u64, u64), Clock>,
     /// Parked waiters per kernel event.
     parked: BTreeMap<u64, Vec<Park>>,
     findings: Vec<Diagnostic>,
@@ -168,26 +160,11 @@ struct Analyzer {
 }
 
 impl Analyzer {
-    fn new(opts: &HbOptions) -> Analyzer {
+    pub(crate) fn new(opts: &HbOptions) -> Analyzer {
         Analyzer {
             opts: *opts,
-            table: ThreadTable::default(),
-            threads: Vec::new(),
-            packets: BTreeMap::new(),
-            parked: BTreeMap::new(),
-            findings: Vec::new(),
-            n_wake_edges: 0,
-            n_gpu_edges: 0,
+            ..Analyzer::default()
         }
-    }
-
-    /// `key`'s slot, given the next one and fresh state on first sight.
-    fn slot(&mut self, key: ThreadKey) -> usize {
-        let slot = self.table.slot(key);
-        if slot == self.threads.len() {
-            self.threads.push(Th::default());
-        }
-        slot
     }
 
     /// Copies `slot`'s clock into the park that still reads it, before
@@ -209,19 +186,22 @@ impl Analyzer {
     }
 
     /// Ticks `key`'s own clock component (it performed an observable step)
-    /// and returns its slot.
-    fn tick(&mut self, key: ThreadKey) -> usize {
-        let slot = self.slot(key);
-        self.settle(slot);
-        if let Some(th) = self.threads.get_mut(slot) {
-            if th.clock.len() <= slot {
-                th.clock.resize(slot + 1, 0);
-            }
-            if let Some(own) = th.clock.get_mut(slot) {
-                *own += 1;
-            }
+    /// and returns its slot in `state`'s table, which has mentioned every
+    /// thread this pass ticks; this pass's state grows to cover the slot.
+    fn tick(&mut self, state: &Verifier, key: ThreadKey) -> Option<usize> {
+        let slot = state.table().get(key)?;
+        if self.threads.len() <= slot {
+            self.threads.resize_with(slot + 1, Th::default);
         }
-        slot
+        self.settle(slot);
+        let th = self.threads.get_mut(slot)?;
+        if th.clock.len() <= slot {
+            th.clock.resize(slot + 1, 0);
+        }
+        if let Some(own) = th.clock.get_mut(slot) {
+            *own += 1;
+        }
+        Some(slot)
     }
 
     /// Joins `from`'s clock into `into`'s, both in place.
@@ -260,31 +240,18 @@ impl Analyzer {
         }
     }
 
-    /// Consumes one event in stream order.
-    fn push(&mut self, ev: &TraceEvent) {
+    /// Consumes one event in stream order, after `state` has.
+    pub(crate) fn push(&mut self, ev: &TraceEvent, state: &Verifier) {
         match ev {
-            TraceEvent::ThreadStart { key, .. } => {
-                self.tick(*key);
-            }
-            TraceEvent::ThreadEnd { key, .. } => {
-                let slot = self.tick(*key);
-                if let Some(th) = self.threads.get_mut(slot) {
-                    th.exited = true;
-                    th.wait = None;
-                }
-            }
-            TraceEvent::CSwitch { new, .. } => {
-                if let Some(key) = new {
-                    // Dispatch closes a runnable wait; a blocking wait here
-                    // is a stream defect verify reports — recover silently.
-                    let slot = self.tick(*key);
-                    if let Some(th) = self.threads.get_mut(slot) {
-                        th.wait = None;
-                    }
-                }
+            TraceEvent::ThreadStart { key, .. }
+            | TraceEvent::ThreadEnd { key, .. }
+            | TraceEvent::CSwitch { new: Some(key), .. } => {
+                self.tick(state, *key);
             }
             TraceEvent::WaitBegin { at, key, reason } => {
-                let slot = self.tick(*key);
+                let Some(slot) = self.tick(state, *key) else {
+                    return;
+                };
                 if let Some(id) = reason.event_id() {
                     self.park(id, *key, slot, *at);
                 }
@@ -292,9 +259,6 @@ impl Analyzer {
                 let Some(th) = self.threads.get_mut(slot) else {
                     return;
                 };
-                if !reason.is_runnable() {
-                    th.wait = Some((*reason, *at));
-                }
                 match *reason {
                     WaitReason::Yield => {
                         let gap_ok = th
@@ -328,44 +292,36 @@ impl Analyzer {
                     WaitReason::Preempted => {}
                 }
             }
-            TraceEvent::WaitEnd {
-                at,
-                key,
-                reason,
-                waker,
-            } => self.wake(*at, *key, *reason, *waker),
+            TraceEvent::WaitEnd { .. } => self.wake(ev, state),
             TraceEvent::GpuSubmit {
                 key, gpu, packet, ..
             } => {
-                let slot = self.tick(*key);
-                let pkt = self.packets.entry((*gpu as u64, *packet)).or_default();
-                pkt.pending = true;
-                pkt.clock = self.threads.get(slot).map(|th| th.clock.clone());
+                if let Some(th) = self.tick(state, *key).and_then(|s| self.threads.get(s)) {
+                    self.submitted
+                        .insert((*gpu as u64, *packet), th.clock.clone());
+                }
             }
-            TraceEvent::GpuStart { gpu, packet, .. } => {
-                self.packets
-                    .entry((*gpu as u64, *packet))
-                    .or_default()
-                    .pending = true;
-            }
-            TraceEvent::GpuEnd { gpu, packet, .. } => {
-                self.packets
-                    .entry((*gpu as u64, *packet))
-                    .or_default()
-                    .ended = true;
-            }
-            TraceEvent::ProcessStart { .. }
-            | TraceEvent::Frame { .. }
-            | TraceEvent::Marker { .. } => {}
+            _ => {}
         }
     }
 
     /// A `WaitEnd`: joins the packet's or the waker's clock into the
     /// waiter's, and checks the event's other parked waiters for an
     /// overtake.
-    fn wake(&mut self, at: SimTime, key: ThreadKey, reason: WaitReason, waker: Option<ThreadKey>) {
+    fn wake(&mut self, ev: &TraceEvent, state: &Verifier) {
+        let &TraceEvent::WaitEnd {
+            at,
+            key,
+            reason,
+            waker,
+        } = ev
+        else {
+            return;
+        };
         let event = reason.event_id();
-        let slot = self.slot(key);
+        let Some(slot) = state.table().get(key) else {
+            return;
+        };
         if let Some(th) = self.threads.get_mut(slot) {
             // The park on this event ends here, so the tick below need not
             // copy the clock it reads.
@@ -373,24 +329,18 @@ impl Analyzer {
                 th.live_park = None;
             }
         }
-        self.tick(key);
-        if let Some(th) = self.threads.get_mut(slot) {
-            th.wait = None;
-            if let Some((gpu, packet)) = reason.gpu_packet() {
-                let submitted = self
-                    .packets
-                    .get(&(gpu as u64, packet))
-                    .and_then(|p| p.clock.as_ref());
-                if let Some(pc) = submitted {
-                    clock_join(&mut th.clock, pc);
-                    self.n_gpu_edges += 1;
-                }
+        self.tick(state, key);
+        if let Some((gpu, packet)) = reason.gpu_packet() {
+            let submitted = self.submitted.get(&(gpu as u64, packet));
+            if let (Some(th), Some(pc)) = (self.threads.get_mut(slot), submitted) {
+                clock_join(&mut th.clock, pc);
+                self.n_gpu_edges += 1;
             }
         }
         let Some(id) = event else {
             return;
         };
-        let waker = waker.map(|w| self.slot(w));
+        let waker = waker.and_then(|w| state.table().get(w));
         // FIFO overtake check: of the waiters parked strictly earlier on
         // the same event and still parked as this one wakes, the first in
         // key order is named.
@@ -445,40 +395,30 @@ impl Analyzer {
         }
     }
 
-    /// Runs the end-of-trace deadlock sweep and seals the report.
-    fn finish(mut self, end: SimTime) -> HbReport {
-        // End-of-trace deadlock: can anyone still make progress? A thread
-        // can if it is live and not blocked (running / ready / preempted),
-        // asleep (its timer fires), or waiting on a GPU packet the device
-        // still owes.
+    /// Runs the end-of-trace deadlock sweep over `state`, the verifier's
+    /// final replay state, and seals the report.
+    pub(crate) fn finish(mut self, state: &Verifier, end: SimTime) -> HbReport {
+        // Can anyone still make progress? A live thread can unless it is
+        // blocked on a kernel event or on a GPU packet the device does not
+        // owe (an ended or unknown packet: a defect verify reports as
+        // V021/V022).
         let mut capable = 0usize;
         let mut stuck: Vec<(ThreadKey, u64, SimTime)> = Vec::new();
-        for (key, slot) in self.table.in_key_order() {
-            let Some(th) = self.threads.get(slot) else {
+        let (threads, packets) = state.replay();
+        for (key, slot) in state.table().in_key_order() {
+            let Some(th) = threads.get(slot) else {
                 continue;
             };
-            if th.exited {
-                continue;
-            }
-            match th.wait {
-                None => capable += 1,
-                Some((WaitReason::Sleep, _)) => capable += 1,
-                Some((reason, since)) => {
-                    if let Some((gpu, packet)) = reason.gpu_packet() {
-                        let (pending, ended) = self
-                            .packets
-                            .get(&(gpu as u64, packet))
-                            .map_or((false, false), |p| (p.pending, p.ended));
-                        if pending && !ended {
-                            capable += 1;
-                        }
-                        // A wait on an ended or unknown packet is a
-                        // structural defect verify already reports
-                        // (V021/V022).
-                    } else if let Some(id) = reason.event_id() {
-                        stuck.push((key, id, since));
-                    }
+            match (th.life, th.wait) {
+                (Life::Exited(_), _) => {}
+                (_, Some((WaitReason::Event { id }, since))) => stuck.push((key, id, since)),
+                (_, Some((WaitReason::Gpu { gpu, packet }, _))) => {
+                    let pkt = packets.get(&(gpu as u64, packet));
+                    let owed = pkt.is_some_and(|p| (p.submitted || p.started) && !p.ended);
+                    capable += usize::from(owed);
                 }
+                // No wait, a runnable one, or a sleep (its timer fires).
+                _ => capable += 1,
             }
         }
         if capable == 0 {
@@ -499,27 +439,21 @@ impl Analyzer {
 
         HbReport {
             findings: self.findings,
-            n_threads: self.table.len(),
+            n_threads: state.table().len(),
             n_wake_edges: self.n_wake_edges,
             n_gpu_edges: self.n_gpu_edges,
         }
     }
 }
 
-/// Runs the happens-before pass over a sealed trace.
+/// Runs the happens-before pass over a sealed trace: the hb half of
+/// [`crate::verify::check`]'s one walk, with `opts`.
 pub fn analyze(trace: &EtlTrace, opts: &HbOptions) -> HbReport {
-    let mut sp = simobs::span::span("analyzer", "hb");
-    sp.add_events(trace.events().len() as u64);
-    let mut a = Analyzer::new(opts);
-    for ev in trace.events() {
-        a.push(ev);
-    }
-    a.finish(trace.end())
+    crate::verify::check_with(trace, opts).1
 }
 
-/// Sharded twin of [`analyze`]: blocks decode in parallel on `runner`, the
-/// [`Analyzer`] folds them in trace order — bit-identical report at any
-/// shard count (see DESIGN.md §14).
+/// Sharded twin of [`analyze`], bit-identical at any shard count (see
+/// DESIGN.md §14).
 ///
 /// # Errors
 /// Any block decode or checksum error.
@@ -529,11 +463,7 @@ pub fn analyze_sharded(
     runner: &dyn crate::shard::ShardRunner,
     shards: usize,
 ) -> std::io::Result<HbReport> {
-    let mut sp = simobs::span::span("analyzer", "hb");
-    sp.add_events(trace.count());
-    let mut a = Analyzer::new(opts);
-    trace.fold_events(runner, shards, |ev| a.push(&ev))?;
-    Ok(a.finish(trace.end()))
+    Ok(crate::verify::check_sharded_with(trace, opts, runner, shards)?.1)
 }
 
 #[cfg(test)]
@@ -633,6 +563,22 @@ mod tests {
         park(&mut b, ms(2), 1, WaitReason::Sleep);
         let r = run(b);
         assert!(r.is_clean(), "{}", r.render());
+    }
+
+    #[test]
+    fn a_runnable_thread_suppresses_deadlock() {
+        // One thread left preempted or yielding at the end of the trace:
+        // the verifier keeps its runnable wait open, yet it can still run
+        // and signal the event waiter — no finding.
+        for reason in [WaitReason::Preempted, WaitReason::Yield] {
+            let mut b = threads(&[0, 1]);
+            park(&mut b, ms(1), 0, EVENT3);
+            park(&mut b, ms(2), 1, reason);
+            let trace = b.finish(ms(0), ms(10));
+            let (verified, causal) = crate::verify::check(&trace);
+            assert!(verified.is_clean(), "{}", verified.render());
+            assert!(causal.is_clean(), "{reason:?}: {}", causal.render());
+        }
     }
 
     /// t1 parks on event 3 at 1 ms, t2 parks at 2 ms; the signal from

@@ -1,4 +1,4 @@
-//! Streaming SETL trace invariant checker.
+//! Streaming SETL trace invariant checker, and the one checker pass.
 //!
 //! Every analysis in this crate — Eq. 1 TLP, GPU utilization, blame, the
 //! critical path — trusts the event stream the machine emits. This module
@@ -33,12 +33,16 @@
 //!
 //! The checker is deterministic: diagnostics appear in stream order, so a
 //! given trace renders byte-identically on every platform and at any
-//! worker-pool size. Per-thread state lives in a `Vec` indexed by the
-//! thread's slot in the crate's `ThreadTable` (`event.rs`), which finds
-//! each key mention in O(1) through a bounded array indexed by tid; the
-//! end-of-trace checks walk threads in key order, never in slot order.
+//! worker-pool size. The [`Verifier`] owns the replay state: CPU
+//! occupancy, each thread's lifecycle, CPU and open wait, and each
+//! packet's submit, start and end. Per-thread state lives in a `Vec`
+//! indexed by the thread's slot in the crate's `ThreadTable` (`event.rs`);
+//! the end-of-trace checks walk threads in key order, never in slot order.
+//! [`check`] is the one checker pass: [`crate::hb`] reads that state after
+//! each event and at the end, so one walk yields both reports.
 
 use crate::event::{EtlTrace, ThreadKey, ThreadTable, TraceEvent, WaitReason};
+use crate::hb::{Analyzer, HbOptions, HbReport};
 use simcore::SimTime;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -229,20 +233,29 @@ impl VerifyReport {
     }
 }
 
-/// Per-thread checker state, indexed by the thread's slot.
+/// Where a thread is in its lifecycle (it takes its slot at first mention).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub(crate) enum Life {
+    #[default]
+    Unstarted,
+    Live,
+    Exited(SimTime),
+}
+
+/// Per-thread replay state, indexed by the thread's slot.
 #[derive(Debug, Default)]
-struct Th {
-    exited_at: Option<SimTime>,
+pub(crate) struct Th {
+    pub(crate) life: Life,
     cpu: Option<usize>,
-    wait: Option<(WaitReason, SimTime)>,
+    pub(crate) wait: Option<(WaitReason, SimTime)>,
 }
 
 /// Per-packet lifecycle state, keyed by `(gpu, packet)`.
 #[derive(Debug, Default)]
-struct Pkt {
-    submitted: bool,
-    started: bool,
-    ended: bool,
+pub(crate) struct Pkt {
+    pub(crate) submitted: bool,
+    pub(crate) started: bool,
+    pub(crate) ended: bool,
 }
 
 /// Streaming invariant checker: feed events in stream order with
@@ -255,7 +268,7 @@ struct Pkt {
 pub struct Verifier {
     cpus: Vec<Option<ThreadKey>>,
     processes: BTreeMap<u64, SimTime>,
-    /// Slots of the started threads.
+    /// Slots of the mentioned threads (see [`Verifier::mention`]).
     table: ThreadTable,
     threads: Vec<Th>,
     packets: BTreeMap<(u64, u64), Pkt>,
@@ -293,32 +306,40 @@ impl Verifier {
         });
     }
 
-    /// Looks up `key`, reporting `UnknownThread` / `AfterExit` when the
-    /// stream references a thread that cannot legally act. Returns `None`
-    /// on those findings (the event's further checks are skipped).
-    fn live_thread(&mut self, key: ThreadKey, at: SimTime) -> Option<&mut Th> {
-        let Some(slot) = self.table.get(key) else {
-            self.diag(
-                DiagCode::UnknownThread,
-                at,
-                Some(key),
-                "event references a thread with no ThreadStart".to_string(),
-            );
-            return None;
-        };
-        if let Some(when) = self.threads.get(slot)?.exited_at {
-            self.diag(
-                DiagCode::AfterExit,
-                at,
-                Some(key),
-                format!(
-                    "event references a thread that exited at {}ns",
-                    when.as_nanos()
-                ),
-            );
-            return None;
+    /// `key`'s slot, taking the next one, unstarted, on first mention. A
+    /// thread is mentioned where it acts (starts, ends, is dispatched,
+    /// waits, is woken, submits) and where it signals an event waiter: the
+    /// points at which the happens-before pass ticks or joins its clock.
+    fn mention(&mut self, key: ThreadKey) -> usize {
+        if let Some(slot) = self.table.get(key) {
+            return slot;
         }
-        self.threads.get_mut(slot)
+        self.threads.push(Th::default());
+        self.table.slot(key)
+    }
+
+    /// The state in `slot` (`None`: never mentioned) of a thread `key` that
+    /// can legally act. Reports `UnknownThread` / `AfterExit` and returns
+    /// `None` otherwise (the event's further checks are skipped).
+    fn live(&mut self, slot: Option<usize>, key: ThreadKey, at: SimTime) -> Option<&mut Th> {
+        let th = slot.and_then(|s| self.threads.get(s));
+        let (code, message) = match th.map_or(Life::Unstarted, |th| th.life) {
+            Life::Unstarted => (DiagCode::UnknownThread, "with no ThreadStart".to_string()),
+            Life::Exited(when) => (
+                DiagCode::AfterExit,
+                format!("that exited at {}ns", when.as_nanos()),
+            ),
+            Life::Live => return slot.and_then(|s| self.threads.get_mut(s)),
+        };
+        let message = format!("event references a thread {message}");
+        self.diag(code, at, Some(key), message);
+        None
+    }
+
+    /// [`Verifier::live`] for a mention of `key`.
+    fn live_thread(&mut self, key: ThreadKey, at: SimTime) -> Option<&mut Th> {
+        let slot = self.mention(key);
+        self.live(Some(slot), key, at)
     }
 
     /// Consumes one event, appending any findings it triggers.
@@ -361,16 +382,17 @@ impl Verifier {
                         format!("thread starts in unknown process {}", key.pid),
                     );
                 }
-                if self.table.get(*key).is_some() {
+                let slot = self.mention(*key);
+                let life = self.threads.get_mut(slot).map(|th| &mut th.life);
+                if let Some(life @ &mut Life::Unstarted) = life {
+                    *life = Life::Live;
+                } else {
                     self.diag(
                         DiagCode::DuplicateThread,
                         *at,
                         Some(*key),
                         "thread started twice".to_string(),
                     );
-                } else {
-                    self.table.slot(*key);
-                    self.threads.push(Th::default());
                 }
             }
             TraceEvent::ThreadEnd { at, key } => {
@@ -378,7 +400,7 @@ impl Verifier {
                     let Some(th) = self.live_thread(*key, *at) else {
                         return;
                     };
-                    th.exited_at = Some(*at);
+                    th.life = Life::Exited(*at);
                     (th.cpu.take(), th.wait.take())
                 };
                 if let Some(cpu) = on_cpu {
@@ -412,6 +434,7 @@ impl Verifier {
                 new,
                 ready_since,
             } => {
+                let new_slot = new.map(|key| self.mention(key));
                 if let Some(rs) = ready_since {
                     if *rs > *at {
                         self.diag(
@@ -454,7 +477,9 @@ impl Verifier {
                         );
                     }
                     occupant = None;
-                    if let Some(th) = self.live_thread(*key, *at) {
+                    // A switch-out is not the thread's own step: no mention.
+                    let slot = self.table.get(*key);
+                    if let Some(th) = self.live(slot, *key, *at) {
                         th.cpu = None;
                     }
                 }
@@ -470,23 +495,13 @@ impl Verifier {
                             ),
                         );
                     }
-                    let mut on_other = None;
-                    let mut blocked = None;
-                    if let Some(th) = self.live_thread(*key, *at) {
-                        if let Some(prev) = th.cpu {
-                            on_other = Some(prev);
-                        }
-                        match th.wait {
-                            // A runnable wait (preempted / yield) is closed
-                            // implicitly by the dispatch.
-                            Some((reason, _)) if reason.is_runnable() => th.wait = None,
-                            Some((reason, since)) => {
-                                blocked = Some((reason, since));
-                                th.wait = None;
-                            }
-                            None => {}
-                        }
-                        th.cpu = Some(*cpu);
+                    let (mut on_other, mut blocked) = (None, None);
+                    if let Some(th) = self.live(new_slot, *key, *at) {
+                        on_other = th.cpu.replace(*cpu);
+                        // The dispatch closes the thread's wait: implicitly
+                        // a runnable one (preempted / yield), a blocking one
+                        // with a finding.
+                        blocked = th.wait.take().filter(|(reason, _)| !reason.is_runnable());
                     }
                     if let Some(prev) = on_other {
                         self.diag(
@@ -573,7 +588,12 @@ impl Verifier {
                 reason,
                 waker,
             } => {
-                let Some(th) = self.live_thread(*key, *at) else {
+                let slot = self.mention(*key);
+                let waker_slot = match (waker, reason.event_id()) {
+                    (Some(w), Some(_)) => Some(self.mention(*w)),
+                    (w, _) => w.and_then(|w| self.table.get(w)),
+                };
+                let Some(th) = self.live(Some(slot), *key, *at) else {
                     return;
                 };
                 let on_cpu = th.cpu;
@@ -612,17 +632,16 @@ impl Verifier {
                 if let Some(w) = waker {
                     // A signaller may exit at the same instant as the wake
                     // it queued, never strictly before it.
-                    let waker = self.table.get(*w).and_then(|s| self.threads.get(s));
-                    let problem = match waker {
-                        None => Some(format!("waker pid{}/tid{} never started", w.pid, w.tid)),
-                        Some(wth) => wth.exited_at.filter(|t| *t < *at).map(|t| {
-                            format!(
-                                "waker pid{}/tid{} exited at {}ns, before the wake",
-                                w.pid,
-                                w.tid,
-                                t.as_nanos()
-                            )
-                        }),
+                    let waker = waker_slot.and_then(|s| self.threads.get(s));
+                    let who = || format!("waker pid{}/tid{}", w.pid, w.tid);
+                    let problem = match waker.map_or(Life::Unstarted, |wth| wth.life) {
+                        Life::Unstarted => Some(format!("{} never started", who())),
+                        Life::Exited(t) if t < *at => Some(format!(
+                            "{} exited at {}ns, before the wake",
+                            who(),
+                            t.as_nanos()
+                        )),
+                        _ => None,
                     };
                     if let Some(msg) = problem {
                         self.diag(DiagCode::WakerNotLive, *at, Some(*key), msg);
@@ -651,9 +670,7 @@ impl Verifier {
             } => {
                 self.live_thread(*key, *at);
                 let pkt = self.packets.entry((*gpu as u64, *packet)).or_default();
-                let dup = pkt.submitted;
-                pkt.submitted = true;
-                if dup {
+                if std::mem::replace(&mut pkt.submitted, true) {
                     self.diag(
                         DiagCode::GpuDoubleSubmit,
                         *at,
@@ -666,9 +683,7 @@ impl Verifier {
                 at, gpu, packet, ..
             } => {
                 let pkt = self.packets.entry((*gpu as u64, *packet)).or_default();
-                let dup = pkt.started;
-                pkt.started = true;
-                if dup {
+                if std::mem::replace(&mut pkt.started, true) {
                     self.diag(
                         DiagCode::GpuDoubleStart,
                         *at,
@@ -681,9 +696,7 @@ impl Verifier {
                 at, gpu, packet, ..
             } => {
                 let pkt = self.packets.entry((*gpu as u64, *packet)).or_default();
-                let started = pkt.started;
-                let dup = pkt.ended;
-                pkt.ended = true;
+                let (started, dup) = (pkt.started, std::mem::replace(&mut pkt.ended, true));
                 if !started || dup {
                     let what = if dup {
                         "ended twice"
@@ -720,30 +733,27 @@ impl Verifier {
         // Completion wakes are atomic with the GpuEnd record, so any wait
         // still open on an ended packet means a wake never reached its
         // waiter.
-        let missed: Vec<(ThreadKey, u32, u64, SimTime)> = self
-            .table
-            .in_key_order()
-            .into_iter()
-            .filter_map(|(key, slot)| {
-                let (reason, since) = self.threads.get(slot)?.wait?;
-                let (gpu, packet) = reason.gpu_packet()?;
-                self.packets
-                    .get(&(gpu as u64, packet))
-                    .is_some_and(|p| p.ended)
-                    .then_some((key, gpu, packet, since))
-            })
-            .collect();
-        for (key, gpu, packet, since) in missed {
-            self.diag(
-                DiagCode::GpuMissedWake,
-                end,
-                Some(key),
-                format!(
-                    "still blocked on gpu {gpu} packet {packet} (waiting since {}ns) \
-                     although it completed",
-                    since.as_nanos()
-                ),
-            );
+        for (key, slot) in self.table.in_key_order() {
+            let wait = self.threads.get(slot).and_then(|th| th.wait);
+            let Some((Some((gpu, packet)), since)) = wait.map(|(r, t)| (r.gpu_packet(), t)) else {
+                continue;
+            };
+            if self
+                .packets
+                .get(&(gpu as u64, packet))
+                .is_some_and(|p| p.ended)
+            {
+                self.diag(
+                    DiagCode::GpuMissedWake,
+                    end,
+                    Some(key),
+                    format!(
+                        "still blocked on gpu {gpu} packet {packet} (waiting since {}ns) \
+                         although it completed",
+                        since.as_nanos()
+                    ),
+                );
+            }
         }
         let orphans: Vec<(u64, u64)> = self
             .packets
@@ -763,6 +773,16 @@ impl Verifier {
             diagnostics: self.diags,
             events_checked: self.events_checked,
         }
+    }
+
+    /// The slots of the threads the stream has mentioned.
+    pub(crate) fn table(&self) -> &ThreadTable {
+        &self.table
+    }
+
+    /// Each mentioned thread's state by slot, and each packet's lifecycle.
+    pub(crate) fn replay(&self) -> (&[Th], &BTreeMap<(u64, u64), Pkt>) {
+        (&self.threads, &self.packets)
     }
 }
 
@@ -794,6 +814,55 @@ pub fn verify_sharded(
     let mut v = Verifier::new(trace.n_logical_cpus());
     trace.fold_events(runner, shards, |ev| v.push(&ev))?;
     Ok(v.finish(trace.end()))
+}
+
+/// The one checker pass over a sealed trace: what [`verify_trace`] and
+/// [`crate::hb::analyze`] (default options) return, from one walk.
+pub fn check(trace: &EtlTrace) -> (VerifyReport, HbReport) {
+    check_with(trace, &HbOptions::default())
+}
+
+/// Sharded twin of [`check`], bit-identical at any shard count.
+///
+/// # Errors
+/// Any block decode or checksum error.
+pub fn check_sharded(
+    trace: &crate::shard::ShardedTrace,
+    runner: &dyn crate::shard::ShardRunner,
+    shards: usize,
+) -> std::io::Result<(VerifyReport, HbReport)> {
+    check_sharded_with(trace, &HbOptions::default(), runner, shards)
+}
+
+/// [`check`] with the happens-before pass's tunables.
+pub(crate) fn check_with(trace: &EtlTrace, opts: &HbOptions) -> (VerifyReport, HbReport) {
+    let mut sp = simobs::span::span("analyzer", "check");
+    sp.add_events(trace.events().len() as u64);
+    let (mut v, mut hb) = (Verifier::new(trace.n_logical_cpus()), Analyzer::new(opts));
+    for ev in trace.events() {
+        v.push(ev);
+        hb.push(ev, &v);
+    }
+    let causal = hb.finish(&v, trace.end());
+    (v.finish(trace.end()), causal)
+}
+
+/// [`check_sharded`] with the happens-before pass's tunables.
+pub(crate) fn check_sharded_with(
+    trace: &crate::shard::ShardedTrace,
+    opts: &HbOptions,
+    runner: &dyn crate::shard::ShardRunner,
+    shards: usize,
+) -> std::io::Result<(VerifyReport, HbReport)> {
+    let mut sp = simobs::span::span("analyzer", "check");
+    sp.add_events(trace.count());
+    let (mut v, mut hb) = (Verifier::new(trace.n_logical_cpus()), Analyzer::new(opts));
+    trace.fold_events(runner, shards, |ev| {
+        v.push(&ev);
+        hb.push(&ev, &v);
+    })?;
+    let causal = hb.finish(&v, trace.end());
+    Ok((v.finish(trace.end()), causal))
 }
 
 #[cfg(test)]

@@ -8,9 +8,11 @@
 //! are past the thread table's tid-indexed array, so both passes take its
 //! ordered-map fallback; the shift keeps key order, so the verify report —
 //! and, for a stream in time order, the happens-before report — must be
-//! the same once the keys are mapped back.
+//! the same once the keys are mapped back. A stream in time order also goes
+//! through the one checker pass, whose verify half must equal the
+//! verifier's report on the stream and on its shifted twin.
 
-use etwtrace::verify::Verifier;
+use etwtrace::verify::{check, verify_trace, Verifier};
 use etwtrace::{
     analyze, DiagCode, Diagnostic, HbOptions, HbReport, ThreadKey, TraceBuilder, TraceEvent,
     VerifyReport, WaitReason,
@@ -213,7 +215,9 @@ fn verify(events: &[TraceEvent]) -> VerifyReport {
     v.finish(us(30))
 }
 
-/// The happens-before report, for a stream in time order.
+/// The happens-before report, for a stream in time order. The one
+/// checker pass must give it and, as its verify half, the report the
+/// [`Verifier`] alone and [`verify_trace`] give.
 fn happens_before(events: &[TraceEvent]) -> Option<HbReport> {
     if events.windows(2).any(|w| w[1].at() < w[0].at()) {
         return None;
@@ -222,7 +226,12 @@ fn happens_before(events: &[TraceEvent]) -> Option<HbReport> {
     for ev in events {
         b.push(ev.clone());
     }
-    Some(analyze(&b.finish(us(0), us(30)), &HbOptions::default()))
+    let trace = b.finish(us(0), us(30));
+    let (verified, causal) = check(&trace);
+    assert_eq!(verified, verify(events), "{}", verified.render());
+    assert_eq!(verified, verify_trace(&trace));
+    assert_eq!(causal, analyze(&trace, &HbOptions::default()));
+    Some(causal)
 }
 
 fn run(events: &[TraceEvent]) -> VerifyReport {

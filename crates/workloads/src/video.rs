@@ -21,6 +21,31 @@ use simgpu::PacketKind;
 use std::cell::Cell;
 use std::rc::Rc;
 
+/// Ends a clock-driven export once its clip is encoded: it takes one wake
+/// per encoded frame, then marks `transcode-done`, sets `stop` and wakes
+/// each of the events the export's threads park on once, so they exit.
+struct ExportDone {
+    encoded: EventId,
+    frames_left: u64,
+    stop: Rc<Cell<bool>>,
+    wake: Vec<EventId>,
+}
+
+impl ThreadProgram for ExportDone {
+    fn next(&mut self, ctx: &mut ThreadCtx<'_>) -> Action {
+        if self.frames_left > 0 {
+            self.frames_left -= 1;
+            return Action::WaitEvent(self.encoded);
+        }
+        ctx.marker("transcode-done");
+        self.stop.set(true);
+        for &event in &self.wake {
+            ctx.signal(event);
+        }
+        Action::Exit
+    }
+}
+
 /// GOP-granular transcode coordinator (see module docs).
 struct Coordinator {
     work: EventId,
@@ -315,7 +340,9 @@ pub fn powerdirector(m: &mut Machine, opts: &WorkloadOpts) -> Pid {
 /// 2-wide export pipeline. With CUDA the per-frame CPU work shrinks and a
 /// CUDA effect packet is submitted per frame — "higher utilization and
 /// lower TLP than without CUDA" (Fig. 9). Table II ran without CUDA
-/// (GPU 0.6 %).
+/// (GPU 0.6 %). A finite clip (`transcode_frames`) ends after its last
+/// encode: the frame clock fires that many frames, and an `export-done`
+/// thread then stops the stages and `ui`.
 pub fn premiere(m: &mut Machine, opts: &WorkloadOpts) -> Pid {
     let pid = m.add_process("premiere.exe");
     let edit_span = opts.duration.mul_f64(0.22);
@@ -326,10 +353,15 @@ pub fn premiere(m: &mut Machine, opts: &WorkloadOpts) -> Pid {
         .click()
         .keys("Lower third");
     let channel = install(m, fill(cycle, edit_span), opts.automation);
+    // Stops the export's stages and `ui` once a finite clip is encoded.
+    let stop = Rc::new(Cell::new(false));
+    let ui_event = channel.event;
     let ui = UiThread::new(channel)
-        .with_handler(move |_, _| vec![Action::Compute(Work::busy_ms(pa::PDR_EDIT_MS * 0.9))]);
+        .with_handler(move |_, _| vec![Action::Compute(Work::busy_ms(pa::PDR_EDIT_MS * 0.9))])
+        .with_stop(stop.clone());
     m.spawn(pid, "ui", Box::new(ui));
 
+    let frames = opts.transcode_frames;
     let cuda = opts.cuda;
     m.spawn(
         pid,
@@ -342,20 +374,20 @@ pub fn premiere(m: &mut Machine, opts: &WorkloadOpts) -> Pid {
                 // a 2-wide pipeline with a serial assembly step.
                 let tick = ctx.create_event();
                 let decoded = ctx.create_event();
-                ctx.spawn_sibling(
-                    "frame-clock",
-                    Box::new(Ticker::new(SimDuration::from_millis(55), tick)),
-                );
+                // A finite clip's encodes are counted on an event of their own.
+                let encoded = frames.map(|_| ctx.create_event());
+                let mut clock = Ticker::new(SimDuration::from_millis(55), tick);
+                // The clock fires `count + 1` ticks.
+                clock.count = frames.map(|n| n.saturating_sub(1));
+                ctx.spawn_sibling("frame-clock", Box::new(clock));
                 let cpu_scale = if cuda { pa::PREM_CUDA_CPU_SCALE } else { 1.0 };
-                ctx.spawn_sibling(
-                    "decode",
-                    Box::new(Stage::new(
-                        tick,
-                        Some(decoded),
-                        pa::PREM_FRAME_MS * cpu_scale,
-                        ComputeKind::Vector,
-                    )),
+                let decode = Stage::new(
+                    tick,
+                    Some(decoded),
+                    pa::PREM_FRAME_MS * cpu_scale,
+                    ComputeKind::Vector,
                 );
+                ctx.spawn_sibling("decode", Box::new(decode.with_stop(stop.clone())));
                 let gpu = if cuda {
                     StageGpu {
                         queue: 0,
@@ -373,14 +405,24 @@ pub fn premiere(m: &mut Machine, opts: &WorkloadOpts) -> Pid {
                 };
                 let mut encode = Stage::new(
                     decoded,
-                    None,
+                    encoded,
                     pa::PREM_SERIAL_MS * cpu_scale,
                     ComputeKind::Vector,
                 )
                 .with_present()
-                .with_gpu(gpu);
+                .with_gpu(gpu)
+                .with_stop(stop.clone());
                 encode.jitter = 0.2;
                 ctx.spawn_sibling("encode", Box::new(encode));
+                if let (Some(frames_left), Some(encoded)) = (frames, encoded) {
+                    let done = ExportDone {
+                        encoded,
+                        frames_left,
+                        stop,
+                        wake: vec![tick, decoded, ui_event],
+                    };
+                    ctx.spawn_sibling("export-done", Box::new(done));
+                }
             }),
         }),
     );
@@ -469,8 +511,8 @@ mod tests {
     /// happens-before pass finds no thread parked at the end of the trace
     /// (H001), with and without the GPU. The transcoders and PowerDirector
     /// finish their 60 frames, and PowerDirector's `ui` exits with the
-    /// encoders. Premiere's export has no frame budget: its frame clock
-    /// keeps it running to the end of the window.
+    /// encoders. Premiere's frame clock fires 60 frames, and its decode,
+    /// encode and `ui` threads exit after the last encode.
     #[test]
     fn a_finished_clip_leaves_no_encoder_parked() {
         type Build = fn(&mut Machine, &WorkloadOpts) -> Pid;
@@ -497,8 +539,13 @@ mod tests {
             let done = trace.events().iter().any(
                 |e| matches!(e, etwtrace::TraceEvent::Marker { label, .. } if label == "transcode-done"),
             );
-            assert_eq!(done, name != "premiere", "{name} cuda {cuda}");
-            let causal = etwtrace::hb::analyze(&trace, &etwtrace::HbOptions::default());
+            assert!(done, "{name} cuda {cuda}");
+            let (verified, causal) = etwtrace::verify::check(&trace);
+            assert!(
+                verified.is_clean(),
+                "{name} cuda {cuda}: {}",
+                verified.render()
+            );
             assert!(causal.is_clean(), "{name} cuda {cuda}: {}", causal.render());
         }
     }
