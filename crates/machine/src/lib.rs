@@ -65,5 +65,7 @@ pub use config::MachineConfig;
 pub use ids::{EventId, Pid, SubmissionId, Tid};
 pub use metrics::SchedMetrics;
 pub use program::{Action, ThreadCtx, ThreadProgram};
+#[cfg(debug_assertions)]
+pub use sched::CpuTruth;
 pub use sched::{Machine, Priority};
 pub use work::Work;
