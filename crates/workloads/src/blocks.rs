@@ -319,12 +319,12 @@ impl ThreadProgram for Ticker {
     fn next(&mut self, ctx: &mut ThreadCtx<'_>) -> Action {
         if self.fired {
             ctx.signal(self.out);
-            if let Some(c) = &mut self.count {
-                if *c == 0 {
-                    return Action::Exit;
-                }
-                *c -= 1;
+        }
+        if let Some(c) = &mut self.count {
+            if *c == 0 {
+                return Action::Exit;
             }
+            *c -= 1;
         }
         self.fired = true;
         Action::Sleep(self.period)
@@ -549,6 +549,31 @@ mod tests {
         let filter = trace.pids_by_name("burst");
         let prof = analysis::concurrency(&trace, &filter);
         assert_eq!(prof.max_concurrency(), 12);
+    }
+
+    #[test]
+    fn a_counted_ticker_fires_exactly_count_ticks() {
+        let mut m = rig();
+        let pid = m.add_process("tick.exe");
+        let tick = m.create_event();
+        let mut ticker = Ticker::new(SimDuration::from_millis(10), tick);
+        ticker.count = Some(3);
+        m.spawn(pid, "clock", Box::new(ticker));
+        let ticks: std::rc::Rc<std::cell::Cell<u32>> = Default::default();
+        let seen = ticks.clone();
+        let mut waited = false;
+        m.spawn(
+            pid,
+            "count",
+            Box::new(move |_: &mut ThreadCtx<'_>| {
+                if std::mem::replace(&mut waited, true) {
+                    seen.set(seen.get() + 1);
+                }
+                Action::WaitEvent(tick)
+            }),
+        );
+        m.run_for(SimDuration::from_millis(100));
+        assert_eq!(ticks.get(), 3);
     }
 
     #[test]

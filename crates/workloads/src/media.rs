@@ -25,8 +25,8 @@ enum Layout {
     Split,
 }
 
-/// Spawns one playback pipeline. `frames` bounds the ticker (the 480p
-/// half); `None` plays to the end of the window.
+/// Spawns one playback pipeline. `frames` bounds the clocks (the 480p
+/// half: `frames + 1` video ticks); `None` plays to the end of the window.
 fn spawn_pipeline(
     ctx: &mut ThreadCtx<'_>,
     layout: Layout,
@@ -37,7 +37,7 @@ fn spawn_pipeline(
     let period = SimDuration::from_secs_f64(1.0 / p::FPS);
     let tick = ctx.create_event();
     let mut ticker = Ticker::new(period, tick);
-    ticker.count = frames;
+    ticker.count = frames.map(|f| f + 1);
     ctx.spawn_sibling("vsync", Box::new(ticker));
 
     let present_gpu = StageGpu {
@@ -71,7 +71,7 @@ fn spawn_pipeline(
             );
             let atick = ctx.create_event();
             let mut aticker = Ticker::new(SimDuration::from_millis(23), atick);
-            aticker.count = frames.map(|f| f * 3 / 2);
+            aticker.count = frames.map(|f| f * 3 / 2 + 1);
             ctx.spawn_sibling("audio-clock", Box::new(aticker));
             ctx.spawn_sibling(
                 "audio",
@@ -126,7 +126,7 @@ fn spawn_pipeline(
             );
             let atick = ctx.create_event();
             let mut aticker = Ticker::new(SimDuration::from_millis(23), atick);
-            aticker.count = frames.map(|f| f * 3 / 2);
+            aticker.count = frames.map(|f| f * 3 / 2 + 1);
             ctx.spawn_sibling("audio-clock", Box::new(aticker));
             ctx.spawn_sibling(
                 "audio",

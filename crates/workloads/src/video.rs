@@ -377,8 +377,7 @@ pub fn premiere(m: &mut Machine, opts: &WorkloadOpts) -> Pid {
                 // A finite clip's encodes are counted on an event of their own.
                 let encoded = frames.map(|_| ctx.create_event());
                 let mut clock = Ticker::new(SimDuration::from_millis(55), tick);
-                // The clock fires `count + 1` ticks.
-                clock.count = frames.map(|n| n.saturating_sub(1));
+                clock.count = frames;
                 ctx.spawn_sibling("frame-clock", Box::new(clock));
                 let cpu_scale = if cuda { pa::PREM_CUDA_CPU_SCALE } else { 1.0 };
                 let decode = Stage::new(
