@@ -1,8 +1,9 @@
 //! `L-PANIC` (`analyzer-panic`): panics in the streaming analyzers and
 //! the trace decode path.
 //!
-//! The analyzers `verify.rs`, `hb.rs`, `timeline.rs` and `blame.rs`, and
-//! the decode path under them — `setl3.rs` (container and record codec),
+//! The analyzers `verify.rs`, `hb.rs`, `timeline.rs`, `blame.rs`,
+//! `critical.rs` and `analysis.rs`, the scheduling replay under them
+//! (`replay.rs`), and the decode path — `setl3.rs` (container and record codec),
 //! `shard.rs` (`BlockCursor` and the fold pipeline), `etl.rs`
 //! (`trace_info`) and `event.rs` (the `TraceBuilder` that
 //! `setl3::read_setl3` fills and seals) — promise *Diagnostic-and-continue*
@@ -21,11 +22,14 @@ use crate::rules::Rule;
 use crate::scope::FileModel;
 
 /// The modules bound by the Diagnostic-and-continue contract.
-const ANALYZER_FILES: [&str; 8] = [
+const ANALYZER_FILES: [&str; 11] = [
     "crates/trace/src/verify.rs",
     "crates/trace/src/hb.rs",
     "crates/trace/src/timeline.rs",
     "crates/trace/src/blame.rs",
+    "crates/trace/src/critical.rs",
+    "crates/trace/src/analysis.rs",
+    "crates/trace/src/replay.rs",
     "crates/trace/src/setl3.rs",
     "crates/trace/src/shard.rs",
     "crates/trace/src/etl.rs",
@@ -141,12 +145,13 @@ mod tests {
     fn panic_sites_fire_only_in_analyzer_modules() {
         let src = "fn f() { x.unwrap(); y.expect(\"e\"); panic!(\"boom\"); let v = xs[0]; }";
         for file in [
-            "verify", "hb", "timeline", "blame", "setl3", "shard", "etl", "event",
+            "verify", "hb", "timeline", "blame", "critical", "analysis", "replay", "setl3",
+            "shard", "etl", "event",
         ] {
             let path = format!("crates/trace/src/{file}.rs");
             assert_eq!(run(&path, src).len(), 4, "{path}");
         }
-        assert!(run("crates/trace/src/critical.rs", src).is_empty());
+        assert!(run("crates/trace/src/chrome.rs", src).is_empty());
         assert!(run("crates/workloads/src/video.rs", src).is_empty());
     }
 

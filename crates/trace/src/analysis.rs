@@ -1,7 +1,11 @@
 //! Replay analyzers: TLP (Equation 1), concurrency heat-map rows,
-//! instantaneous timelines, GPU utilization and FPS.
+//! instantaneous timelines, GPU utilization and FPS. The schedule stats
+//! read the crate's one scheduling replay (`replay.rs`); the Eq. 1 fold
+//! keeps its own CPU→pid array, which is cheaper on a path every
+//! `Measurement::aggregate` runs.
 
 use crate::event::{EtlTrace, PidSet, TraceEvent};
+use crate::replay::{slot_mut, Replay, Sink, State};
 use simcore::{Histogram, Series, SimDuration, SimTime};
 
 /// The `c_0..c_n` execution-time distribution for one application — one row
@@ -119,7 +123,10 @@ impl<'a> ConcurrencyFold<'a> {
         };
         before((*at).max(self.start).min(self.end), self.running);
         debug_assert!(*cpu < self.per_cpu.len(), "CSwitch on disabled cpu {cpu}");
-        let prev = std::mem::replace(&mut self.per_cpu[*cpu], new.map(|k| k.pid));
+        let Some(slot) = self.per_cpu.get_mut(*cpu) else {
+            return;
+        };
+        let prev = std::mem::replace(slot, new.map(|k| k.pid));
         debug_assert!(prev.is_none() || prev == old.map(|k| k.pid));
         if prev.is_some_and(|pid| self.filter.contains(pid)) {
             self.running -= 1;
@@ -360,9 +367,9 @@ pub struct ScheduleStats {
 
 /// Computes run-episode lengths and cross-CPU migrations for `filter`.
 pub fn schedule_stats(trace: &EtlTrace, filter: &PidSet) -> ScheduleStats {
-    let mut fold = ScheduleStatsFold::new(filter);
+    let mut fold = ScheduleStatsFold::new(filter, trace.n_logical_cpus());
     for ev in trace.events() {
-        fold.push(ev);
+        fold.replay.push(ev, &mut fold.slices);
     }
     fold.finish()
 }
@@ -370,68 +377,59 @@ pub fn schedule_stats(trace: &EtlTrace, filter: &PidSet) -> ScheduleStats {
 /// The fold behind [`schedule_stats`] — shared by the materialized and
 /// sharded paths (see [`GpuUtilFold`] for the determinism argument).
 struct ScheduleStatsFold<'a> {
-    filter: &'a PidSet,
-    on_cpu: std::collections::HashMap<(u64, u64), (usize, SimTime)>,
-    last_cpu: std::collections::HashMap<(u64, u64), usize>,
+    replay: Replay<'a>,
+    slices: Slices,
+}
+
+/// The replay's run slices as episodes, and each thread's last CPU.
+#[derive(Default)]
+struct Slices {
+    last_cpu: Vec<Option<usize>>,
     episodes: u64,
     total: f64,
     max: f64,
     migrations: u64,
 }
 
-impl<'a> ScheduleStatsFold<'a> {
-    fn new(filter: &'a PidSet) -> Self {
-        ScheduleStatsFold {
-            filter,
-            on_cpu: std::collections::HashMap::new(),
-            last_cpu: std::collections::HashMap::new(),
-            episodes: 0,
-            total: 0.0,
-            max: 0.0,
-            migrations: 0,
+impl Sink for Slices {
+    fn transition(&mut self, slot: usize, from: State, since: u64, to: State, at: u64) {
+        if let State::Running(_) = from {
+            let ms = SimDuration::from_nanos(at.saturating_sub(since)).as_secs_f64() * 1e3;
+            self.episodes += 1;
+            self.total += ms;
+            self.max = self.max.max(ms);
+        }
+        if let State::Running(cpu) = to {
+            if slot_mut(&mut self.last_cpu, slot)
+                .replace(cpu)
+                .is_some_and(|prev| prev != cpu)
+            {
+                self.migrations += 1;
+            }
         }
     }
+}
 
-    fn push(&mut self, ev: &TraceEvent) {
-        if let TraceEvent::CSwitch {
-            at, cpu, old, new, ..
-        } = ev
-        {
-            if let Some(k) = old {
-                if self.filter.contains(k.pid) {
-                    if let Some((start_cpu, since)) = self.on_cpu.remove(&(k.pid, k.tid)) {
-                        debug_assert_eq!(start_cpu, *cpu);
-                        let ms = at.saturating_since(since).as_secs_f64() * 1e3;
-                        self.episodes += 1;
-                        self.total += ms;
-                        self.max = self.max.max(ms);
-                    }
-                }
-            }
-            if let Some(k) = new {
-                if self.filter.contains(k.pid) {
-                    if let Some(&prev) = self.last_cpu.get(&(k.pid, k.tid)) {
-                        if prev != *cpu {
-                            self.migrations += 1;
-                        }
-                    }
-                    self.last_cpu.insert((k.pid, k.tid), *cpu);
-                    self.on_cpu.insert((k.pid, k.tid), (*cpu, *at));
-                }
-            }
+impl<'a> ScheduleStatsFold<'a> {
+    /// The stats read no window time, so the replay's window is empty.
+    fn new(filter: &'a PidSet, n_logical: usize) -> Self {
+        ScheduleStatsFold {
+            replay: Replay::new(Some(filter), n_logical, 0, 0),
+            slices: Slices::default(),
         }
     }
 
     fn finish(self) -> ScheduleStats {
+        let s = self.slices;
         ScheduleStats {
-            episodes: self.episodes,
-            mean_slice_ms: if self.episodes > 0 {
-                self.total / self.episodes as f64
+            episodes: s.episodes,
+            mean_slice_ms: if s.episodes > 0 {
+                s.total / s.episodes as f64
             } else {
                 0.0
             },
-            max_slice_ms: self.max,
-            migrations: self.migrations,
+            max_slice_ms: s.max,
+            migrations: s.migrations,
         }
     }
 }
@@ -562,11 +560,13 @@ pub fn per_process_summary(trace: &EtlTrace) -> Vec<ProcessSummary> {
                 *threads.entry(key.pid).or_default() += 1;
             }
             TraceEvent::CSwitch { at, cpu, new, .. } => {
-                if let Some((pid, since)) = per_cpu[*cpu].take() {
-                    *cpu_seconds.entry(pid).or_default() +=
-                        at.saturating_since(since).as_secs_f64();
+                if let Some(slot) = per_cpu.get_mut(*cpu) {
+                    if let Some((pid, since)) = slot.take() {
+                        *cpu_seconds.entry(pid).or_default() +=
+                            at.saturating_since(since).as_secs_f64();
+                    }
+                    *slot = new.map(|k| (k.pid, *at));
                 }
-                per_cpu[*cpu] = new.map(|k| (k.pid, *at));
             }
             TraceEvent::GpuStart { pid, .. } | TraceEvent::GpuEnd { pid, .. } => {
                 gpu.entry(*pid).or_insert_with(|| gpu_fold(*pid)).push(ev);
@@ -633,10 +633,10 @@ pub struct LatencyStats {
 /// the nearest rank instead would report p100 as p95 for n ≤ 10.
 fn quantile(sorted: &[f64], q: f64) -> f64 {
     debug_assert!(!sorted.is_empty());
-    let rank = (sorted.len() - 1) as f64 * q;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo as f64)
+    let rank = sorted.len().saturating_sub(1) as f64 * q;
+    let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+    let at = |i: usize| sorted.get(i).copied().unwrap_or(0.0);
+    at(lo) + (at(hi) - at(lo)) * (rank - lo as f64)
 }
 
 /// Computes ready→switch-in latency over the filtered processes.
@@ -795,8 +795,8 @@ pub fn schedule_stats_sharded(
     runner: &dyn ShardRunner,
     shards: usize,
 ) -> io::Result<ScheduleStats> {
-    let mut fold = ScheduleStatsFold::new(filter);
-    trace.fold_events(runner, shards, |ev| fold.push(&ev))?;
+    let mut fold = ScheduleStatsFold::new(filter, trace.n_logical_cpus());
+    trace.fold_events(runner, shards, |ev| fold.replay.push(&ev, &mut fold.slices))?;
     Ok(fold.finish())
 }
 
@@ -864,13 +864,13 @@ pub fn tlp_report_sharded(
     let mut profile = ConcurrencyFold::new(filter, trace.n_logical_cpus(), start, end);
     let mut gpu = GpuUtilFold::new(filter, None, start, end);
     let mut latency = LatencyFold::new(filter);
-    let mut schedule = ScheduleStatsFold::new(filter);
+    let mut schedule = ScheduleStatsFold::new(filter, trace.n_logical_cpus());
     let mut engines = EngineFold::new(filter, 0, start, end);
     trace.fold_events(runner, shards, |ev| {
         profile.push(&ev);
         gpu.push(&ev);
         latency.push(&ev);
-        schedule.push(&ev);
+        schedule.replay.push(&ev, &mut schedule.slices);
         engines.push(&ev);
     })?;
     Ok(TlpReport {

@@ -3,16 +3,19 @@
 //! The paper explains low TLP by reading the wait-state channel of its ETW
 //! traces by hand ("the render thread waits on the compositor", "the app
 //! blocks on the GPU"). This module automates that reading in the style of
-//! GAPP (Nair & Field): replay the wait-state records, and whenever fewer
+//! GAPP (Nair & Field): read each thread's run, ready and wait states off
+//! the crate's one scheduling replay (`replay.rs`), and whenever fewer
 //! threads run than logical CPUs allow, charge the lost core-time to the
 //! objects the blocked threads were waiting on. The result is a ranking —
 //! *this* event / GPU engine / timer accounts for the most serialization.
 //!
-//! All accounting is integer nanoseconds over [`BTreeMap`]s, so a given
-//! trace produces byte-identical reports on every platform and at any
+//! All accounting is integer nanoseconds in key order, so a given trace
+//! produces byte-identical reports on every platform and at any
 //! worker-pool size.
 
 use crate::event::{EtlTrace, PidSet, ThreadKey, TraceEvent, WaitReason};
+use crate::replay::{Replay, Sink, State};
+use simcore::SimTime;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -183,14 +186,6 @@ fn fmt_ms(ns: u64) -> String {
     format!("{:.3}", ns as f64 / 1e6)
 }
 
-/// Replay state of one thread.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum St {
-    Ready,
-    Running,
-    Blocked(Blocker),
-}
-
 /// Computes the blocked-time blame for the `filter` application.
 ///
 /// Intervals where the app runs below the machine width charge each blocked
@@ -202,12 +197,12 @@ enum St {
 pub fn blame(trace: &EtlTrace, filter: &PidSet) -> BlameReport {
     let mut sp = simobs::span::span("analyzer", "blame");
     sp.add_events(trace.events().len() as u64);
-    let mut fold = BlameFold::new(trace.n_logical_cpus(), trace.start().as_nanos(), filter);
+    let mut fold = BlameFold::new(filter, trace.n_logical_cpus(), trace.start(), trace.end());
     for ev in trace.events() {
         fold.prepass(ev);
     }
     for ev in trace.events() {
-        fold.replay(ev);
+        fold.replay.push(ev, &mut fold.charges);
     }
     fold.finish(trace.end().as_nanos(), trace.window().as_nanos())
 }
@@ -227,9 +222,11 @@ pub fn blame_sharded(
 ) -> std::io::Result<BlameReport> {
     let mut sp = simobs::span::span("analyzer", "blame");
     sp.add_events(trace.count() * 2);
-    let mut fold = BlameFold::new(trace.n_logical_cpus(), trace.start().as_nanos(), filter);
+    let mut fold = BlameFold::new(filter, trace.n_logical_cpus(), trace.start(), trace.end());
     trace.fold_events(runner, shards, |ev| fold.prepass(&ev))?;
-    trace.fold_events(runner, shards, |ev| fold.replay(&ev))?;
+    trace.fold_events(runner, shards, |ev| {
+        fold.replay.push(&ev, &mut fold.charges)
+    })?;
     Ok(fold.finish(trace.end().as_nanos(), trace.window().as_nanos()))
 }
 
@@ -237,37 +234,46 @@ pub fn blame_sharded(
 /// materialized and sharded entry points.
 struct BlameFold<'a> {
     filter: &'a PidSet,
-    n_logical: usize,
+    replay: Replay<'a>,
+    charges: Charges,
+}
+
+/// Blame's own state: the pre-pass tables and each blocker's tally.
+struct Charges {
     /// Pre-pass 1: packet → engine, from the device's execution records.
     engines: BTreeMap<(u32, u64), u32>,
     /// Pre-pass 2: how often each thread ended a wait on each blocker.
     wakers: BTreeMap<Blocker, BTreeMap<ThreadKey, u64>>,
-    rp: Replay,
+    blockers: BTreeMap<Blocker, Tally>,
+    /// Σ running · dt.
+    cpu_busy: u64,
+}
+
+/// One blocker's threads waiting on it now, lost core-time and waits.
+#[derive(Default)]
+struct Tally {
+    blocked: u64,
+    lost: u64,
+    waits: u64,
 }
 
 impl<'a> BlameFold<'a> {
-    fn new(n_logical: usize, start_ns: u64, filter: &'a PidSet) -> Self {
+    fn new(filter: &'a PidSet, n_logical: usize, start: SimTime, end: SimTime) -> Self {
         BlameFold {
             filter,
-            n_logical,
-            engines: BTreeMap::new(),
-            wakers: BTreeMap::new(),
-            rp: Replay {
-                n_logical: n_logical as u64,
-                threads: BTreeMap::new(),
-                breakdown: BTreeMap::new(),
-                blocked: BTreeMap::new(),
-                lost: BTreeMap::new(),
-                waits: BTreeMap::new(),
-                n_running: 0,
+            replay: Replay::new(Some(filter), n_logical, start.as_nanos(), end.as_nanos()),
+            charges: Charges {
+                engines: BTreeMap::new(),
+                wakers: BTreeMap::new(),
+                blockers: BTreeMap::new(),
                 cpu_busy: 0,
-                cur: start_ns,
             },
         }
     }
 
     /// First pass: collect packet engines and wait wakers.
     fn prepass(&mut self, ev: &TraceEvent) {
+        let c = &mut self.charges;
         match *ev {
             TraceEvent::GpuStart {
                 gpu,
@@ -275,97 +281,48 @@ impl<'a> BlameFold<'a> {
                 packet,
                 ..
             } => {
-                self.engines.insert((gpu as u32, packet), engine);
+                c.engines.insert((gpu as u32, packet), engine);
             }
-            // A runnable wait (preemption, yield) blocks nothing, as in
-            // the replay.
             TraceEvent::WaitEnd {
                 key,
                 reason,
                 waker: Some(w),
                 ..
-            } if self.filter.contains(key.pid) && !reason.is_runnable() => {
-                *self
-                    .wakers
-                    .entry(blocker_of(reason, &self.engines))
-                    .or_default()
-                    .entry(w)
-                    .or_insert(0) += 1;
-            }
-            _ => {}
-        }
-    }
-
-    /// Second pass: replay the wait-state machine and charge intervals.
-    fn replay(&mut self, ev: &TraceEvent) {
-        let rp = &mut self.rp;
-        let filter = self.filter;
-        let t = ev.at().as_nanos();
-        match *ev {
-            TraceEvent::ThreadStart { key, .. } if filter.contains(key.pid) => {
-                rp.advance(t);
-                rp.threads.insert(key, (St::Ready, t));
-                rp.breakdown.entry(key).or_default();
-            }
-            TraceEvent::ThreadEnd { key, .. } if filter.contains(key.pid) => {
-                rp.advance(t);
-                rp.transition(key, None, t);
-            }
-            TraceEvent::CSwitch { old, new, .. } => {
-                let old = old.filter(|k| filter.contains(k.pid));
-                let new = new.filter(|k| filter.contains(k.pid));
-                if old.is_none() && new.is_none() {
-                    return;
+            } if self.filter.contains(key.pid) => {
+                if let Some(b) = blocker_of(State::Waiting(reason), &c.engines) {
+                    *c.wakers.entry(b).or_default().entry(w).or_insert(0) += 1;
                 }
-                rp.advance(t);
-                if let Some(key) = old {
-                    // Provisionally Ready; a same-instant WaitBegin refines
-                    // this with zero elapsed time, so nothing is mischarged.
-                    rp.transition(key, Some(St::Ready), t);
-                }
-                if let Some(key) = new {
-                    rp.transition(key, Some(St::Running), t);
-                }
-            }
-            TraceEvent::WaitBegin { key, reason, .. } if filter.contains(key.pid) => {
-                rp.advance(t);
-                let st = if reason.is_runnable() {
-                    St::Ready
-                } else {
-                    let b = blocker_of(reason, &self.engines);
-                    *rp.waits.entry(b).or_insert(0) += 1;
-                    St::Blocked(b)
-                };
-                rp.transition(key, Some(st), t);
-            }
-            TraceEvent::WaitEnd { key, .. } if filter.contains(key.pid) => {
-                rp.advance(t);
-                rp.transition(key, Some(St::Ready), t);
             }
             _ => {}
         }
     }
 
     fn finish(mut self, end_ns: u64, window_ns: u64) -> BlameReport {
-        self.rp.advance(end_ns);
-        let keys: Vec<ThreadKey> = self.rp.threads.keys().copied().collect();
-        for key in keys {
-            self.rp.transition(key, None, end_ns);
-        }
-
-        let mut ranking: Vec<BlockerStat> = self
-            .rp
-            .lost
-            .keys()
-            .chain(self.rp.waits.keys())
-            .copied()
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .map(|b| BlockerStat {
+        let c = &mut self.charges;
+        self.replay.advance(end_ns, c);
+        let per_thread = self.replay.in_key_order().into_iter().map(|(key, slot)| {
+            let [running, ready, preempted, yielded, sleep, event, gpu] =
+                self.replay.spent(slot, end_ns);
+            let b = ThreadTimeBreakdown {
+                running_ns: running,
+                ready_ns: ready + preempted + yielded,
+                sleeping_ns: sleep,
+                blocked_event_ns: event,
+                blocked_gpu_ns: gpu,
+            };
+            (key, b)
+        });
+        let mut ranking: Vec<BlockerStat> = c
+            .blockers
+            .iter()
+            .map(|(&b, t)| BlockerStat {
                 blocker: b,
-                lost_core_ns: self.rp.lost.get(&b).copied().unwrap_or(0),
-                wait_count: self.rp.waits.get(&b).copied().unwrap_or(0),
-                top_waker: top_waker(self.wakers.get(&b)),
+                lost_core_ns: t.lost,
+                wait_count: t.waits,
+                // Most frequent waker; ties break toward the smallest key.
+                top_waker: (c.wakers.get(&b).into_iter().flatten())
+                    .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
+                    .map(|(&k, _)| k),
             })
             .collect();
         ranking.sort_by(|a, c| {
@@ -375,131 +332,61 @@ impl<'a> BlameFold<'a> {
         });
 
         BlameReport {
-            per_thread: self.rp.breakdown.into_iter().collect(),
+            per_thread: per_thread.collect(),
             ranking,
-            n_logical: self.n_logical,
+            n_logical: self.replay.cpus().len(),
             window_ns,
-            cpu_busy_ns: self.rp.cpu_busy,
+            cpu_busy_ns: c.cpu_busy,
         }
     }
 }
 
-/// Mutable replay state shared by the interval charger and the per-thread
-/// state machine.
-struct Replay {
-    n_logical: u64,
-    /// Current state and its start time, per live thread.
-    threads: BTreeMap<ThreadKey, (St, u64)>,
-    breakdown: BTreeMap<ThreadKey, ThreadTimeBreakdown>,
-    /// How many threads currently wait on each blocker.
-    blocked: BTreeMap<Blocker, u64>,
-    lost: BTreeMap<Blocker, u64>,
-    waits: BTreeMap<Blocker, u64>,
-    n_running: u64,
-    cpu_busy: u64,
-    cur: u64,
-}
-
-impl Replay {
-    /// Charges the interval `[cur, t)` against the current aggregate state.
-    fn advance(&mut self, t: u64) {
-        let dt = t.saturating_sub(self.cur);
-        if dt == 0 {
-            return;
-        }
-        self.cur = t;
-        self.cpu_busy += dt * self.n_running;
-        if self.n_running >= 1 && self.n_running < self.n_logical {
-            let headroom = self.n_logical - self.n_running;
-            for (&b, &count) in &self.blocked {
-                if count > 0 {
-                    *self.lost.entry(b).or_insert(0) += dt * count.min(headroom);
-                }
+impl Sink for Charges {
+    /// Charges `[from, to)` against the app's running level and the
+    /// blockers its threads wait on.
+    fn elapse(&mut self, replay: &Replay<'_>, from: u64, to: u64) {
+        let (dt, n_logical) = (to - from, replay.cpus().len() as u64);
+        let [running, ..] = *replay.levels();
+        let n_running = u64::from(running);
+        self.cpu_busy += dt * n_running;
+        if n_running >= 1 && n_running < n_logical {
+            let headroom = n_logical - n_running;
+            for t in self.blockers.values_mut() {
+                t.lost += dt * t.blocked.min(headroom);
             }
         }
     }
 
-    /// Moves `key` to `new_st` (`None` = thread gone), crediting the time
-    /// spent in its previous state.
-    fn transition(&mut self, key: ThreadKey, new_st: Option<St>, t: u64) {
-        let Some(&(old_st, since)) = self.threads.get(&key) else {
-            // Thread never announced (trace fragment): adopt it now.
-            if let Some(st) = new_st {
-                self.apply_count(st, 1);
-                self.threads.insert(key, (st, t));
-            }
-            return;
-        };
-        let b = self.breakdown.entry(key).or_default();
-        let dt = t.saturating_sub(since);
-        match old_st {
-            St::Running => b.running_ns += dt,
-            St::Ready => b.ready_ns += dt,
-            St::Blocked(Blocker::Sleep) => b.sleeping_ns += dt,
-            St::Blocked(Blocker::Event { .. }) => b.blocked_event_ns += dt,
-            St::Blocked(Blocker::Gpu { .. }) => b.blocked_gpu_ns += dt,
+    fn transition(&mut self, _slot: usize, from: State, _since: u64, to: State, _at: u64) {
+        let from = blocker_of(from, &self.engines);
+        if let Some(t) = from.and_then(|b| self.blockers.get_mut(&b)) {
+            t.blocked = t.blocked.saturating_sub(1);
         }
-        self.apply_count(old_st, -1);
-        match new_st {
-            Some(st) => {
-                self.apply_count(st, 1);
-                self.threads.insert(key, (st, t));
-            }
-            None => {
-                self.threads.remove(&key);
-            }
-        }
-    }
-
-    /// Counts a thread into (`delta` 1) or out of (`delta` -1) state `st`.
-    /// Only [`Replay::transition`] calls it: a thread is counted into the
-    /// state it is recorded in and out of that same recorded state, so no
-    /// count goes below zero whatever the stream holds.
-    fn apply_count(&mut self, st: St, delta: i64) {
-        match st {
-            St::Running => {
-                self.n_running = self
-                    .n_running
-                    .checked_add_signed(delta)
-                    // lint:allow(analyzer-panic): counted out only from the
-                    // recorded state it was counted into
-                    .expect("running count")
-            }
-            St::Blocked(b) => {
-                let c = self.blocked.entry(b).or_insert(0);
-                // lint:allow(analyzer-panic): counted out only from the
-                // recorded state it was counted into
-                *c = c.checked_add_signed(delta).expect("blocked count");
-            }
-            St::Ready => {}
+        if let Some(b) = blocker_of(to, &self.engines) {
+            let t = self.blockers.entry(b).or_default();
+            t.blocked += 1;
+            t.waits += 1;
         }
     }
 }
 
-/// Maps a blocking wait reason to its attribution target, via the shared
-/// object accessors on [`WaitReason`]. Callers skip the runnable reasons.
-fn blocker_of(reason: WaitReason, engines: &BTreeMap<(u32, u64), u32>) -> Blocker {
-    if let Some((gpu, packet)) = reason.gpu_packet() {
-        Blocker::Gpu {
+/// The attribution target of a thread in `state`, if it is blocked: a
+/// runnable wait (preemption, yield) blocks nothing.
+fn blocker_of(state: State, engines: &BTreeMap<(u32, u64), u32>) -> Option<Blocker> {
+    let State::Waiting(reason) = state else {
+        return None;
+    };
+    Some(match reason {
+        WaitReason::Preempted | WaitReason::Yield => return None,
+        WaitReason::Sleep => Blocker::Sleep,
+        WaitReason::Event { id } => Blocker::Event { id },
+        WaitReason::Gpu { gpu, packet } => Blocker::Gpu {
             engine: engines
                 .get(&(gpu, packet))
                 .copied()
                 .unwrap_or(ENGINE_UNKNOWN),
-        }
-    } else if let Some(id) = reason.event_id() {
-        Blocker::Event { id }
-    } else {
-        Blocker::Sleep
-    }
-}
-
-/// Most frequent waker; ties break toward the smallest thread key.
-fn top_waker(counts: Option<&BTreeMap<ThreadKey, u64>>) -> Option<ThreadKey> {
-    let counts = counts?;
-    counts
-        .iter()
-        .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
-        .map(|(&k, _)| k)
+        },
+    })
 }
 
 #[cfg(test)]

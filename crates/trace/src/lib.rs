@@ -57,6 +57,7 @@ pub mod etl;
 pub mod event;
 pub mod export;
 pub mod hb;
+mod replay;
 pub mod setl3;
 pub mod shard;
 pub mod timeline;

@@ -22,28 +22,23 @@
 //!   over buckets *exactly* — [`Timeline::check_conservation`] verifies it,
 //!   and a proptest pins it over random workload mixes.
 //!
-//! The timeline is whole-system (no [`crate::PidSet`] filter): it is a
-//! triage view like `tracetool info`, not an Equation-1 measurement.
+//! The running, ready and wait counters and the CPU occupancy come from
+//! the crate's one scheduling replay (`replay.rs`), so ready time counts a
+//! started thread until it first runs or waits. The timeline is
+//! whole-system (no [`crate::PidSet`] filter): a triage view like
+//! `tracetool info`, not an Equation-1 measurement.
 
-use crate::event::{EtlTrace, ThreadKey, TraceEvent, WaitReason};
+use crate::event::{EtlTrace, TraceEvent};
+use crate::replay::{Replay, Sink};
 use crate::shard::{SerialShards, ShardRunner, ShardedTrace};
+use simcore::SimTime;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
 
-/// Wait-reason labels in [`WaitReason`] tag order; the `wait_ns` arrays in
-/// [`Accum`] are indexed by this table.
+/// Wait-reason labels in [`crate::WaitReason`] tag order; the `wait_ns`
+/// arrays in [`Accum`] are indexed by this table.
 pub const WAIT_LABELS: [&str; 5] = ["preempted", "yield", "sleep", "event", "gpu"];
-
-fn reason_index(reason: &WaitReason) -> usize {
-    match reason {
-        WaitReason::Preempted => 0,
-        WaitReason::Yield => 1,
-        WaitReason::Sleep => 2,
-        WaitReason::Event { .. } => 3,
-        WaitReason::Gpu { .. } => 4,
-    }
-}
 
 /// Display name of a GPU engine id (`u32::MAX` is the video encoder).
 pub fn engine_name(engine: u32) -> String {
@@ -77,24 +72,24 @@ pub struct Accum {
 }
 
 impl Accum {
-    fn add(&mut self, dt: u64, st: &Counters) {
-        self.busy_cpu_ns += u64::from(st.running) * dt;
-        if st.running > 0 {
+    fn add(&mut self, dt: u64, replay: &Replay<'_>, gpu_outstanding: &BTreeMap<(u32, u32), u32>) {
+        let [running, ready, waits @ ..] = *replay.levels();
+        self.busy_cpu_ns += u64::from(running) * dt;
+        if running > 0 {
             self.nonidle_ns += dt;
         }
-        if self.per_cpu_busy_ns.len() < st.cpu_occupant.len() {
-            self.per_cpu_busy_ns.resize(st.cpu_occupant.len(), 0);
-        }
-        for (busy, occ) in self.per_cpu_busy_ns.iter_mut().zip(&st.cpu_occupant) {
+        for (busy, occ) in self.per_cpu_busy_ns.iter_mut().zip(replay.cpus()) {
             if occ.is_some() {
                 *busy += dt;
             }
         }
-        for (slot, &n) in self.wait_ns.iter_mut().zip(&st.wait_counts) {
+        for (slot, &n) in self.wait_ns.iter_mut().zip(&waits) {
             *slot += u64::from(n) * dt;
         }
-        self.ready_ns += u64::from(st.ready_depth()) * dt;
-        for (&k, &n) in &st.gpu_outstanding {
+        // Runnable but not running: ready, preempted or yielded.
+        let [preempted, yielded, ..] = waits;
+        self.ready_ns += u64::from(ready + preempted + yielded) * dt;
+        for (&k, &n) in gpu_outstanding {
             if n > 0 {
                 *self.gpu_busy_ns.entry(k).or_insert(0) += dt;
             }
@@ -222,60 +217,71 @@ pub struct Timeline {
     pub totals: Accum,
 }
 
-/// Live replay state: what is running, ready, waiting and in flight right
-/// now. This — not the event vector — is the memory footprint of the pass.
-#[derive(Clone, Debug, Default)]
-struct Counters {
-    cpu_occupant: Vec<Option<ThreadKey>>,
-    running: u32,
-    ready_plain: u32,
-    wait_counts: [u32; 5],
+/// The fold: the scheduling replay, and the timeline it charges.
+struct Folder {
+    replay: Replay<'static>,
+    charge: Charge,
+}
+
+/// The timeline in progress, its bucket cursor and GPU packets in flight.
+struct Charge {
+    tl: Timeline,
+    cursor: u64,
+    idx: usize,
     gpu_outstanding: BTreeMap<(u32, u32), u32>,
 }
 
-impl Counters {
-    /// Runnable-but-not-running: woken threads awaiting a CPU plus
-    /// preempted/yielded threads (their wait reasons are runnable).
-    fn ready_depth(&self) -> u32 {
-        let [preempted, yielded, ..] = self.wait_counts;
-        self.ready_plain + preempted + yielded
-    }
-
-    /// The counter a thread in `state` is counted in.
-    fn count_of(&mut self, state: TState) -> Option<&mut u32> {
-        match state {
-            TState::Ready => Some(&mut self.ready_plain),
-            TState::Waiting(i) => self.wait_counts.get_mut(i),
+impl Sink for Charge {
+    /// Charges the replay's levels over `[from, to)` to the whole-trace
+    /// totals once and to each crossed bucket segment exactly once. Pure
+    /// integer arithmetic — nothing is rounded or lost.
+    fn elapse(&mut self, replay: &Replay<'_>, from: u64, to: u64) {
+        self.tl.totals.add(to - from, replay, &self.gpu_outstanding);
+        let [running, ..] = *replay.levels();
+        while self.cursor < to {
+            while matches!(self.tl.buckets.get(self.idx), Some(b) if b.end_ns <= self.cursor) {
+                self.idx += 1;
+            }
+            let Some(b) = self.tl.buckets.get_mut(self.idx) else {
+                break;
+            };
+            let seg_end = to.min(b.end_ns);
+            let dt = seg_end - self.cursor;
+            if dt > 0 {
+                b.acc.add(dt, replay, &self.gpu_outstanding);
+                b.running_min = b.running_min.min(running);
+                b.running_max = b.running_max.max(running);
+            }
+            self.cursor = seg_end;
         }
+        self.cursor = to;
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum TState {
-    Ready,
-    Waiting(usize),
-}
-
-struct Folder {
-    start: u64,
-    end: u64,
-    cursor: u64,
-    idx: usize,
-    buckets: Vec<Bucket>,
-    totals: Accum,
-    st: Counters,
-    thread_state: BTreeMap<ThreadKey, TState>,
-    events: u64,
-    n_logical: usize,
+impl Charge {
+    /// The bucket a point event at the cursor belongs to (half-open
+    /// intervals; the window end belongs to the last bucket).
+    fn point_bucket(&mut self) -> Option<&mut Bucket> {
+        let buckets = &mut self.tl.buckets;
+        while matches!(buckets.get(self.idx), Some(b) if b.end_ns <= self.cursor) {
+            self.idx += 1;
+        }
+        let i = self.idx.min(buckets.len().checked_sub(1)?);
+        buckets.get_mut(i)
+    }
 }
 
 impl Folder {
-    fn new(n_logical: usize, start_ns: u64, end_ns: u64, n_buckets: usize) -> Folder {
+    fn new(n_logical: usize, start: SimTime, end: SimTime, n_buckets: usize) -> Folder {
+        let (start_ns, end_ns) = (start.as_nanos(), end.as_nanos().max(start.as_nanos()));
         let n = n_buckets.max(1);
-        let end_ns = end_ns.max(start_ns);
         let dur = end_ns - start_ns;
         let width = dur / n as u64;
         let rem = dur % n as u64;
+        let zero = Accum {
+            per_cpu_busy_ns: vec![0; n_logical],
+            ..Accum::default()
+        };
         let mut buckets = Vec::with_capacity(n);
         let mut at = start_ns;
         for i in 0..n as u64 {
@@ -283,159 +289,63 @@ impl Folder {
             buckets.push(Bucket {
                 start_ns: at,
                 end_ns: at + w,
-                acc: Accum::default(),
+                acc: zero.clone(),
                 running_min: u32::MAX,
                 running_max: 0,
             });
             at += w;
         }
-        Folder {
-            start: start_ns,
-            end: end_ns,
-            cursor: start_ns,
-            idx: 0,
-            buckets,
-            totals: Accum::default(),
-            st: Counters::default(),
-            thread_state: BTreeMap::new(),
-            events: 0,
+        let tl = Timeline {
             n_logical,
+            start_ns,
+            end_ns,
+            events: 0,
+            buckets,
+            totals: zero,
+        };
+        Folder {
+            replay: Replay::new(None, n_logical, start_ns, end_ns),
+            charge: Charge {
+                tl,
+                cursor: start_ns,
+                idx: 0,
+                gpu_outstanding: BTreeMap::new(),
+            },
         }
-    }
-
-    /// Advances virtual time to `to`, charging the current counters to the
-    /// whole-trace totals once and to each crossed bucket segment exactly
-    /// once. Pure integer arithmetic — nothing is rounded or lost.
-    fn advance(&mut self, to: u64) {
-        let to = to.clamp(self.start, self.end);
-        if to <= self.cursor {
-            return;
-        }
-        self.totals.add(to - self.cursor, &self.st);
-        while self.cursor < to {
-            while matches!(self.buckets.get(self.idx), Some(b) if b.end_ns <= self.cursor) {
-                self.idx += 1;
-            }
-            let Some(b) = self.buckets.get_mut(self.idx) else {
-                break;
-            };
-            let seg_end = to.min(b.end_ns);
-            let dt = seg_end - self.cursor;
-            if dt > 0 {
-                b.acc.add(dt, &self.st);
-                b.running_min = b.running_min.min(self.st.running);
-                b.running_max = b.running_max.max(self.st.running);
-            }
-            self.cursor = seg_end;
-        }
-        self.cursor = to;
-    }
-
-    fn set_tstate(&mut self, key: ThreadKey, next: Option<TState>) {
-        let prev = self.thread_state.remove(&key);
-        if let Some(n) = prev.and_then(|s| self.st.count_of(s)) {
-            *n -= 1;
-        }
-        if let Some(state) = next {
-            if let Some(n) = self.st.count_of(state) {
-                *n += 1;
-            }
-            self.thread_state.insert(key, state);
-        }
-    }
-
-    /// The bucket a point event at the cursor belongs to (half-open
-    /// intervals; the window end belongs to the last bucket).
-    fn point_bucket(&mut self) -> Option<&mut Bucket> {
-        while matches!(self.buckets.get(self.idx), Some(b) if b.end_ns <= self.cursor) {
-            self.idx += 1;
-        }
-        let i = self.idx.min(self.buckets.len().checked_sub(1)?);
-        self.buckets.get_mut(i)
     }
 
     fn fold(&mut self, ev: &TraceEvent) {
-        self.events += 1;
-        self.advance(ev.at().as_nanos());
+        let c = &mut self.charge;
+        c.tl.events += 1;
+        self.replay.push(ev, c);
         match ev {
-            TraceEvent::CSwitch { cpu, new, .. } => {
-                let occupants = &mut self.st.cpu_occupant;
-                if *cpu >= occupants.len() {
-                    occupants.resize(cpu + 1, None);
-                }
-                let slot = occupants.get_mut(*cpu);
-                if let Some(prev) = slot.and_then(|slot| std::mem::replace(slot, *new)) {
-                    self.st.running -= 1;
-                    // A switched-out thread stays runnable until a
-                    // WaitBegin says otherwise; one that already fired
-                    // (either order at the same timestamp) wins.
-                    if !self.thread_state.contains_key(&prev) {
-                        self.set_tstate(prev, Some(TState::Ready));
-                    }
-                }
-                if let Some(key) = new {
-                    self.set_tstate(*key, None);
-                    self.st.running += 1;
-                }
-            }
-            TraceEvent::WaitBegin { key, reason, .. } => {
-                self.set_tstate(*key, Some(TState::Waiting(reason_index(reason))));
-            }
-            TraceEvent::WaitEnd { key, .. } => {
-                self.set_tstate(*key, Some(TState::Ready));
-            }
-            TraceEvent::ThreadEnd { key, .. } => {
-                self.set_tstate(*key, None);
-                for occ in &mut self.st.cpu_occupant {
-                    if *occ == Some(*key) {
-                        *occ = None;
-                        self.st.running -= 1;
-                    }
-                }
-            }
             TraceEvent::GpuStart { gpu, engine, .. } => {
-                *self
-                    .st
-                    .gpu_outstanding
-                    .entry((*gpu as u32, *engine))
-                    .or_insert(0) += 1;
+                *c.gpu_outstanding.entry((*gpu as u32, *engine)).or_insert(0) += 1;
             }
             TraceEvent::GpuEnd { gpu, engine, .. } => {
-                if let Some(n) = self.st.gpu_outstanding.get_mut(&(*gpu as u32, *engine)) {
+                if let Some(n) = c.gpu_outstanding.get_mut(&(*gpu as u32, *engine)) {
                     *n = n.saturating_sub(1);
                 }
             }
             TraceEvent::Frame { .. } => {
-                self.totals.frames += 1;
-                if let Some(b) = self.point_bucket() {
+                c.tl.totals.frames += 1;
+                if let Some(b) = c.point_bucket() {
                     b.acc.frames += 1;
                 }
             }
-            TraceEvent::ProcessStart { .. }
-            | TraceEvent::ThreadStart { .. }
-            | TraceEvent::Marker { .. }
-            | TraceEvent::GpuSubmit { .. } => {}
+            _ => {}
         }
     }
 
     fn finish(mut self) -> Timeline {
-        self.advance(self.end);
-        let cpus = self.n_logical.max(self.st.cpu_occupant.len());
-        self.totals.per_cpu_busy_ns.resize(cpus, 0);
-        for b in &mut self.buckets {
-            b.acc.per_cpu_busy_ns.resize(cpus, 0);
+        self.replay.advance(self.charge.tl.end_ns, &mut self.charge);
+        let mut tl = self.charge.tl;
+        for b in &mut tl.buckets {
             if b.running_min == u32::MAX {
                 b.running_min = 0;
             }
         }
-        Timeline {
-            n_logical: self.n_logical,
-            start_ns: self.start,
-            end_ns: self.end,
-            events: self.events,
-            buckets: self.buckets,
-            totals: self.totals,
-        }
+        tl
     }
 }
 
@@ -446,8 +356,8 @@ pub fn fold_trace(trace: &EtlTrace, n_buckets: usize) -> Timeline {
     sp.add_events(trace.events().len() as u64);
     let mut f = Folder::new(
         trace.n_logical_cpus(),
-        trace.start().as_nanos(),
-        trace.end().as_nanos(),
+        trace.start(),
+        trace.end(),
         n_buckets,
     );
     for ev in trace.events() {
@@ -473,8 +383,8 @@ pub fn timeline_sharded(
     sp.add_bytes(trace.len_bytes() as u64);
     let mut f = Folder::new(
         trace.n_logical_cpus(),
-        trace.start().as_nanos(),
-        trace.end().as_nanos(),
+        trace.start(),
+        trace.end(),
         n_buckets,
     );
     trace.fold_events(runner, shards, |ev| f.fold(&ev))?;
@@ -758,7 +668,7 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::TraceBuilder;
+    use crate::event::{ThreadKey, TraceBuilder, WaitReason};
     use crate::setl3;
     use simcore::{SimDuration, SimTime};
 
